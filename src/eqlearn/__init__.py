@@ -15,7 +15,6 @@ from .core import (
     Distribution,
     ExplicitHypotheses,
     InvariantViolation,
-    MConsistentHypotheses,
     PartialConcept,
     Universe,
     consistent_total_extension,
@@ -27,6 +26,7 @@ from .core import (
 )
 from .dimensions import (
     DimensionReport,
+    MConsistentHypotheses,
     MistakeTree,
     consistency_dim,
     consistency_threshold,
@@ -80,7 +80,6 @@ from .compression import (
     check_roundtrip,
     compress,
     decompress,
-    f_partial,
     is_exceptional,
 )
 from .automata import (

@@ -52,13 +52,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_class(path):
+def _read_text(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ClassFormatError(f"cannot read {path}: {exc}") from exc
-    cls = parse_class(text)
+
+
+def _load_distribution(path, universe):
+    """The distribution in the file at `path`, or uniform when no path is given."""
+    if not path:
+        return Distribution.uniform(universe)
+    return parse_distribution(universe, _read_text(path))
+
+
+def _load_class(path):
+    cls = parse_class(_read_text(path))
     if cls.universe.size > UNIVERSE_SOFT_CAP:
         print(
             f"warning: universe size {cls.universe.size} exceeds the soft cap "
@@ -174,8 +184,7 @@ def _make_teacher(spec, cls, target):
         return WitnessAdversary(cls, partial, int(n))
     if spec.startswith("random:"):
         _, mu_file, seed = spec.split(":")
-        with open(mu_file, encoding="utf-8") as fh:
-            mu = parse_distribution(cls.universe, fh.read())
+        mu = _load_distribution(mu_file, cls.universe)
         if target is None:
             raise UsageError("the random teacher needs --target")
         return RandomTeacher(cls, target, mu, int(seed))
@@ -193,12 +202,7 @@ def _make_learner(algo, cls, hyp, mu_file):
         return HalvingEqLearner(cls, hyp)
     if algo == "eqmq":
         return EqMqLearner(cls, hyp)
-    if mu_file:
-        with open(mu_file, encoding="utf-8") as fh:
-            mu = parse_distribution(cls.universe, fh.read())
-    else:
-        mu = Distribution.uniform(cls.universe)
-    return ThicketMaxMinLearner(cls, mu)
+    return ThicketMaxMinLearner(cls, _load_distribution(mu_file, cls.universe))
 
 
 def _cmd_learn(args):
@@ -221,11 +225,7 @@ def _format_fraction(f):
 
 def _cmd_thicket(args):
     cls = _load_class(args.class_file)
-    if args.mu:
-        with open(args.mu, encoding="utf-8") as fh:
-            mu = parse_distribution(cls.universe, fh.read())
-    else:
-        mu = Distribution.uniform(cls.universe)
+    mu = _load_distribution(args.mu, cls.universe)
     lines = []
     graph = ThicketGraph(cls, mu)
     lines.append(f"maxrank={_format_fraction(graph.max_query_rank())}")
@@ -261,8 +261,7 @@ def _cmd_dfa(args):
     if args.learn:
         if not args.target:
             raise UsageError("--learn needs --target FILE")
-        with open(args.target, encoding="utf-8") as fh:
-            target = parse_dfa(fh.read())
+        target = parse_dfa(_read_text(args.target))
         transcript = learn_dfa(args.states, args.maxlen, target, args.mode)
         cls, d, c, exact = dfa_class_summary(args.states, args.maxlen)
         lines = transcript_lines(transcript, cls.universe)

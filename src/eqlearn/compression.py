@@ -12,13 +12,7 @@ the round-trip guarantee is existential over the family.
 from __future__ import annotations
 
 from .core import Concept, InvariantViolation, PartialConcept
-from .dimensions import full_ldim_partial, ldim_subset
-
-
-def f_partial(concept_class):
-    """The canonical maximal exceptional partial: points labeled so that the
-    constrained class keeps full Littlestone dimension."""
-    return full_ldim_partial(concept_class)
+from .dimensions import full_ldim_partial, full_side_label, ldim_subset
 
 
 def is_exceptional(partial, concept_class, version=None):
@@ -47,7 +41,7 @@ def compress(concept_class, sample):
     the picks made so far; an immediate halt emits d copies of the least
     sample point.
     """
-    if concept_class.version_for_partial(sample) == 0:
+    if concept_class.first_member(sample.mask, sample.bits) is None:
         raise ValueError("sample is not a restriction of any member of the class")
     d = ldim_subset(concept_class, concept_class.full_version)
     if d == 0:
@@ -92,13 +86,6 @@ def compress(concept_class, sample):
     return (least,) * d
 
 
-def _canonical_member(concept_class, ones, zeros):
-    for c in concept_class.concepts:
-        if all(c.label(x) == 1 for x in ones) and all(c.label(x) == 0 for x in zeros):
-            return c
-    return None
-
-
 def _constrained_extension(concept_class, ones, zeros):
     """Zero-filled extension of the exceptional partial of the constrained
     subclass, or None when the constraints are unsatisfiable."""
@@ -110,18 +97,6 @@ def _constrained_extension(concept_class, ones, zeros):
     if version == 0:
         return None
     return _zero_fill(full_ldim_partial(concept_class, version))
-
-
-def _full_side_label(concept_class, point):
-    """The label keeping the class at full dimension when constrained at the
-    point, or None when both labels drop it (label 1 checked first)."""
-    full = concept_class.full_version
-    d = ldim_subset(concept_class, full)
-    if ldim_subset(concept_class, concept_class.restrict_version(full, point, 1)) == d:
-        return 1
-    if ldim_subset(concept_class, concept_class.restrict_version(full, point, 0)) == d:
-        return 0
-    return None
 
 
 def decompress(concept_class, index, tup):
@@ -142,7 +117,7 @@ def decompress(concept_class, index, tup):
 
     if all(x == tup[0] for x in tup):
         point = tup[0]
-        full_side = _full_side_label(concept_class, point)
+        full_side = full_side_label(concept_class, concept_class.full_version, d, point)
         if index == full_side:
             # overwritten decoder: the immediate-halt encoding
             return _zero_fill(full_ldim_partial(concept_class))
@@ -153,7 +128,10 @@ def decompress(concept_class, index, tup):
         return None
 
     if len(set(tup)) == d:
-        return _canonical_member(concept_class, tup[:index], tup[index:])
+        # distinct entries: the first `index` are positive picks, the rest negative
+        mask = sum(1 << x for x in tup)
+        ones = sum(1 << x for x in tup[:index])
+        return concept_class.first_member(mask, ones)
 
     if index == 1:
         return _parse_positive_padded(concept_class, tup)

@@ -280,14 +280,19 @@ class ConceptClass:
     def version_indices(self, version):
         return [k for k in range(len(self.concepts)) if (version >> k) & 1]
 
-    def version_for_partial(self, partial):
-        """Bitset of concepts extending the given partial."""
-        v = self.full_version
-        for i in partial.domain():
-            v = self.restrict_version(v, i, partial.label(i))
-            if not v:
-                break
-        return v
+    def lowest_index(self, version):
+        """Index of the lowest-index concept in a nonempty version."""
+        return (version & -version).bit_length() - 1
+
+    def first_member(self, mask, bits, version=None):
+        """First concept in class order (within `version` when given) that
+        agrees with the labels `bits` on the elements in `mask`, or None."""
+        for c in self.concepts:
+            if (c.bits & mask) == bits and (
+                version is None or (version >> self.bits_index[c.bits]) & 1
+            ):
+                return c
+        return None
 
     def __repr__(self):
         return f"ConceptClass(|X|={self.universe.size}, |C|={len(self.concepts)})"
@@ -338,21 +343,14 @@ def is_n_consistent(partial, concept_class, n):
         raise ValueError("n must be nonnegative")
     dom = partial.domain()
     if n >= len(dom):
-        return _has_extension(partial.mask, partial.bits, concept_class)
+        return concept_class.first_member(partial.mask, partial.bits) is not None
     for subset in combinations(dom, n):
         ymask = 0
         for i in subset:
             ymask |= 1 << i
-        if not _has_extension(ymask, partial.bits & ymask, concept_class):
+        if concept_class.first_member(ymask, partial.bits & ymask) is None:
             return False
     return True
-
-
-def _has_extension(mask, bits, concept_class):
-    for c in concept_class.concepts:
-        if (c.bits & mask) == bits:
-            return True
-    return False
 
 
 def consistent_total_extension(partial, concept_class):
@@ -365,14 +363,14 @@ def consistent_total_extension(partial, concept_class):
     """
     if concept_class.universe != partial.universe:
         raise ValueError("partial and class universes differ")
-    if not _has_extension(partial.mask, partial.bits, concept_class):
+    if concept_class.first_member(partial.mask, partial.bits) is None:
         return None
     current = partial
     for i in range(partial.universe.size):
         if current.label(i) is not None:
             continue
         candidate = current.with_point(i, 0)
-        if not _has_extension(candidate.mask, candidate.bits, concept_class):
+        if concept_class.first_member(candidate.mask, candidate.bits) is None:
             candidate = current.with_point(i, 1)
         current = candidate
     return current.to_concept()
@@ -390,20 +388,16 @@ class ExplicitHypotheses:
     def __init__(self, concept_class):
         self.concept_class = concept_class
         self.universe = concept_class.universe
-        self._bits = set(concept_class.bits_index)
 
     def contains(self, concept):
-        return concept.bits in self._bits
+        return self.concept_class.contains_bits(concept.bits)
 
     def enumerate_bits(self):
-        return concept_class_bits(self.concept_class)
+        return self.concept_class.member_bits()
 
     def find_extension(self, partial):
         """First member (in class order) extending the partial, or None."""
-        for c in self.concept_class.concepts:
-            if partial.extended_by(c):
-                return c
-        return None
+        return self.concept_class.first_member(partial.mask, partial.bits)
 
 
 class AllTotals:
@@ -423,67 +417,6 @@ class AllTotals:
     def find_extension(self, partial):
         # fill unspecified points with 0
         return Concept(self.universe, partial.bits)
-
-
-class MConsistentHypotheses:
-    """All totals m-consistent with a base class (the minimal class H_m)."""
-
-    kind = "m-consistent"
-
-    def __init__(self, base, m):
-        if m < 1:
-            raise ValueError("m must be positive")
-        self.base = base
-        self.m = m
-        self.universe = base.universe
-        self._members = None
-
-    def contains(self, concept):
-        return is_n_consistent(concept.as_partial(), self.base, self.m)
-
-    def enumerate_bits(self):
-        if self._members is None:
-            from .dimensions import m_consistent_totals
-
-            self._members = m_consistent_totals(self.base, self.m)
-        return list(self._members)
-
-    def find_extension(self, partial):
-        """Depth-first completion, label 0 first, pruned by m-consistency."""
-        if not is_n_consistent(partial, self.base, self.m):
-            return None
-        total = self._complete(partial)
-        return Concept(self.universe, total.bits) if total is not None else None
-
-    def _complete(self, partial):
-        if partial.is_total():
-            return partial
-        i = next(
-            k for k in range(self.universe.size) if not (partial.mask >> k) & 1
-        )
-        for label in (0, 1):
-            cand = partial.with_point(i, label)
-            if self._point_consistent(cand, i):
-                done = self._complete(cand)
-                if done is not None:
-                    return done
-        return None
-
-    def _point_consistent(self, partial, point):
-        """Check only the size-m restrictions that involve the new point."""
-        dom = [i for i in partial.domain() if i != point]
-        take = min(self.m - 1, len(dom))
-        for rest in combinations(dom, take):
-            ymask = 1 << point
-            for i in rest:
-                ymask |= 1 << i
-            if not _has_extension(ymask, partial.bits & ymask, self.base):
-                return False
-        return True
-
-
-def concept_class_bits(concept_class):
-    return [c.bits for c in concept_class.concepts]
 
 
 def check_subclass(concept_class, hypotheses):

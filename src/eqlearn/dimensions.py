@@ -20,9 +20,9 @@ from .core import (
     Concept,
     ConceptClass,
     ExplicitHypotheses,
-    MConsistentHypotheses,
     PartialConcept,
     check_subclass,
+    is_n_consistent,
 )
 
 # ---------------------------------------------------------------------------
@@ -102,8 +102,7 @@ class MistakeTree:
 
 def _witness(concept_class, version, h):
     if h == 0:
-        leaf = min(concept_class.version_indices(version))
-        return MistakeTree(concept=leaf)
+        return MistakeTree(concept=concept_class.lowest_index(version))
     for x in range(concept_class.universe.size):
         ones = concept_class.element_ones[x]
         s1 = version & ones
@@ -135,13 +134,22 @@ def full_ldim_partial(concept_class, version=None):
     d = ldim_subset(concept_class, version)
     mask = bits = 0
     for x in range(concept_class.universe.size):
-        ones = concept_class.element_ones[x]
-        if ldim_subset(concept_class, version & ones) == d:
+        label = full_side_label(concept_class, version, d, x)
+        if label is not None:
             mask |= 1 << x
-            bits |= 1 << x
-        elif ldim_subset(concept_class, version & ~ones) == d:
-            mask |= 1 << x
+            bits |= label << x
     return PartialConcept(concept_class.universe, mask, bits)
+
+
+def full_side_label(concept_class, version, d, x):
+    """The label at `x` keeping the subclass `version` (of dimension `d`) at
+    full dimension, or None when both labels drop it (label 1 checked first)."""
+    ones = concept_class.element_ones[x]
+    if ldim_subset(concept_class, version & ones) == d:
+        return 1
+    if ldim_subset(concept_class, version & ~ones) == d:
+        return 0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +328,63 @@ def strong_consistency_dim(concept_class, hypotheses):
 # H_m construction and the summary report
 
 
+class MConsistentHypotheses:
+    """All totals m-consistent with a base class (the minimal class H_m)."""
+
+    kind = "m-consistent"
+
+    def __init__(self, base, m):
+        if m < 1:
+            raise ValueError("m must be positive")
+        self.base = base
+        self.m = m
+        self.universe = base.universe
+        self._members = None
+
+    def contains(self, concept):
+        return is_n_consistent(concept.as_partial(), self.base, self.m)
+
+    def enumerate_bits(self):
+        if self._members is None:
+            self._members = m_consistent_totals(self.base, self.m)
+        return list(self._members)
+
+    def find_extension(self, partial):
+        """Depth-first completion, label 0 first, pruned by m-consistency."""
+        if not is_n_consistent(partial, self.base, self.m):
+            return None
+        total = self._complete(partial)
+        return Concept(self.universe, total.bits) if total is not None else None
+
+    def _complete(self, partial):
+        if partial.is_total():
+            return partial
+        i = next(
+            k for k in range(self.universe.size) if not (partial.mask >> k) & 1
+        )
+        for label in (0, 1):
+            cand = partial.with_point(i, label)
+            if self._point_consistent(cand, i):
+                done = self._complete(cand)
+                if done is not None:
+                    return done
+        return None
+
+    def _point_consistent(self, partial, point):
+        """Check only the size-m restrictions that involve the new point."""
+        dom = [i for i in partial.domain() if i != point]
+        take = min(self.m - 1, len(dom))
+        for rest in combinations(dom, take):
+            ymask = 1 << point
+            for i in rest:
+                ymask |= 1 << i
+            if self.base.first_member(ymask, partial.bits & ymask) is None:
+                return False
+        return True
+
+
 def hypothesis_hm(concept_class, m):
     """The minimal hypothesis class with consistency dimension at most m."""
-    if m < 1:
-        raise ValueError("m must be positive")
     return MConsistentHypotheses(concept_class, m)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Concept, InvariantViolation
+from .core import Concept, InvariantViolation, PartialConcept
 from .dimensions import (
     consistency_dim,
     full_ldim_partial,
@@ -116,10 +116,6 @@ class _VersionLearner(Learner):
     def exhausted(self):
         return self.version == 0
 
-    @property
-    def version_indices(self):
-        return self.cls.version_indices(self.version)
-
     def _constrain(self, point, label):
         self.version = self.cls.restrict_version(self.version, point, label)
 
@@ -140,8 +136,7 @@ class _VersionLearner(Learner):
         pass
 
     def _single_concept(self):
-        idx = (self.version & -self.version).bit_length() - 1
-        return self.cls.concepts[idx]
+        return self.cls.concepts[self.cls.lowest_index(self.version)]
 
 
 class OptimalEqLearner(_VersionLearner):
@@ -232,8 +227,6 @@ class HalvingEqLearner(_VersionLearner):
                 bits |= 1 << x
             elif count * c < total:
                 mask |= 1 << x
-        from .core import PartialConcept
-
         partial = PartialConcept(self.cls.universe, mask, bits)
         hyp = self.hyp.find_extension(partial)
         if hyp is None:
@@ -341,20 +334,11 @@ class CdimEqLearner(_VersionLearner):
         version = self.version
         if version & (version - 1) == 0:
             return EqQuery(self._single_concept())
-        d = ldim_subset(self.cls, version)
-        for x in range(self.cls.universe.size):
-            ones = self.cls.element_ones[x]
-            s1 = version & ones
-            s0 = version & ~ones
-            if (
-                s1
-                and s0
-                and ldim_subset(self.cls, s1) < d
-                and ldim_subset(self.cls, s0) < d
-            ):
-                self._spawn([s0, s1])
-                return self._sub.next_move()
-        bits = _full_side_total(self.cls, version, d)
+        x = _splitting_element(self.cls, version)
+        if x is not None:
+            self._spawn([self.cls.restrict_version(version, x, label) for label in (0, 1)])
+            return self._sub.next_move()
+        bits = full_ldim_partial(self.cls, version).bits
         hypothesis = Concept(self.cls.universe, bits)
         if self.hyp.contains(hypothesis):
             return EqQuery(hypothesis)
@@ -375,30 +359,33 @@ class CdimEqLearner(_VersionLearner):
         super().observe(response)
 
 
-def _full_side_total(concept_class, version, d):
-    """Total labeling each element by the side retaining full dimension."""
-    bits = 0
-    for x in range(concept_class.universe.size):
-        if ldim_subset(concept_class, version & concept_class.element_ones[x]) == d:
-            bits |= 1 << x
-    return bits
+def _splitting_element(concept_class, version):
+    """Lowest element whose both labels strictly lower the dimension of the
+    (non-singleton) version, or None."""
+    d = ldim_subset(concept_class, version)
+    for x, ones in enumerate(concept_class.element_ones):
+        s1 = version & ones
+        s0 = version & ~ones
+        if (
+            s1
+            and s0
+            and ldim_subset(concept_class, s1) < d
+            and ldim_subset(concept_class, s0) < d
+        ):
+            return x
+    return None
 
 
 def _unextendable_restriction(concept_class, version, bits, max_size):
     """Smallest restriction (size ascending, lexicographic) of the total
     `bits` with no extension among the surviving concepts."""
-    members = [
-        concept_class.concepts[k].bits
-        for k in concept_class.version_indices(version)
-    ]
     size = concept_class.universe.size
     for k in range(1, max_size + 1):
         for subset in combinations(range(size), k):
             mask = 0
             for x in subset:
                 mask |= 1 << x
-            want = bits & mask
-            if not any((m & mask) == want for m in members):
+            if concept_class.first_member(mask, bits & mask, version) is None:
                 return subset
     raise InvariantViolation(
         "hypothesis outside H admits no small unextendable restriction"
@@ -432,20 +419,11 @@ class EqMqLearner(_VersionLearner):
         version = self.version
         if version & (version - 1) == 0:
             return EqQuery(self._single_concept())
-        d = ldim_subset(self.cls, version)
-        for x in range(self.cls.universe.size):
-            ones = self.cls.element_ones[x]
-            s1 = version & ones
-            s0 = version & ~ones
-            if (
-                s1
-                and s0
-                and ldim_subset(self.cls, s1) < d
-                and ldim_subset(self.cls, s0) < d
-            ):
-                self._await_point = x
-                return MqQuery(x)
-        bits = _full_side_total(self.cls, version, d)
+        x = _splitting_element(self.cls, version)
+        if x is not None:
+            self._await_point = x
+            return MqQuery(x)
+        bits = full_ldim_partial(self.cls, version).bits
         hypothesis = Concept(self.cls.universe, bits)
         if self.hyp.contains(hypothesis):
             return EqQuery(hypothesis)
@@ -493,22 +471,6 @@ class ThicketMaxMinLearner(_VersionLearner):
         self._policy = {} if policy_cache is None else policy_cache
         self.certified_budget = len(concept_class)
 
-    def _edge_weight(self, version, d, a_idx, b_idx):
-        cls = self.cls
-        a_bits = cls.concepts[a_idx].bits
-        b_bits = cls.concepts[b_idx].bits
-        delta = a_bits ^ b_bits
-        num = Fraction(0)
-        mass = Fraction(0)
-        for x in range(cls.universe.size):
-            if not (delta >> x) & 1:
-                continue
-            w = self.mu.weight(x)
-            mass += w
-            sub = cls.restrict_version(version, x, (b_bits >> x) & 1)
-            num += w * (d - ldim_subset(cls, sub))
-        return num / mass
-
     def next_move(self):
         version = self.version
         if version & (version - 1) == 0:
@@ -516,15 +478,36 @@ class ThicketMaxMinLearner(_VersionLearner):
         pick = self._policy.get(version)
         if pick is None:
             indices = self.cls.version_indices(version)
-            d = ldim_subset(self.cls, version)
+            concepts = self.cls.concepts
             best_rank = None
             pick = indices[0]
             for a in indices:
                 rank = min(
-                    self._edge_weight(version, d, a, b) for b in indices if b != a
+                    edge_weight_in(self.cls, self.mu, version, concepts[a], concepts[b])
+                    for b in indices
+                    if b != a
                 )
                 if best_rank is None or rank > best_rank:
                     best_rank = rank
                     pick = a
             self._policy[version] = pick
         return EqQuery(self.cls.concepts[pick])
+
+
+def edge_weight_in(concept_class, mu, version, concept_a, concept_b):
+    """Thicket edge weight within a version: the expected drop in the
+    version's Littlestone dimension when the teacher samples a point of the
+    symmetric difference of the two concepts from `mu` and reveals
+    concept_b's label there."""
+    d = ldim_subset(concept_class, version)
+    delta = concept_a.bits ^ concept_b.bits
+    num = Fraction(0)
+    mass = Fraction(0)
+    for x in range(concept_class.universe.size):
+        if not (delta >> x) & 1:
+            continue
+        w = mu.weight(x)
+        mass += w
+        sub = concept_class.restrict_version(version, x, (concept_b.bits >> x) & 1)
+        num += w * (d - ldim_subset(concept_class, sub))
+    return num / mass

@@ -49,11 +49,24 @@ class Teacher:
         raise NotImplementedError
 
 
-def _least_difference(target, hypothesis):
-    diff = target.bits ^ hypothesis.bits
+def _check_target(concept_class, target_index):
+    if not (0 <= target_index < len(concept_class)):
+        raise ValueError(
+            f"invalid target index {target_index} (class has {len(concept_class)} concepts)"
+        )
+    return concept_class.concepts[target_index]
+
+
+def _honest_answer(target, move):
+    """The answer of a teacher committed to `target`: its label, YES, or a
+    counterexample at the least differing element."""
+    if isinstance(move, MqQuery):
+        return MqAnswer(target.label(move.point))
+    diff = target.bits ^ move.hypothesis.bits
     if diff == 0:
-        return None
-    return (diff & -diff).bit_length() - 1
+        return YES
+    x = (diff & -diff).bit_length() - 1
+    return Counterexample(x, target.label(x))
 
 
 class HonestTeacher(Teacher):
@@ -61,48 +74,45 @@ class HonestTeacher(Teacher):
 
     def __init__(self, concept_class, target_index):
         self.cls = concept_class
-        self.target = concept_class.concepts[target_index]
+        self.target = _check_target(concept_class, target_index)
 
     def respond(self, move):
-        if isinstance(move, MqQuery):
-            return MqAnswer(self.target.label(move.point))
-        hyp = move.hypothesis
-        x = _least_difference(self.target, hyp)
-        if x is None:
-            return YES
-        return Counterexample(x, self.target.label(x))
+        return _honest_answer(self.target, move)
 
 
-class TreeAdversary(Teacher):
+class _Adversary(Teacher):
+    """Tracks the bitset of concepts consistent with every answer issued so
+    far; once committed, answers honestly for the lowest-index survivor."""
+
+    def __init__(self, concept_class):
+        self.cls = concept_class
+        self.consistent = concept_class.full_version
+        self.committed = None
+
+    def _commit(self, move):
+        """Commit to the lowest-index survivor and answer `move` for it."""
+        if not self.consistent:
+            raise InvariantViolation(f"{self.name} has no consistent concept left")
+        self.committed = self.cls.concepts[self.cls.lowest_index(self.consistent)]
+        return _honest_answer(self.committed, move)
+
+
+class TreeAdversary(_Adversary):
     """Walks a full-height mistake tree, answering each equivalence query with
     the current node's element labeled against the hypothesis; after the tree
     is exhausted it commits to the lowest-index concept still consistent.
     Membership queries keep the side of larger Littlestone dimension (ties
     answer 0); they are not covered by the d+1 lower-bound guarantee."""
 
+    name = "tree adversary"
+
     def __init__(self, concept_class):
-        self.cls = concept_class
+        super().__init__(concept_class)
         self.depth, self.node = ldim(concept_class)
-        self.consistent = concept_class.full_version
-        self.committed = None
-
-    def _commit(self):
-        if not self.consistent:
-            raise InvariantViolation("tree adversary has no consistent concept left")
-        idx = (self.consistent & -self.consistent).bit_length() - 1
-        self.committed = self.cls.concepts[idx]
-
-    def _honest(self, move):
-        if isinstance(move, MqQuery):
-            return MqAnswer(self.committed.label(move.point))
-        x = _least_difference(self.committed, move.hypothesis)
-        if x is None:
-            return YES
-        return Counterexample(x, self.committed.label(x))
 
     def respond(self, move):
         if self.committed is not None:
-            return self._honest(move)
+            return _honest_answer(self.committed, move)
         if isinstance(move, MqQuery):
             x = move.point
             s1 = self.cls.restrict_version(self.consistent, x, 1)
@@ -120,25 +130,25 @@ class TreeAdversary(Teacher):
             self.consistent = side
             return MqAnswer(label)
         if self.node.is_leaf:
-            self._commit()
-            return self._honest(move)
+            return self._commit(move)
         x = self.node.element
         label = 1 - move.hypothesis.label(x)
         survivors = self.cls.restrict_version(self.consistent, x, label)
         if not survivors:
             # an earlier membership answer emptied this branch; play honestly
-            self._commit()
-            return self._honest(move)
+            return self._commit(move)
         self.consistent = survivors
         self.node = self.node.high if label else self.node.low
         return Counterexample(x, label)
 
 
-class WitnessAdversary(Teacher):
+class WitnessAdversary(_Adversary):
     """Defends a partial labeling that is n-consistent with the class but has
     no extension in the session hypothesis class, answering per the partial
     while any concept remains consistent with the data, then committing to
     the lowest-index consistent concept."""
+
+    name = "witness adversary"
 
     def __init__(self, concept_class, partial, n, hypothesis_class=None):
         if n < 1:
@@ -147,29 +157,13 @@ class WitnessAdversary(Teacher):
             raise ValueError("the defended partial is not n-consistent with the class")
         if hypothesis_class is not None and hypothesis_class.find_extension(partial):
             raise ValueError("the defended partial extends into the hypothesis class")
-        self.cls = concept_class
+        super().__init__(concept_class)
         self.partial = partial
         self.n = n
-        self.consistent = concept_class.full_version
-        self.committed = None
-
-    def _commit(self):
-        if not self.consistent:
-            raise InvariantViolation("witness adversary has no consistent concept left")
-        idx = (self.consistent & -self.consistent).bit_length() - 1
-        self.committed = self.cls.concepts[idx]
-
-    def _honest(self, move):
-        if isinstance(move, MqQuery):
-            return MqAnswer(self.committed.label(move.point))
-        x = _least_difference(self.committed, move.hypothesis)
-        if x is None:
-            return YES
-        return Counterexample(x, self.committed.label(x))
 
     def respond(self, move):
         if self.committed is not None:
-            return self._honest(move)
+            return _honest_answer(self.committed, move)
         if isinstance(move, MqQuery):
             x = move.point
             label = self.partial.label(x)
@@ -178,8 +172,7 @@ class WitnessAdversary(Teacher):
                 if survivors:
                     self.consistent = survivors
                     return MqAnswer(label)
-            self._commit()
-            return self._honest(move)
+            return self._commit(move)
         hyp = move.hypothesis
         for x in self.partial.domain():
             label = self.partial.label(x)
@@ -189,8 +182,7 @@ class WitnessAdversary(Teacher):
             if survivors:
                 self.consistent = survivors
                 return Counterexample(x, label)
-        self._commit()
-        return self._honest(move)
+        return self._commit(move)
 
 
 class RandomTeacher(Teacher):
@@ -200,10 +192,8 @@ class RandomTeacher(Teacher):
     def __init__(self, concept_class, target_index, mu, seed):
         if mu.universe != concept_class.universe:
             raise ValueError("distribution universe differs from the class universe")
-        if not (0 <= target_index < len(concept_class)):
-            raise ValueError("invalid target index")
         self.cls = concept_class
-        self.target = concept_class.concepts[target_index]
+        self.target = _check_target(concept_class, target_index)
         self.mu = mu
         self.rng = SplitMix64(seed)
 

@@ -14,7 +14,7 @@ from itertools import permutations
 
 from .core import InvariantViolation
 from .dimensions import ldim_subset
-from .learners import ThicketMaxMinLearner, run_session
+from .learners import ThicketMaxMinLearner, edge_weight_in, run_session
 from .rng import mix64
 from .teachers import RandomTeacher
 
@@ -38,21 +38,11 @@ def edge_weight(concept_class, mu, concept_a, concept_b):
     for c in (concept_a, concept_b):
         if c.bits not in concept_class.bits_index:
             raise ValueError("concept is not a member of the class")
-    delta = concept_a.bits ^ concept_b.bits
-    if delta == 0:
+    if concept_a.bits == concept_b.bits:
         raise ValueError("edge weight is undefined for identical concepts")
-    full = concept_class.full_version
-    d = ldim_subset(concept_class, full)
-    num = Fraction(0)
-    mass = Fraction(0)
-    for x in range(concept_class.universe.size):
-        if not (delta >> x) & 1:
-            continue
-        w = mu.weight(x)
-        mass += w
-        sub = concept_class.restrict_version(full, x, concept_b.label(x))
-        num += w * (d - ldim_subset(concept_class, sub))
-    return num / mass
+    return edge_weight_in(
+        concept_class, mu, concept_class.full_version, concept_a, concept_b
+    )
 
 
 class ThicketGraph:

@@ -59,9 +59,34 @@ def test_exact_eqmq(sing4_file):
     assert code == 0 and text.startswith("lc=4 ")
 
 
-def test_missing_file_is_input_error():
+def test_missing_file_is_input_error(sing4_file):
     code, text = execute(["dims", "--class", "no-such-file.cls"])
     assert code == 2 and "input error" in text
+    learn = ["learn", "--class", sing4_file, "--hyp", "self"]
+    for argv in (
+        learn + ["--algo", "thicket", "--teacher", "honest:0", "--mu", "no-such.mu"],
+        learn + ["--algo", "cdim", "--teacher", "random:no-such.mu:1", "--target", "0"],
+        ["thicket", "--class", sing4_file, "--mu", "no-such.mu"],
+        ["dfa", "--states", "2", "--maxlen", "2", "--learn", "--target", "no-such.dfa"],
+    ):
+        code, text = execute(argv)
+        assert code == 2 and text.startswith("input error: cannot read no-such"), argv
+
+
+def test_bad_teacher_index_is_input_error(sing4_file):
+    for index in ("9", "-1"):
+        code, text = execute(
+            [
+                "learn",
+                "--class",
+                sing4_file,
+                "--algo",
+                "cdim",
+                "--teacher",
+                f"honest:{index}",
+            ]
+        )
+        assert code == 2 and text.startswith("input error: invalid target index"), index
 
 
 def test_bad_usage_is_exit_1():

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlearn import fixtures
 from eqlearn.compression import (
@@ -9,24 +10,38 @@ from eqlearn.compression import (
     check_roundtrip,
     compress,
     decompress,
-    f_partial,
     is_exceptional,
 )
 from eqlearn.core import PartialConcept, parse_partial
+from eqlearn.dimensions import full_ldim_partial
 
 from conftest import concept_classes, random_class_only
 
 
 def test_f_partial_fixture_values(sing4, tree32, pow2):
-    assert f_partial(sing4).literal() == "0000"
-    assert f_partial(pow2).literal() == "**"
-    assert f_partial(tree32).literal() == "0" * 12
+    # the canonical maximal exceptional partial f of the whole class
+    assert full_ldim_partial(sing4).literal() == "0000"
+    assert full_ldim_partial(pow2).literal() == "**"
+    assert full_ldim_partial(tree32).literal() == "0" * 12
 
 
 def test_is_exceptional_examples(sing4):
     assert is_exceptional(PartialConcept.empty(sing4.universe), sing4)
     assert is_exceptional(parse_partial(sing4.universe, "***0"), sing4)
     assert not is_exceptional(parse_partial(sing4.universe, "**1*"), sing4)
+
+
+@given(cls=concept_classes(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_exceptional_is_restriction_of_full_ldim_partial(cls, data):
+    version = data.draw(st.integers(1, cls.full_version), label="version")
+    full = (1 << cls.universe.size) - 1
+    mask = data.draw(st.integers(0, full), label="mask")
+    bits = data.draw(st.integers(0, full), label="bits") & mask
+    partial = PartialConcept(cls.universe, mask, bits)
+    assert is_exceptional(partial, cls, version) == partial.is_restriction_of(
+        full_ldim_partial(cls, version)
+    )
 
 
 def test_compress_examples(sing4):

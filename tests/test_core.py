@@ -13,7 +13,6 @@ from eqlearn.core import (
     Concept,
     Distribution,
     ExplicitHypotheses,
-    MConsistentHypotheses,
     PartialConcept,
     Universe,
     consistent_total_extension,
@@ -23,6 +22,7 @@ from eqlearn.core import (
     parse_distribution,
     parse_partial,
 )
+from eqlearn.dimensions import MConsistentHypotheses
 
 from conftest import all_partials, random_class_only
 

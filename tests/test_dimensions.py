@@ -8,10 +8,10 @@ from eqlearn.core import (
     AllTotals,
     Concept,
     ExplicitHypotheses,
-    MConsistentHypotheses,
     is_n_consistent,
 )
 from eqlearn.dimensions import (
+    MConsistentHypotheses,
     consistency_dim,
     consistency_threshold,
     dimension_report,

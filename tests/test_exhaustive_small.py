@@ -17,12 +17,16 @@ from eqlearn.core import (
     Concept,
     ConceptClass,
     ExplicitHypotheses,
-    MConsistentHypotheses,
     Universe,
     is_n_consistent,
     parse_partial,
 )
-from eqlearn.dimensions import consistency_dim, ldim, strong_consistency_dim
+from eqlearn.dimensions import (
+    MConsistentHypotheses,
+    consistency_dim,
+    ldim,
+    strong_consistency_dim,
+)
 from eqlearn.gametree import lc_eq_exact, lc_eqmq_exact
 from eqlearn.teachers import (
     Counterexample,

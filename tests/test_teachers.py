@@ -251,8 +251,11 @@ def test_random_teacher_deterministic_transcripts(tree32):
 
 def test_random_teacher_validation(sing4):
     mu = Distribution.uniform(sing4.universe)
-    with pytest.raises(ValueError, match="target"):
-        RandomTeacher(sing4, 9, mu, seed=0)
+    for index in (9, -1):
+        with pytest.raises(ValueError, match="target"):
+            RandomTeacher(sing4, index, mu, seed=0)
+        with pytest.raises(ValueError, match="target"):
+            HonestTeacher(sing4, index)
     other = Distribution.uniform(fixtures.singletons(5).universe)
     with pytest.raises(ValueError, match="universe"):
         RandomTeacher(sing4, 0, other, seed=0)

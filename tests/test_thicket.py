@@ -8,6 +8,7 @@ import pytest
 from eqlearn import fixtures
 from eqlearn.core import Distribution, parse_class
 from eqlearn.dimensions import ldim_subset
+from eqlearn.learners import edge_weight_in
 from eqlearn.thicket import (
     ThicketGraph,
     deficient_cycle_search,
@@ -50,22 +51,44 @@ def test_edge_weight_examples(sing4, pair_class):
     assert edge_weight(pair_class, mu1, pair_class.concepts[0], pair_class.concepts[1]) == 1
 
 
-def test_edge_weight_tree32_against_direct_sum(tree32):
+def _tree32_version(tree32, name):
+    full = tree32.full_version
+    if name == "full":
+        return full
+    if name == "pair":
+        return (1 << 0) | (1 << 4)
+    if name == "without-1":
+        return full & ~(1 << 1)
+    # "agree": constrain the first point where concepts 0 and 4 agree
+    a, b = tree32.concepts[0], tree32.concepts[4]
+    x = next(x for x in range(12) if a.label(x) == b.label(x))
+    return tree32.restrict_version(full, x, a.label(x))
+
+
+@pytest.mark.parametrize("version_name", ["full", "pair", "without-1", "agree"])
+def test_edge_weight_tree32_against_direct_sum(tree32, version_name):
     # brute-force the defining sum for one pair with an independent ldim path
     mu = Distribution.uniform(tree32.universe)
     a = tree32.concepts[0]  # sigma = (0,0)
     b = tree32.concepts[4]  # sigma = (1,1)
-    d = ldim_subset(tree32, tree32.full_version)
+    version = _tree32_version(tree32, version_name)
+    assert (version & 1) and (version >> 4) & 1
+    d = ldim_subset(tree32, version)
     delta = [x for x in range(12) if a.label(x) != b.label(x)]
     total = Fraction(0)
     for x in delta:
-        v = tree32.restrict_version(tree32.full_version, x, b.label(x))
+        v = tree32.restrict_version(version, x, b.label(x))
         total += Fraction(1, 12) * (d - ldim_subset(tree32, v))
     expected = total / Fraction(len(delta), 12)
-    assert edge_weight(tree32, mu, a, b) == expected
-    # four delta points; revealing b's labels drops 0, 0 (chain points of a),
-    # 1 (b's level-1 point), 2 (b's leaf pins a singleton)
-    assert expected == Fraction(3, 4)
+    assert edge_weight_in(tree32, mu, version, a, b) == expected
+    if version_name == "full":
+        assert edge_weight(tree32, mu, a, b) == expected
+        # four delta points; revealing b's labels drops 0, 0 (chain points of a),
+        # 1 (b's level-1 point), 2 (b's leaf pins a singleton)
+        assert expected == Fraction(3, 4)
+    if version_name == "pair":
+        # every revealed label of b pins b
+        assert expected == 1
 
 
 def test_edge_weight_rejects_equal(sing4):
