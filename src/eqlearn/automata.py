@@ -118,10 +118,6 @@ def string_universe(m):
     return Universe(names)
 
 
-def universe_string(name):
-    return "" if name == EPSILON_NAME else name
-
-
 def bound_of_universe(universe):
     """Recover m from a string universe of size 2^(m+1) - 1."""
     size = universe.size + 1
@@ -155,8 +151,8 @@ def enumerate_dfas(n):
 def enumerate_dfa_class(n, m):
     """Distinct languages of <= n-state DFAs over strings of length <= m,
     deduplicated in first-seen order of the canonical DFA enumeration."""
-    if n > 3 or m > 4:
-        raise ValueError("size guard: enumeration supports n <= 3, m <= 4")
+    if not (1 <= n <= 3 and 0 <= m <= 4):
+        raise ValueError("size guard: enumeration supports 1 <= n <= 3, 0 <= m <= 4")
     universe = string_universe(m)
     strings = bounded_strings(m)
     seen = set()

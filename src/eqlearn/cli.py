@@ -173,22 +173,34 @@ def _cmd_exact(args):
     return [f"lc={value} nodes={nodes}"]
 
 
+_TEACHER_FORMS = {
+    "tree": "tree",
+    "honest": "honest:<i>",
+    "witness": "witness:<partial>:<n>",
+    "random": "random:<mu-file>:<seed>",
+}
+
+
 def _make_teacher(spec, cls, target):
-    if spec == "tree":
+    kind, *fields = spec.split(":")
+    form = _TEACHER_FORMS.get(kind)
+    if form is None:
+        raise UsageError(f"unknown teacher {spec!r}")
+    if len(fields) != form.count(":"):
+        raise UsageError(f"teacher {spec!r} does not have the form {form}")
+    if kind == "random" and target is None:
+        raise UsageError("the random teacher needs --target")
+    if kind != "random" and target is not None:
+        raise UsageError("--target applies only to the random teacher")
+    if kind == "tree":
         return TreeAdversary(cls)
-    if spec.startswith("honest:"):
-        return HonestTeacher(cls, int(spec.split(":")[1]))
-    if spec.startswith("witness:"):
-        _, literal, n = spec.split(":")
-        partial = parse_partial(cls.universe, literal)
-        return WitnessAdversary(cls, partial, int(n))
-    if spec.startswith("random:"):
-        _, mu_file, seed = spec.split(":")
-        mu = _load_distribution(mu_file, cls.universe)
-        if target is None:
-            raise UsageError("the random teacher needs --target")
-        return RandomTeacher(cls, target, mu, int(seed))
-    raise UsageError(f"unknown teacher {spec!r}")
+    if kind == "honest":
+        return HonestTeacher(cls, int(fields[0]))
+    if kind == "witness":
+        partial = parse_partial(cls.universe, fields[0])
+        return WitnessAdversary(cls, partial, int(fields[1]))
+    mu = _load_distribution(fields[0], cls.universe)
+    return RandomTeacher(cls, target, mu, int(fields[1]))
 
 
 def _make_learner(algo, cls, hyp, mu_file):
@@ -236,7 +248,7 @@ def _cmd_thicket(args):
         if cycle is None
         else "deficient_cycles=" + ",".join(map(str, cycle))
     )
-    if args.trials:
+    if args.trials is not None:
         stats = estimate_expected_queries(cls, mu, args.trials, args.seed)
         lines.append(
             f"mean={stats.mean:.4f} stderr={stats.stderr:.4f} "

@@ -132,16 +132,6 @@ class PartialConcept:
     def empty(cls, universe):
         return cls(universe, 0, 0)
 
-    @classmethod
-    def from_points(cls, universe, points):
-        """Build from {element-index: label} pairs."""
-        mask = bits = 0
-        for i, label in points.items():
-            mask |= 1 << i
-            if label:
-                bits |= 1 << i
-        return cls(universe, mask, bits)
-
     @property
     def size(self):
         return bin(self.mask).count("1")

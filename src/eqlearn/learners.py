@@ -475,23 +475,10 @@ class ThicketMaxMinLearner(_VersionLearner):
         version = self.version
         if version & (version - 1) == 0:
             return EqQuery(self._single_concept())
-        pick = self._policy.get(version)
-        if pick is None:
-            indices = self.cls.version_indices(version)
-            concepts = self.cls.concepts
-            best_rank = None
-            pick = indices[0]
-            for a in indices:
-                rank = min(
-                    edge_weight_in(self.cls, self.mu, version, concepts[a], concepts[b])
-                    for b in indices
-                    if b != a
-                )
-                if best_rank is None or rank > best_rank:
-                    best_rank = rank
-                    pick = a
-            self._policy[version] = pick
-        return EqQuery(self.cls.concepts[pick])
+        if version not in self._policy:
+            graph = ThicketGraph(self.cls, self.mu, version)
+            self._policy[version] = max(graph.indices, key=graph.query_rank)
+        return EqQuery(self.cls.concepts[self._policy[version]])
 
 
 def edge_weight_in(concept_class, mu, version, concept_a, concept_b):
@@ -511,3 +498,33 @@ def edge_weight_in(concept_class, mu, version, concept_a, concept_b):
         sub = concept_class.restrict_version(version, x, (concept_b.bits >> x) & 1)
         num += w * (d - ldim_subset(concept_class, sub))
     return num / mass
+
+
+class ThicketGraph:
+    """Weighted directed query graph over a version's concepts (the whole
+    class by default); weights and query ranks are taken within the version."""
+
+    def __init__(self, concept_class, mu, version=None):
+        if mu.universe != concept_class.universe:
+            raise ValueError("distribution universe differs from the class universe")
+        self.cls = concept_class
+        self.mu = mu
+        self.version = concept_class.full_version if version is None else version
+        self.indices = concept_class.version_indices(self.version)
+        self._weights = {}
+
+    def weight(self, i, j):
+        if i == j:
+            raise ValueError("no self-edges in the query graph")
+        if (i, j) not in self._weights:
+            a, b = self.cls.concepts[i], self.cls.concepts[j]
+            self._weights[i, j] = edge_weight_in(self.cls, self.mu, self.version, a, b)
+        return self._weights[i, j]
+
+    def query_rank(self, i):
+        if len(self.indices) < 2:
+            raise ValueError("query rank needs at least two concepts")
+        return min(self.weight(i, j) for j in self.indices if j != i)
+
+    def max_query_rank(self):
+        return max(map(self.query_rank, self.indices))

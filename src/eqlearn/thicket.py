@@ -1,6 +1,6 @@
 """Randomized-counterexample model: exact-rational query graph on a concept
-class, query ranks, deficient-cycle search, and Monte-Carlo estimation of the
-max-min learner's expected query count.
+class, query ranks, a shortest-path deficient-cycle check, and Monte-Carlo
+estimation of the max-min learner's expected query count.
 
 All weights and ranks are exact Fractions end to end; floating point appears
 only in the final Monte-Carlo summary statistics.
@@ -10,22 +10,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .core import InvariantViolation
 from .dimensions import ldim_subset
-from .learners import ThicketMaxMinLearner, edge_weight_in, run_session
+from .learners import ThicketGraph, ThicketMaxMinLearner, edge_weight_in, run_session
 from .rng import mix64
 from .teachers import RandomTeacher
 
 _HALF = Fraction(1, 2)
 
 
+def _index_in(concept_class, concept):
+    i = concept_class.bits_index.get(concept.bits)
+    if i is None:
+        raise ValueError("concept is not a member of the class")
+    return i
+
+
 def u_value(concept_class, concept, element):
     """Dimension drop when the class is constrained to agree with the concept
     at one element."""
-    if concept.bits not in concept_class.bits_index:
-        raise ValueError("concept is not a member of the class")
+    _index_in(concept_class, concept)
     full = concept_class.full_version
     d = ldim_subset(concept_class, full)
     sub = concept_class.restrict_version(full, element, concept.label(element))
@@ -35,80 +40,57 @@ def u_value(concept_class, concept, element):
 def edge_weight(concept_class, mu, concept_a, concept_b):
     """Expected dimension drop when the teacher samples a point of the
     symmetric difference and reveals concept_b's label there."""
-    for c in (concept_a, concept_b):
-        if c.bits not in concept_class.bits_index:
-            raise ValueError("concept is not a member of the class")
-    if concept_a.bits == concept_b.bits:
+    if _index_in(concept_class, concept_a) == _index_in(concept_class, concept_b):
         raise ValueError("edge weight is undefined for identical concepts")
     return edge_weight_in(
         concept_class, mu, concept_class.full_version, concept_a, concept_b
     )
 
 
-class ThicketGraph:
-    """Weighted directed graph over the class with edge weights d(A, B)."""
-
-    def __init__(self, concept_class, mu):
-        if mu.universe != concept_class.universe:
-            raise ValueError("distribution universe differs from the class universe")
-        self.cls = concept_class
-        self.mu = mu
-        self._weights = {}
-
-    def weight(self, i, j):
-        if i == j:
-            raise ValueError("no self-edges in the query graph")
-        key = (i, j)
-        w = self._weights.get(key)
-        if w is None:
-            w = edge_weight(
-                self.cls, self.mu, self.cls.concepts[i], self.cls.concepts[j]
-            )
-            self._weights[key] = w
-        return w
-
-    def query_rank(self, i):
-        n = len(self.cls)
-        if n < 2:
-            raise ValueError("query rank needs at least two concepts")
-        return min(self.weight(i, j) for j in range(n) if j != i)
-
-    def max_query_rank(self):
-        return max(self.query_rank(i) for i in range(len(self.cls)))
-
-
 def query_rank(concept_class, mu, concept):
     """Minimum outgoing edge weight of the concept (over all other members)."""
-    if len(concept_class) < 2:
-        raise ValueError("query rank needs at least two concepts")
-    if concept.bits not in concept_class.bits_index:
-        raise ValueError("concept is not a member of the class")
-    i = concept_class.bits_index[concept.bits]
-    return ThicketGraph(concept_class, mu).query_rank(i)
+    return ThicketGraph(concept_class, mu).query_rank(_index_in(concept_class, concept))
+
+
+def shortest_deficient_cycle(weight, n, max_len):
+    """A shortest cycle of distinct nodes 0..n-1 (length 2..max_len) whose
+    weights `weight(i, j)` are all <= 1/2 with at least one strict, or None.
+
+    Such a cycle is a strict edge u -> v closed by a path v -> u of weights
+    <= 1/2, and a shortest such path visits distinct nodes, so one
+    breadth-first search per v finds a shortest cycle in O(n^3) time.
+    """
+    light = [[j for j in range(n) if j != i and weight(i, j) <= _HALF] for i in range(n)]
+    best = None
+    for v in range(n):
+        paths = {v: [v]}  # a shortest light path from v to each reached node
+        frontier = [v]
+        # the nodes reached in round k close cycles of length k + 1
+        for _ in range((max_len if best is None else len(best) - 1) - 1):
+            reached = []
+            for a in frontier:
+                for b in light[a]:
+                    if b not in paths:
+                        paths[b] = paths[a] + [b]
+                        reached.append(b)
+            closing = [u for u in reached if weight(u, v) < _HALF]
+            if closing:
+                best = paths[closing[0]]
+                break
+            frontier = reached
+    return best
 
 
 def deficient_cycle_search(concept_class, mu, max_len):
-    """Exhaustively search tuples of distinct concepts (lengths 2..max_len)
-    for a cycle with all weights <= 1/2 and at least one strict; returns the
-    first found or None (the expected outcome is always None)."""
+    """A shortest cycle of distinct concepts (lengths 2..max_len) with all
+    weights <= 1/2 and at least one strict, or None (the expected outcome is
+    always None)."""
+    if max_len < 2:
+        raise ValueError("cycle length must be at least 2")
     if max_len > len(concept_class):
         raise ValueError("cycle length cannot exceed the class size")
     graph = ThicketGraph(concept_class, mu)
-    n = len(concept_class)
-    for length in range(2, max_len + 1):
-        for cycle in permutations(range(n), length):
-            strict = False
-            ok = True
-            for k in range(length):
-                w = graph.weight(cycle[k], cycle[(k + 1) % length])
-                if w > _HALF:
-                    ok = False
-                    break
-                if w < _HALF:
-                    strict = True
-            if ok and strict:
-                return list(cycle)
-    return None
+    return shortest_deficient_cycle(graph.weight, len(concept_class), max_len)
 
 
 @dataclass

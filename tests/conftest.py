@@ -2,12 +2,14 @@
 
 The oracles here deliberately avoid the library's fast paths: the Littlestone
 oracle searches for explicit proper trees, the dimension oracles scan with
-the definitional consistency predicate from core, and the game oracle is a
-plain unmemoized recursion.  They exist so the optimized implementations are
-checked against a second, slower route.
+the definitional consistency predicate from core, the game oracle is a plain
+unmemoized recursion, and the deficient-cycle oracle tries every tuple of
+distinct nodes.  They exist so the optimized implementations are checked
+against a second, slower route.
 """
 
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -174,6 +176,27 @@ def lc_reference(cls, hyp, allow_mq):
         return best
 
     return value(cls.full_version)
+
+
+def deficient_cycle_oracle(weight, n, max_len):
+    """Exhaustive search over tuples of distinct nodes (lengths 2..max_len)
+    for a cycle with all weights <= 1/2 and at least one strict; returns the
+    first found or None."""
+    half = Fraction(1, 2)
+    for length in range(2, max_len + 1):
+        for cycle in permutations(range(n), length):
+            strict = False
+            ok = True
+            for k in range(length):
+                w = weight(cycle[k], cycle[(k + 1) % length])
+                if w > half:
+                    ok = False
+                    break
+                if w < half:
+                    strict = True
+            if ok and strict:
+                return list(cycle)
+    return None
 
 
 # ---------------------------------------------------------------------------

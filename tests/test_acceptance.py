@@ -218,6 +218,10 @@ def test_criterion_6_thicket_exact():
         cls = random_class_only(20_000 + k, max_x=6, max_c=6)
         mu = fixtures.random_distribution(cls.universe, 777 + k)
         checks.append((cls, mu))
+    for k in range(20):
+        cls = random_class_only(40_000 + k, max_x=7, max_c=12)
+        mu = fixtures.random_distribution(cls.universe, 999 + k)
+        checks.append((cls, mu))
     for cls, mu in checks:
         graph = ThicketGraph(cls, mu)
         n = len(cls)
@@ -227,7 +231,7 @@ def test_criterion_6_thicket_exact():
                     violations.append("pair-sum")
         if graph.max_query_rank() < half:
             violations.append("rank")
-        if n <= 6 and deficient_cycle_search(cls, mu, n) is not None:
+        if deficient_cycle_search(cls, mu, n) is not None:
             violations.append("cycle")
     mu = Distribution.uniform(sing4.universe)
     graph = ThicketGraph(sing4, mu)

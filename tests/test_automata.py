@@ -79,6 +79,10 @@ def test_enumerate_size_guard():
         enumerate_dfa_class(4, 3)
     with pytest.raises(ValueError, match="size guard"):
         enumerate_dfa_class(2, 5)
+    for n, m in ((0, 2), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="size guard"):
+            enumerate_dfa_class(n, m)
+    assert len(enumerate_dfa_class(1, 0)) == 2  # accept or reject the empty string
 
 
 def test_consistency_dim_within_nerode_cap():

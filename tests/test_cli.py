@@ -89,13 +89,41 @@ def test_bad_teacher_index_is_input_error(sing4_file):
         assert code == 2 and text.startswith("input error: invalid target index"), index
 
 
-def test_bad_usage_is_exit_1():
+def test_bad_usage_is_exit_1(sing4_file):
     code, text = execute(["dims"])
     assert code == 1
     code, text = execute(["frobnicate"])
     assert code == 1
     code, text = execute(["exact", "--mode", "zz", "--class", "x", "--hyp", "self"])
     assert code == 1
+    learn = ["learn", "--class", sing4_file, "--algo", "cdim", "--teacher"]
+    for spec, form in (
+        ("witness:0000", "witness:<partial>:<n>"),
+        ("random:", "random:<mu-file>:<seed>"),
+        ("honest:1:2", "honest:<i>"),
+        ("tree:1", "tree"),
+    ):
+        code, text = execute(learn + [spec])
+        assert code == 1 and text.startswith("usage error: teacher"), spec
+        assert text.rstrip().endswith(form), spec
+    for spec in ("honest:1", "tree", "witness:0000:3"):
+        code, text = execute(learn + [spec, "--target", "3"])
+        assert code == 1, spec
+        assert text == "usage error: --target applies only to the random teacher\n"
+
+
+def test_meaningless_sizes_are_input_errors(sing4_file):
+    for argv in (
+        ["dfa", "--states", "2", "--maxlen", "-1", "--dims"],
+        ["dfa", "--states", "0", "--maxlen", "2", "--dims"],
+        ["dfa", "--states", "-1", "--maxlen", "2", "--dims"],
+        ["thicket", "--class", sing4_file, "--cycles", "1"],
+        ["thicket", "--class", sing4_file, "--cycles", "-1"],
+        ["thicket", "--class", sing4_file, "--trials", "0"],
+        ["thicket", "--class", sing4_file, "--trials", "-2"],
+    ):
+        code, text = execute(argv)
+        assert code == 2 and text.startswith("input error: "), argv
 
 
 def test_learn_transcript(sing4_file):

@@ -12,10 +12,12 @@ from eqlearn.learners import (
     HalvingEqLearner,
     OptimalEqLearner,
     Sc2EqLearner,
+    ThicketGraph,
     ThicketMaxMinLearner,
     run_session,
     transcript_lines,
 )
+from eqlearn.rng import SplitMix64
 from eqlearn.teachers import (
     EqQuery,
     HonestTeacher,
@@ -334,6 +336,63 @@ def test_maxmin_singleton_and_pair():
             5,
         )
         assert transcript.success and transcript.eq_count <= 2
+
+
+def _maxmin_by_definition(cls, mu, version):
+    """The lowest-index concept of the version maximizing the minimum, over
+    the version's other concepts, of the defining expected-drop sum, with
+    each concept's rank."""
+    members = [k for k in range(len(cls)) if (version >> k) & 1]
+    d = ldim_subset(cls, version)
+
+    def weight(a, b):
+        ca, cb = cls.concepts[a], cls.concepts[b]
+        delta = [x for x in range(cls.universe.size) if ca.label(x) != cb.label(x)]
+        drop = sum(
+            mu.weight(x)
+            * (d - ldim_subset(cls, cls.restrict_version(version, x, cb.label(x))))
+            for x in delta
+        )
+        return drop / sum(mu.weight(x) for x in delta)
+
+    ranks = {a: min(weight(a, b) for b in members if b != a) for a in members}
+    best = max(ranks.values())
+    return next(a for a in members if ranks[a] == best), ranks
+
+
+def _restricted_versions(cls, seed):
+    """The full version, single-point restrictions, and random subsets,
+    each with at least two concepts."""
+    full = cls.full_version
+    versions = [full]
+    for x in range(min(3, cls.universe.size)):
+        versions += [cls.restrict_version(full, x, label) for label in (0, 1)]
+    rng = SplitMix64(seed)
+    versions += [rng.below(full + 1) for _ in range(6)]
+    return [v for v in versions if bin(v).count("1") >= 2]
+
+
+@pytest.mark.parametrize("seed", [None, 5000, 5001, 5010])
+def test_maxmin_pick_on_restricted_versions(seed):
+    # seed None is TREE(3,2); the random classes have 6, 7 and 5 concepts
+    if seed is None:
+        cls = fixtures.tree_class(3, 2)
+        mus = [Distribution.uniform(cls.universe)]
+    else:
+        cls = random_class_only(seed, max_x=6, max_c=10)
+        mus = []
+    mus.append(fixtures.random_distribution(cls.universe, 61 + (seed or 0)))
+    for mu in mus:
+        for version in _restricted_versions(cls, len(cls)):
+            expected, ranks = _maxmin_by_definition(cls, mu, version)
+            graph = ThicketGraph(cls, mu, version)
+            assert graph.indices == sorted(ranks)
+            assert {a: graph.query_rank(a) for a in graph.indices} == ranks
+            assert graph.max_query_rank() == ranks[expected]
+            learner = ThicketMaxMinLearner(cls, mu)
+            learner.version = version
+            move = learner.next_move()
+            assert move.hypothesis.bits == cls.concepts[expected].bits, (seed, version)
 
 
 # ---------------------------------------------------------------------------

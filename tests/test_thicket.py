@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlearn import fixtures
 from eqlearn.core import Distribution, parse_class
@@ -15,10 +17,11 @@ from eqlearn.thicket import (
     edge_weight,
     estimate_expected_queries,
     query_rank,
+    shortest_deficient_cycle,
     u_value,
 )
 
-from conftest import random_class_only
+from conftest import deficient_cycle_oracle, random_class_only
 
 HALF = Fraction(1, 2)
 
@@ -169,10 +172,104 @@ def test_deficient_cycles_length_guard(sing4):
         deficient_cycle_search(sing4, mu, 5)
 
 
+def test_deficient_cycles_rejects_short_lengths(sing4):
+    mu = Distribution.uniform(sing4.universe)
+    for max_len in (1, 0, -1):
+        with pytest.raises(ValueError, match="at least 2"):
+            deficient_cycle_search(sing4, mu, max_len)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_deficient_cycles_none_random(seed):
     cls, mu = next(_instances(1, 9000 + seed * 17))
     assert deficient_cycle_search(cls, mu, len(cls)) is None
+    graph = ThicketGraph(cls, mu)
+    assert deficient_cycle_oracle(graph.weight, len(cls), len(cls)) is None
+
+
+# ---------------------------------------------------------------------------
+# the shortest-path cycle check on hand-built and random weight matrices
+
+Q, H, T, ONE = Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1)
+
+
+def _matrix(rows):
+    def weight(i, j):
+        if i == j:
+            raise ValueError("no self-edges")
+        return rows[i][j]
+
+    return weight
+
+
+def _assert_deficient_cycle(weight, cycle, max_len):
+    length = len(cycle)
+    assert 2 <= length <= max_len and len(set(cycle)) == length
+    weights = [weight(cycle[k], cycle[(k + 1) % length]) for k in range(length)]
+    assert all(w <= HALF for w in weights) and any(w < HALF for w in weights)
+
+
+def _check_against_oracle(weight, n, max_len):
+    found = shortest_deficient_cycle(weight, n, max_len)
+    expected = deficient_cycle_oracle(weight, n, max_len)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        _assert_deficient_cycle(weight, found, max_len)
+        assert len(found) == len(expected)
+    return found
+
+
+def test_hand_built_deficient_two_cycle():
+    # 0 -> 1 is strict and 1 -> 0 sits at 1/2; everything else is heavy
+    weight = _matrix([[None, Q, ONE], [H, None, ONE], [ONE, ONE, None]])
+    for max_len in (2, 3):
+        assert sorted(_check_against_oracle(weight, 3, max_len)) == [0, 1]
+
+
+def test_hand_built_deficient_three_cycle():
+    # 0 -> 1 -> 2 -> 0 at 1/2, 1/2, 1/4 is the only deficient cycle; the
+    # 2-cycle 0 <-> 3 sits at exactly 1/2 both ways and is not deficient
+    weight = _matrix(
+        [
+            [None, H, T, H],
+            [T, None, H, T],
+            [Q, T, None, T],
+            [H, T, T, None],
+        ]
+    )
+    assert _check_against_oracle(weight, 4, 2) is None
+    for max_len in (3, 4):
+        cycle = _check_against_oracle(weight, 4, max_len)
+        assert cycle[cycle.index(0):] + cycle[: cycle.index(0)] == [0, 1, 2]
+
+
+def test_hand_built_cycle_longer_than_max_len():
+    # the ring 0 -> 1 -> 2 -> 3 -> 4 -> 0 is light with one strict edge;
+    # every other edge is heavy, so the only deficient cycle has length 5
+    n = 5
+    rows = [[ONE] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = H
+    rows[4][0] = Q
+    weight = _matrix(rows)
+    for max_len in (2, 3, 4):
+        assert _check_against_oracle(weight, n, max_len) is None
+    assert len(_check_against_oracle(weight, n, 5)) == 5
+
+
+@st.composite
+def _weight_matrices(draw):
+    n = draw(st.integers(2, 6))
+    values = st.sampled_from([Fraction(0), Q, H, T, ONE])
+    rows = [[None if i == j else draw(values) for j in range(n)] for i in range(n)]
+    return n, rows, draw(st.integers(2, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weight_matrices())
+def test_shortest_cycle_matches_oracle(case):
+    n, rows, max_len = case
+    _check_against_oracle(_matrix(rows), n, max_len)
 
 
 # ---------------------------------------------------------------------------
