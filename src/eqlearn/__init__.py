@@ -26,9 +26,9 @@ from .core import (
 )
 from .dimensions import (
     DimensionReport,
-    MConsistentHypotheses,
     MistakeTree,
     consistency_dim,
+    consistency_levels,
     consistency_threshold,
     dimension_report,
     enumerate_hypotheses,

@@ -223,24 +223,17 @@ def nerode_witness(concept, n):
 def learn_dfa(n, m, target, mode):
     """Learn the target's language inside the enumerated class via the generic
     query algorithms against the honest least-index teacher; raises if the
-    certified bound is breached.
-
-    When the universe is too large for the exact consistency-dimension scan,
-    the distinguishing-suffix construction's cap n(n+1) is used instead (an
-    upper bound is all the algorithm needs).
+    certified bound is breached.  Returns the transcript and the class
+    summary (see `dfa_class_summary`) the learner ran on.
     """
     if mode not in ("eq", "eqmq"):
         raise ValueError("mode must be 'eq' or 'eqmq'")
     if target.n_states > n:
         raise ValueError("target automaton exceeds the state bound")
-    cls = enumerate_dfa_class(n, m)
+    summary = dfa_class_summary(n, m)
+    cls, _, c, _ = summary
     hyp = ExplicitHypotheses(cls)
-    target_concept = dfa_language(target, m)
-    target_index = cls.bits_index[target_concept.bits]
-    if cls.universe.size <= MAX_EXACT_UNIVERSE:
-        c = consistency_dim(cls, hyp)
-    else:
-        c = n * (n + 1)
+    target_index = cls.bits_index[dfa_language(target, m).bits]
     teacher = HonestTeacher(cls, target_index)
     if mode == "eqmq":
         learner = EqMqLearner(cls, hyp, _consistency=c)
@@ -251,17 +244,18 @@ def learn_dfa(n, m, target, mode):
         raise InvariantViolation("DFA learner exhausted its certified budget")
     if transcript.total_queries > learner.certified_budget:
         raise InvariantViolation("DFA learner exceeded its certified bound")
-    return transcript
+    return transcript, summary
 
 
 def dfa_class_summary(n, m):
-    """(class, ldim, consistency dimension or cap) for the CLI report."""
+    """(class, ldim, consistency dimension or cap, whether it is exact).
+
+    When the universe is too large for the exact consistency-dimension scan,
+    the distinguishing-suffix construction's cap n(n+1) is used instead (an
+    upper bound is all the learners need).
+    """
     cls = enumerate_dfa_class(n, m)
     d = ldim_subset(cls, cls.full_version)
     if cls.universe.size <= MAX_EXACT_UNIVERSE:
-        c = consistency_dim(cls, ExplicitHypotheses(cls))
-        exact = True
-    else:
-        c = n * (n + 1)
-        exact = False
-    return cls, d, c, exact
+        return cls, d, consistency_dim(cls, ExplicitHypotheses(cls)), True
+    return cls, d, n * (n + 1), False

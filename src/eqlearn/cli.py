@@ -140,7 +140,7 @@ def _build_parser():
     p.add_argument("--dims", action="store_true")
     p.add_argument("--learn", action="store_true")
     p.add_argument("--target")
-    p.add_argument("--mode", choices=["eq", "eqmq"], default="eqmq")
+    p.add_argument("--mode", choices=["eq", "eqmq"], help="default: eqmq")
 
     p = sub.add_parser("gen", help="generate canonical class files")
     group = p.add_mutually_exclusive_group(required=True)
@@ -154,6 +154,8 @@ def _build_parser():
 
 
 def _cmd_dims(args):
+    if args.strong and not args.hyp:
+        raise UsageError("--strong needs --hyp")
     cls = _load_class(args.class_file)
     hyp = _load_hypotheses(args.hyp, cls) if args.hyp else None
     report = dimension_report(cls, hyp, strong=args.strong)
@@ -218,6 +220,8 @@ def _make_learner(algo, cls, hyp, mu_file):
 
 
 def _cmd_learn(args):
+    if args.mu is not None and args.algo != "thicket":
+        raise UsageError("--mu applies only to --algo thicket")
     cls = _load_class(args.class_file)
     hyp = _load_hypotheses(args.hyp, cls)
     if args.algo == "optimal" and not isinstance(hyp, AllTotals):
@@ -271,14 +275,18 @@ def _cmd_compress(args):
 
 def _cmd_dfa(args):
     if args.learn:
+        if args.dims:
+            raise UsageError("--dims and --learn are separate reports")
         if not args.target:
             raise UsageError("--learn needs --target FILE")
         target = parse_dfa(_read_text(args.target))
-        transcript = learn_dfa(args.states, args.maxlen, target, args.mode)
-        cls, d, c, exact = dfa_class_summary(args.states, args.maxlen)
+        mode = args.mode or "eqmq"
+        transcript, (cls, d, c, exact) = learn_dfa(args.states, args.maxlen, target, mode)
         lines = transcript_lines(transcript, cls.universe)
         lines.append(f"bound={'exact' if exact else 'cap'} c={c} d={d}")
         return lines
+    if args.target or args.mode:
+        raise UsageError("--target and --mode apply only with --learn")
     cls, d, c, exact = dfa_class_summary(args.states, args.maxlen)
     return [
         f"concepts={len(cls)}",

@@ -219,7 +219,8 @@ class ConceptClass:
     The list order is the canonical tie-break order.  The instance carries a
     Littlestone-dimension memo table shared by every algorithm that walks
     subclasses of this class (keyed by the bitset of surviving concept
-    indices).
+    indices) and the consistency levels of all totals, as far as they have
+    been scanned (see `dimensions.consistency_levels`).
     """
 
     def __init__(self, universe, concepts):
@@ -249,6 +250,7 @@ class ConceptClass:
             ones.append(m)
         self.element_ones = tuple(ones)
         self._ldim_memo = {}
+        self._consistency_scan = None  # (levels, depth scanned)
 
     def __len__(self):
         return len(self.concepts)
@@ -373,8 +375,6 @@ def consistent_total_extension(partial, concept_class):
 class ExplicitHypotheses:
     """A hypothesis class given as an explicit concept class."""
 
-    kind = "explicit"
-
     def __init__(self, concept_class):
         self.concept_class = concept_class
         self.universe = concept_class.universe
@@ -392,8 +392,6 @@ class ExplicitHypotheses:
 
 class AllTotals:
     """The powerset hypothesis class: every total labeling is allowed."""
-
-    kind = "all-totals"
 
     def __init__(self, universe):
         self.universe = universe

@@ -3,9 +3,10 @@
 Littlestone dimension is computed by the splitting recursion with a memo
 table keyed on the bitset of surviving concept indices (the table lives on
 the ConceptClass and is shared with the learners and the game-tree oracle).
-Consistency dimension scans all 2^|X| totals; strong consistency dimension
-runs a dynamic program over all 3^|X| partials.  Both scans are vectorized
-with numpy because they are pure array filtering.
+Consistency dimension, the consistency threshold and H_m read one array of
+consistency levels over all 2^|X| totals, filled at most once per class;
+strong consistency dimension runs a dynamic program over all 3^|X| partials.
+Both are vectorized with numpy because they are pure array filtering.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .core import (
     ExplicitHypotheses,
     PartialConcept,
     check_subclass,
-    is_n_consistent,
 )
 
 # ---------------------------------------------------------------------------
@@ -184,56 +184,49 @@ def vc_dim(concept_class):
 
 
 # ---------------------------------------------------------------------------
-# consistency dimension (scan over totals)
+# consistency dimension (one resumable scan over totals per class)
 
 
 def _hypothesis_bits(hypotheses):
     return np.array(sorted(set(hypotheses.enumerate_bits())), dtype=np.int64)
 
 
-def _filter_level(alive, masks, proj_sets):
-    """Keep the totals whose projection on every mask is realized by the class."""
-    for mask, proj in zip(masks, proj_sets):
-        if alive.size == 0:
-            break
-        vals = alive & mask
-        keep = np.isin(vals, proj)
-        alive = alive[keep]
-    return alive
+def consistency_levels(concept_class, n):
+    """Per total (indexed by its bits): the size of its smallest restriction
+    with no extension in the class when that size is at most n, and a value
+    above n otherwise (|X|+1 for members).
 
-
-def _level_masks(concept_class, n):
+    The array lives on the class and is filled one restriction size at a
+    time; a deeper request resumes where the last one stopped, and the scan
+    ends once only members survive.
+    """
     size = concept_class.universe.size
-    member = np.array(concept_class.member_bits(), dtype=np.int64)
-    masks = []
-    projs = []
-    for subset in combinations(range(size), n):
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        masks.append(mask)
-        projs.append(np.unique(member & mask))
-    return masks, projs
-
-
-def consistent_total_levels(concept_class):
-    """Yield (n, alive) for n = 1..|X| where alive holds the n-consistent totals."""
-    size = concept_class.universe.size
-    alive = np.arange(1 << size, dtype=np.int64)
-    for n in range(1, size + 1):
-        masks, projs = _level_masks(concept_class, n)
-        alive = _filter_level(alive, masks, projs)
-        yield n, alive
+    if concept_class._consistency_scan is None:
+        concept_class._consistency_scan = (np.full(1 << size, size + 1, dtype=np.int8), 0)
+    levels, depth = concept_class._consistency_scan
+    if depth < min(n, size):
+        member = np.array(concept_class.member_bits(), dtype=np.int64)
+        alive = np.flatnonzero(levels > depth)
+        for k in range(depth + 1, min(n, size) + 1):
+            for subset in combinations(range(size), k):
+                mask = sum(1 << x for x in subset)
+                keep = np.isin(alive & mask, np.unique(member & mask))
+                levels[alive[~keep]] = k
+                alive = alive[keep]
+            depth = k
+            if alive.size == member.size:  # only members left: no deeper level kills any
+                depth = size
+                break
+        concept_class._consistency_scan = (levels, depth)
+    view = levels.view()  # read-only: every later request reads the same array
+    view.flags.writeable = False
+    return view
 
 
 def m_consistent_totals(concept_class, m):
     """All totals (as bitmasks) m-consistent with the class, ascending."""
-    size = concept_class.universe.size
-    alive = np.arange(1 << size, dtype=np.int64)
-    for n in range(1, min(m, size) + 1):
-        masks, projs = _level_masks(concept_class, n)
-        alive = _filter_level(alive, masks, projs)
-    return [int(v) for v in alive]
+    n = min(m, concept_class.universe.size)
+    return [int(v) for v in np.flatnonzero(consistency_levels(concept_class, n) > n)]
 
 
 def consistency_dim(concept_class, hypotheses):
@@ -241,9 +234,11 @@ def consistency_dim(concept_class, hypotheses):
     check_subclass(concept_class, hypotheses)
     if isinstance(hypotheses, AllTotals):
         return 1
-    hyp = _hypothesis_bits(hypotheses)
-    for n, alive in consistent_total_levels(concept_class):
-        if np.isin(alive, hyp).all():
+    size = concept_class.universe.size
+    outside = np.ones(1 << size, dtype=bool)
+    outside[_hypothesis_bits(hypotheses)] = False
+    for n in range(1, size + 1):
+        if not (consistency_levels(concept_class, n)[outside] > n).any():
             return n
     raise AssertionError("unreachable: |X|-consistent totals are class members")
 
@@ -328,64 +323,19 @@ def strong_consistency_dim(concept_class, hypotheses):
 # H_m construction and the summary report
 
 
-class MConsistentHypotheses:
-    """All totals m-consistent with a base class (the minimal class H_m)."""
-
-    kind = "m-consistent"
-
-    def __init__(self, base, m):
-        if m < 1:
-            raise ValueError("m must be positive")
-        self.base = base
-        self.m = m
-        self.universe = base.universe
-        self._members = None
-
-    def contains(self, concept):
-        return is_n_consistent(concept.as_partial(), self.base, self.m)
-
-    def enumerate_bits(self):
-        if self._members is None:
-            self._members = m_consistent_totals(self.base, self.m)
-        return list(self._members)
-
-    def find_extension(self, partial):
-        """Depth-first completion, label 0 first, pruned by m-consistency."""
-        if not is_n_consistent(partial, self.base, self.m):
-            return None
-        total = self._complete(partial)
-        return Concept(self.universe, total.bits) if total is not None else None
-
-    def _complete(self, partial):
-        if partial.is_total():
-            return partial
-        i = next(
-            k for k in range(self.universe.size) if not (partial.mask >> k) & 1
-        )
-        for label in (0, 1):
-            cand = partial.with_point(i, label)
-            if self._point_consistent(cand, i):
-                done = self._complete(cand)
-                if done is not None:
-                    return done
-        return None
-
-    def _point_consistent(self, partial, point):
-        """Check only the size-m restrictions that involve the new point."""
-        dom = [i for i in partial.domain() if i != point]
-        take = min(self.m - 1, len(dom))
-        for rest in combinations(dom, take):
-            ymask = 1 << point
-            for i in rest:
-                ymask |= 1 << i
-            if self.base.first_member(ymask, partial.bits & ymask) is None:
-                return False
-        return True
-
-
 def hypothesis_hm(concept_class, m):
-    """The minimal hypothesis class with consistency dimension at most m."""
-    return MConsistentHypotheses(concept_class, m)
+    """The minimal hypothesis class with consistency dimension at most m: every
+    total m-consistent with the class, ordered by (label of element 0, label
+    of element 1, ...), so `find_extension` returns the least extension in
+    that order."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    universe = concept_class.universe
+    members = sorted(
+        m_consistent_totals(concept_class, m),
+        key=lambda bits: format(bits, f"0{universe.size}b")[::-1],
+    )
+    return ExplicitHypotheses(ConceptClass(universe, [Concept(universe, b) for b in members]))
 
 
 def enumerate_hypotheses(hypotheses):

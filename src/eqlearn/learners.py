@@ -150,14 +150,19 @@ class OptimalEqLearner(_VersionLearner):
         self.certified_budget = ldim_subset(concept_class, concept_class.full_version) + 1
 
     def next_move(self):
-        bits = 0
-        for x in range(self.cls.universe.size):
-            ones = self.cls.element_ones[x]
-            s1 = self.version & ones
-            s0 = self.version & ~ones
-            if ldim_subset(self.cls, s1) >= ldim_subset(self.cls, s0):
-                bits |= 1 << x
-        return EqQuery(Concept(self.cls.universe, bits))
+        return EqQuery(_majority_total(self.cls, self.version))
+
+
+def _majority_total(concept_class, version):
+    """The Littlestone-majority total of a version: at each element, the label
+    whose side keeps the larger dimension (label 1 on ties)."""
+    bits = 0
+    for x, ones in enumerate(concept_class.element_ones):
+        s1 = version & ones
+        s0 = version & ~ones
+        if ldim_subset(concept_class, s1) >= ldim_subset(concept_class, s0):
+            bits |= 1 << x
+    return Concept(concept_class.universe, bits)
 
 
 class Sc2EqLearner(_VersionLearner):
@@ -209,15 +214,13 @@ class HalvingEqLearner(_VersionLearner):
             self.certified_budget = max(1, math.ceil(c * math.log(len(concept_class))))
         else:
             self.certified_budget = d + 1
-        self._fallback = OptimalEqLearner(concept_class) if c < 2 else None
 
     def next_move(self):
         if self.version & (self.version - 1) == 0:
             return EqQuery(self._single_concept())
-        if self._fallback is not None:
-            self._fallback.version = self.version
-            return self._fallback.next_move()
         c = self.c
+        if c < 2:
+            return EqQuery(_majority_total(self.cls, self.version))
         total = bin(self.version).count("1")
         mask = bits = 0
         for x in range(self.cls.universe.size):

@@ -298,7 +298,7 @@ def test_criterion_9_dfa_suite():
         if bits in seen:
             continue
         seen.add(bits)
-        transcript = learn_dfa(2, 3, dfa, "eqmq")
+        transcript, _ = learn_dfa(2, 3, dfa, "eqmq")
         if not transcript.success or transcript.total_queries > bound:
             ok = False
     one_one = dfa_language(Dfa(3, [(0, 1), (1, 2), (2, 2)], [1]), 3)

@@ -133,17 +133,19 @@ def test_nerode_witnesses_for_all_non_members():
 
 
 def test_learn_dfa_eqmq_parity():
-    transcript = learn_dfa(2, 3, parity_dfa(), "eqmq")
+    transcript, summary = learn_dfa(2, 3, parity_dfa(), "eqmq")
     assert transcript.success
     cls = enumerate_dfa_class(2, 3)
     c = consistency_dim(cls, ExplicitHypotheses(cls))
     d = ldim_subset(cls, cls.full_version)
+    assert summary[1:] == (d, c, True)
+    assert summary[0].member_bits() == cls.member_bits()
     assert transcript.total_queries <= max(1, c - 1) * d + 1
 
 
 def test_learn_dfa_one_state():
     target = Dfa(1, [(0, 0)], [0])
-    transcript = learn_dfa(1, 2, target, "eqmq")
+    transcript, _ = learn_dfa(1, 2, target, "eqmq")
     assert transcript.success and transcript.total_queries <= 2
 
 
@@ -153,7 +155,7 @@ def test_learn_dfa_rejects_oversized_target():
 
 
 def test_learn_dfa_eq_mode():
-    transcript = learn_dfa(2, 3, parity_dfa(), "eq")
+    transcript, _ = learn_dfa(2, 3, parity_dfa(), "eq")
     assert transcript.success and transcript.mq_count == 0
 
 
@@ -175,7 +177,7 @@ def test_learn_dfa_all_targets_within_bound():
             targets.append(dfa)
     assert len(targets) == len(cls)
     for dfa in targets:
-        transcript = learn_dfa(2, 3, dfa, "eqmq")
+        transcript, _ = learn_dfa(2, 3, dfa, "eqmq")
         assert transcript.success and transcript.total_queries <= bound
 
 
@@ -186,6 +188,7 @@ def test_learn_dfa_m4_uses_cap():
     d = ldim_subset(cls, cls.full_version)
     bound = (6 - 1) * d + 1
     for dfa in (parity_dfa(), Dfa(2, [(0, 1), (1, 1)], [0]), Dfa(1, [(0, 0)], [])):
-        transcript = learn_dfa(2, 4, dfa, "eqmq")
+        transcript, (_, _, c, exact) = learn_dfa(2, 4, dfa, "eqmq")
+        assert (c, exact) == (6, False)
         assert transcript.success
         assert transcript.total_queries <= bound

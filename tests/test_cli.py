@@ -45,6 +45,15 @@ def test_dims_without_hypotheses(sing4_file):
     assert text.splitlines() == ["ldim=1", "vcdim=1", "threshold=4"]
 
 
+def test_dims_hm_beyond_universe_size_is_self(sing4_file):
+    # H_m for m >= |X| is the class itself, so every value matches --hyp self
+    code, self_text = execute(["dims", "--class", sing4_file, "--hyp", "self", "--strong"])
+    assert code == 0
+    for m in ("4", "5", "99"):
+        code, text = execute(["dims", "--class", sing4_file, "--hyp", f"m:{m}", "--strong"])
+        assert (code, text) == (0, self_text), m
+
+
 def test_exact_eq(sing4_file, tree32_file):
     code, text = execute(["exact", "--mode", "eq", "--class", sing4_file, "--hyp", "self"])
     assert code == 0 and text.startswith("lc=4 nodes=")
@@ -110,6 +119,29 @@ def test_bad_usage_is_exit_1(sing4_file):
         code, text = execute(learn + [spec, "--target", "3"])
         assert code == 1, spec
         assert text == "usage error: --target applies only to the random teacher\n"
+    # flags that the command would otherwise drop without a word
+    dfa = ["dfa", "--states", "2", "--maxlen", "2"]
+    learn_only = "--target and --mode apply only with --learn"
+    learn = ["learn", "--class", sing4_file, "--teacher", "tree", "--mu", sing4_file]
+    for argv, message in (
+        (["dims", "--class", sing4_file, "--strong"], "--strong needs --hyp"),
+        (dfa + ["--dims", "--target", sing4_file], learn_only),
+        (dfa + ["--target", sing4_file], learn_only),
+        (dfa + ["--dims", "--mode", "eq"], learn_only),
+        (dfa + ["--mode", "eqmq"], learn_only),
+        (
+            dfa + ["--dims", "--learn", "--target", sing4_file],
+            "--dims and --learn are separate reports",
+        ),
+    ) + tuple(
+        (
+            learn + ["--algo", algo] + (["--hyp", "powerset"] if algo == "optimal" else []),
+            "--mu applies only to --algo thicket",
+        )
+        for algo in ("optimal", "cdim", "sc2", "halving", "eqmq")
+    ):
+        code, text = execute(argv)
+        assert (code, text) == (1, f"usage error: {message}\n"), argv
 
 
 def test_meaningless_sizes_are_input_errors(sing4_file):
@@ -288,6 +320,28 @@ def test_dfa_command(tmp_path):
     )
     assert code == 0
     assert "result=success" in text
+
+
+def test_dfa_learn_enumerates_the_class_once(tmp_path, monkeypatch):
+    from eqlearn import automata
+
+    calls = []
+    enumerate_dfa_class = automata.enumerate_dfa_class
+
+    def counting(n, m):
+        calls.append((n, m))
+        return enumerate_dfa_class(n, m)
+
+    monkeypatch.setattr(automata, "enumerate_dfa_class", counting)
+    target = tmp_path / "parity.dfa"
+    target.write_text(format_dfa(Dfa(2, [(0, 1), (1, 0)], [0])))
+    for mode in ("eq", "eqmq"):
+        calls.clear()
+        argv = ["dfa", "--states", "2", "--maxlen", "3", "--learn", "--target", str(target)]
+        code, text = execute(argv + ["--mode", mode])
+        assert code == 0 and "result=success" in text
+        assert text.splitlines()[-1] == "bound=exact c=4 d=4"
+        assert calls == [(2, 3)], mode
 
 
 def test_gen_deterministic_and_roundtrip():

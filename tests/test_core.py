@@ -22,7 +22,7 @@ from eqlearn.core import (
     parse_distribution,
     parse_partial,
 )
-from eqlearn.dimensions import MConsistentHypotheses
+from eqlearn.dimensions import hypothesis_hm
 
 from conftest import all_partials, random_class_only
 
@@ -189,7 +189,7 @@ def test_all_totals(sing4):
 
 
 def test_m_consistent_membership_and_enumeration(sing4):
-    hyp = MConsistentHypotheses(sing4, 2)
+    hyp = hypothesis_hm(sing4, 2)
     # 2-consistent totals over singletons: the singletons and the empty set
     members = sorted(hyp.enumerate_bits())
     assert members == [0, 1, 2, 4, 8]
@@ -199,7 +199,7 @@ def test_m_consistent_membership_and_enumeration(sing4):
 
 
 def test_m_consistent_find_extension(sing4):
-    hyp = MConsistentHypotheses(sing4, 2)
+    hyp = hypothesis_hm(sing4, 2)
     # all-zero partial on three points extends to the empty set
     ext = hyp.find_extension(parse_partial(sing4.universe, "000*"))
     assert ext.bitstring() == "0000"

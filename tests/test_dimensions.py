@@ -1,9 +1,11 @@
 """Dimension computations against paper values and definition-level oracles."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
-from eqlearn import fixtures
+from eqlearn import dimensions, fixtures
 from eqlearn.core import (
     AllTotals,
     Concept,
@@ -11,14 +13,15 @@ from eqlearn.core import (
     is_n_consistent,
 )
 from eqlearn.dimensions import (
-    MConsistentHypotheses,
     consistency_dim,
+    consistency_levels,
     consistency_threshold,
     dimension_report,
     enumerate_hypotheses,
     hypothesis_hm,
     ldim,
     ldim_subset,
+    m_consistent_totals,
     strong_consistency_dim,
     vc_dim,
 )
@@ -177,7 +180,7 @@ def test_threshold_equivalences(sing4):
         for bits in range(1 << size)
     )
     # threshold equals the consistency dimension against H_infinity
-    h_inf = MConsistentHypotheses(sing4, size)
+    h_inf = hypothesis_hm(sing4, size)
     assert consistency_dim(sing4, h_inf) == n
 
 
@@ -192,8 +195,10 @@ def test_hm_sing4_enumeration(sing4):
 
 def test_hm_at_universe_size_is_class(sing4, tree32, five):
     for cls in (sing4, tree32, five):
-        hm = hypothesis_hm(cls, cls.universe.size)
-        assert sorted(hm.enumerate_bits()) == sorted(cls.bits_index)
+        size = cls.universe.size
+        for m in (size, size + 1, size + 5, 99):
+            hm = hypothesis_hm(cls, m)
+            assert sorted(hm.enumerate_bits()) == sorted(cls.bits_index), m
 
 
 def test_hm_tree32_contains_chain_root(tree32):
@@ -235,3 +240,42 @@ def test_dimension_report(tree32):
         4,
     )
     assert report.vcdim <= report.ldim and report.cdim <= report.scdim
+
+
+# ---------------------------------------------------------------------------
+# the consistency level array
+
+
+@given(cls=concept_classes(max_x=5, max_c=8))
+@settings(max_examples=80, deadline=None)
+def test_consistency_levels_match_predicate(cls):
+    size = cls.universe.size
+    for n in range(size + 1):
+        consistent = consistency_levels(cls, n) > n
+        for bits in range(1 << size):
+            total = Concept(cls.universe, bits).as_partial()
+            assert bool(consistent[bits]) == is_n_consistent(total, cls, n), (bits, n)
+    # beyond |X|, n-consistency of a total is membership
+    for m in (size, size + 1, size + 3):
+        assert m_consistent_totals(cls, m) == sorted(cls.bits_index)
+
+
+@pytest.mark.parametrize("threshold_first", [True, False])
+def test_levels_are_scanned_once(monkeypatch, threshold_first):
+    # TREE(3,2): threshold 4, so levels 1-4 are scanned and, since only
+    # members survive level 4, nothing beyond; H_2 needs levels 1-2 only
+    cls = fixtures.tree_class(3, 2)
+    scanned = []
+
+    def counting(items, k):
+        scanned.append(k)
+        return combinations(items, k)
+
+    monkeypatch.setattr(dimensions, "combinations", counting)
+    if threshold_first:
+        assert consistency_threshold(cls) == 4
+    hm = hypothesis_hm(cls, 2)
+    assert consistency_dim(cls, hm) == 2
+    assert consistency_threshold(cls) == 4
+    assert sorted(hypothesis_hm(cls, 6).enumerate_bits()) == sorted(cls.bits_index)
+    assert scanned == [1, 2, 3, 4]

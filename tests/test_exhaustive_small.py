@@ -22,8 +22,8 @@ from eqlearn.core import (
     parse_partial,
 )
 from eqlearn.dimensions import (
-    MConsistentHypotheses,
     consistency_dim,
+    hypothesis_hm,
     ldim,
     strong_consistency_dim,
 )
@@ -171,16 +171,20 @@ def test_m_consistent_extension_matches_bruteforce(seed):
 
     cls = random_class_only(seed + 15_000, max_x=4, max_c=5)
     size = cls.universe.size
-    for m in range(1, size + 1):
-        hyp = MConsistentHypotheses(cls, m)
+    for m in range(1, size + 2):
+        hyp = hypothesis_hm(cls, m)
         member_bits = set(hyp.enumerate_bits())
         for partial in all_partials(cls.universe):
             found = hyp.find_extension(partial)
-            exists = any(
-                (bits & partial.mask) == partial.bits for bits in member_bits
-            )
+            extensions = [
+                bits for bits in member_bits if (bits & partial.mask) == partial.bits
+            ]
+            exists = bool(extensions)
             assert (found is not None) == exists
             if found is not None:
                 assert partial.extended_by(found)
                 assert found.bits in member_bits
                 assert is_n_consistent(found.as_partial(), cls, m)
+                # least in the order (label of element 0, label of element 1, ...)
+                least = min(extensions, key=lambda b: Concept(cls.universe, b).bitstring())
+                assert found.bits == least
