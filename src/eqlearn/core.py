@@ -240,15 +240,11 @@ class ConceptClass:
         self.concepts = concepts
         self.bits_index = seen
         self.full_version = (1 << len(concepts)) - 1
-        # per element: bitset of concept indices labeling it 1
-        ones = []
-        for i in range(universe.size):
-            m = 0
-            for k, c in enumerate(concepts):
-                if (c.bits >> i) & 1:
-                    m |= 1 << k
-            ones.append(m)
-        self.element_ones = tuple(ones)
+        # per element: bitset of concept indices labeling it 1, read off the
+        # columns of the bit matrix (rows: concepts, last first; columns:
+        # elements, last first)
+        rows = [format(c.bits, f"0{universe.size}b") for c in reversed(concepts)]
+        self.element_ones = tuple(int("".join(col), 2) for col in zip(*rows))[::-1]
         self._ldim_memo = {}
         self._consistency_scan = None  # (levels, depth scanned)
 

@@ -4,9 +4,10 @@ Littlestone dimension is computed by the splitting recursion with a memo
 table keyed on the bitset of surviving concept indices (the table lives on
 the ConceptClass and is shared with the learners and the game-tree oracle).
 Consistency dimension, the consistency threshold and H_m read one array of
-consistency levels over all 2^|X| totals, filled at most once per class;
-strong consistency dimension runs a dynamic program over all 3^|X| partials.
-Both are vectorized with numpy because they are pure array filtering.
+consistency levels over all 2^|X| totals, filled at most once per class.
+Strong consistency dimension works on arrays with one cell per partial
+labeling (3^|X| cells in base-3 order), updated in place by one numpy pass
+per element.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def vc_dim(concept_class):
 
 
 def _hypothesis_bits(hypotheses):
-    return np.array(sorted(set(hypotheses.enumerate_bits())), dtype=np.int64)
+    return np.array(hypotheses.enumerate_bits(), dtype=np.int64)
 
 
 def consistency_levels(concept_class, n):
@@ -250,73 +251,65 @@ def consistency_threshold(concept_class):
 
 
 # ---------------------------------------------------------------------------
-# strong consistency dimension (DP over all partials)
+# strong consistency dimension (per-element passes over all partials)
+
+_INF = np.iinfo(np.int8).max
 
 
-def _compress_onto(values, positions):
-    """Project bitmask array onto the given bit positions, packed low-first."""
-    out = np.zeros_like(values)
-    for j, x in enumerate(positions):
-        out |= ((values >> x) & 1) << j
+def _extendable(bits, size):
+    """Per partial labeling, in base-3 cell order (digit i of a cell is 0
+    when element i is unspecified and 1 + its label otherwise): whether one
+    of the totals `bits` extends it."""
+    place = np.zeros(1 << size, dtype=np.int64)  # place[mask] = sum of 3^i over i in mask
+    for i in range(size):
+        place[1 << i : 2 << i] = place[: 1 << i] + 3**i
+    out = np.zeros(3**size, dtype=bool)
+    out[place[-1] + place[bits]] = True
+    for i in range(size):
+        cells = out.reshape(3 ** (size - 1 - i), 3, 3**i)
+        cells[:, 0] |= cells[:, 1] | cells[:, 2]
     return out
 
 
-_INF = np.int16(127)
+def _smallest_unextendable(concept_class):
+    """Per partial labeling (base-3 cells as in `_extendable`): the size of
+    its smallest restriction with no extension in the class, or `_INF` when
+    the class extends it."""
+    size = concept_class.universe.size
+    smallest = np.zeros(3**size, dtype=np.int8)
+    for i in range(size):
+        smallest.reshape(3 ** (size - 1 - i), 3, 3**i)[:, 1:] += 1
+    member = np.array(concept_class.member_bits(), dtype=np.int64)
+    np.copyto(smallest, _INF, where=_extendable(member, size))
+    for i in range(size):
+        cells = smallest.reshape(3 ** (size - 1 - i), 3, 3**i)
+        np.minimum(cells[:, 1:], cells[:, :1], out=cells[:, 1:])
+    return smallest
 
 
 def strong_consistency_dim(concept_class, hypotheses):
     """Least n such that every partial n-consistent with the class has a total
     extension in H.
 
-    Runs a DP over all 3^|X| partials: for each inconsistent partial, the
-    size of its smallest inconsistent restriction is the minimum over its
-    one-point-removals (or its own size when every removal is consistent).
-    The answer is the maximum of that quantity over partials with no
-    extension in H.
+    One int8 array holds a cell per partial labeling (3^|X| cells, base-3
+    order). Each cell starts at the partial's size, or `_INF` when the class
+    extends it; one pass per element then lowers every cell that specifies
+    the element to the cell that leaves it unspecified, so each cell ends at
+    the size of its smallest restriction with no extension in the class.
+    The answer is the largest such size over the partials H does not extend
+    (`_extendable`), and at least 1.
     """
     check_subclass(concept_class, hypotheses)
     if isinstance(hypotheses, AllTotals):
         return 1
     size = concept_class.universe.size
-    member = np.array(concept_class.member_bits(), dtype=np.int64)
-    hyp = _hypothesis_bits(hypotheses)
-
-    order = sorted(range(1 << size), key=lambda m: (bin(m).count("1"), m))
-    tables = {}
-    result = 1
-    for mask in order:
-        positions = [x for x in range(size) if (mask >> x) & 1]
-        k = len(positions)
-        width = 1 << k
-        cproj = np.unique(_compress_onto(member, positions))
-        consistent = np.zeros(width, dtype=bool)
-        consistent[cproj] = True
-        if k == 0:
-            tables[0] = np.full(1, _INF, dtype=np.int16)
-            continue
-        best = np.full(width, _INF, dtype=np.int16)
-        idx = np.arange(width)
-        for p, x in enumerate(positions):
-            child = tables[mask ^ (1 << x)]
-            child_idx = ((idx >> (p + 1)) << p) | (idx & ((1 << p) - 1))
-            np.minimum(best, child[child_idx], out=best)
-        best = np.where((best == _INF) & ~consistent, np.int16(k), best)
-        best[consistent] = _INF
-        tables[mask] = best
-
-        hproj = np.unique(_compress_onto(hyp, positions))
-        extendable = np.zeros(width, dtype=bool)
-        extendable[hproj] = True
-        bad = ~extendable
-        if bad.any():
-            worst = int(best[bad].max())
-            if worst >= int(_INF):
-                raise AssertionError(
-                    "partial consistent with the class but unextendable in a superclass"
-                )
-            if worst > result:
-                result = worst
-    return result
+    smallest = _smallest_unextendable(concept_class)
+    outside = _extendable(_hypothesis_bits(hypotheses), size)
+    np.logical_not(outside, out=outside)
+    worst = int(smallest.max(where=outside, initial=1))
+    if worst == _INF:
+        raise AssertionError("partial consistent with the class but unextendable in a superclass")
+    return worst
 
 
 # ---------------------------------------------------------------------------

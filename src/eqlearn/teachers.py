@@ -119,15 +119,9 @@ class TreeAdversary(_Adversary):
             s0 = self.cls.restrict_version(self.consistent, x, 0)
             if not s0 and not s1:
                 raise InvariantViolation("tree adversary lost coherence")
-            if ldim_subset(self.cls, s1) > ldim_subset(self.cls, s0):
-                label = 1
-            else:
-                label = 0
-            side = s1 if label else s0
-            if not side:
-                label = 1 - label
-                side = s1 if label else s0
-            self.consistent = side
+            # an empty side has dimension -1, so the kept side is never empty
+            label = int(ldim_subset(self.cls, s1) > ldim_subset(self.cls, s0))
+            self.consistent = s1 if label else s0
             return MqAnswer(label)
         if self.node.is_leaf:
             return self._commit(move)
@@ -198,16 +192,11 @@ class RandomTeacher(Teacher):
         self.rng = SplitMix64(seed)
 
     def respond(self, move):
-        if isinstance(move, MqQuery):
-            return MqAnswer(self.target.label(move.point))
-        hyp = move.hypothesis
-        if hyp.bits == self.target.bits:
-            return YES
-        delta = [
-            x
-            for x in range(self.cls.universe.size)
-            if hyp.label(x) != self.target.label(x)
-        ]
+        answer = _honest_answer(self.target, move)
+        if not isinstance(answer, Counterexample):
+            return answer
+        diff = self.target.bits ^ move.hypothesis.bits
+        delta = [x for x in range(diff.bit_length()) if (diff >> x) & 1]
         weights = [self.mu.weight(x) for x in delta]
         x = self.rng.choose_weighted(delta, weights)
         return Counterexample(x, self.target.label(x))

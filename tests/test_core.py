@@ -24,7 +24,7 @@ from eqlearn.core import (
 )
 from eqlearn.dimensions import hypothesis_hm
 
-from conftest import all_partials, random_class_only
+from conftest import all_partials, concept_classes, random_class_only
 
 
 def test_parse_class_basic():
@@ -151,6 +151,14 @@ def test_consistent_total_extension_iff_extendable():
         if result is not None:
             assert partial.extended_by(result)
             assert cls.contains_bits(result.bits)
+
+
+@given(cls=concept_classes(max_x=6, max_c=10))
+@settings(max_examples=60, deadline=None)
+def test_element_ones_are_label_columns(cls):
+    assert len(cls.element_ones) == cls.universe.size
+    for x, ones in enumerate(cls.element_ones):
+        assert ones == sum(c.label(x) << k for k, c in enumerate(cls.concepts))
 
 
 def test_empty_class_rejected():

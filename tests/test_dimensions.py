@@ -9,7 +9,9 @@ from eqlearn import dimensions, fixtures
 from eqlearn.core import (
     AllTotals,
     Concept,
+    ConceptClass,
     ExplicitHypotheses,
+    Universe,
     is_n_consistent,
 )
 from eqlearn.dimensions import (
@@ -135,6 +137,37 @@ def test_scdim_fixture_values(tree32, five):
 
 def test_scdim_all_totals(sing4):
     assert strong_consistency_dim(sing4, AllTotals(sing4.universe)) == 1
+
+
+def test_scdim_explicit_powerset(sing4, tree32):
+    for cls in (sing4, tree32):
+        totals = [Concept(cls.universe, b) for b in range(1 << cls.universe.size)]
+        hyp = ExplicitHypotheses(ConceptClass(cls.universe, totals))
+        assert strong_consistency_dim(cls, hyp) == 1
+
+
+def test_scdim_single_element():
+    universe = Universe(["a"])
+    powerset = ExplicitHypotheses(ConceptClass(universe, [Concept(universe, b) for b in (1, 0)]))
+    for bits in ([0], [1], [0, 1]):
+        cls = ConceptClass(universe, [Concept(universe, b) for b in bits])
+        for hyp in (ExplicitHypotheses(cls), AllTotals(universe), powerset):
+            assert strong_consistency_dim(cls, hyp) == 1
+
+
+@given(cls=concept_classes(max_x=5, max_c=8))
+@settings(max_examples=80, deadline=None)
+def test_smallest_unextendable_totals_are_consistency_levels(cls):
+    size = cls.universe.size
+    smallest = dimensions._smallest_unextendable(cls)
+    levels = consistency_levels(cls, size)
+    for bits in range(1 << size):
+        cell = sum(3**i * (1 + ((bits >> i) & 1)) for i in range(size))
+        value = int(smallest[cell])
+        if cls.contains_bits(bits):
+            assert value == dimensions._INF and levels[bits] == size + 1
+        else:
+            assert value == levels[bits] <= size
 
 
 @pytest.mark.parametrize("seed", range(15))

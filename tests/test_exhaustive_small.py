@@ -68,6 +68,16 @@ def test_all_two_element_instances_match_oracles():
             assert lc_eqmq_exact(cls, hyp) == lc_reference(cls, hyp, allow_mq=True)
 
 
+def test_all_three_element_instances_match_dimension_oracles():
+    pairs = 0
+    for cls in _all_classes(3):
+        for hyp in _supersets(cls):
+            assert consistency_dim(cls, hyp) == cdim_oracle(cls, hyp)
+            assert strong_consistency_dim(cls, hyp) == scdim_oracle(cls, hyp)
+            pairs += 1
+    assert pairs == 3**8 - 2**8  # each of the 8 totals: outside, in H only, or in the class
+
+
 def test_all_two_element_classes_roundtrip():
     for cls in _all_classes(2):
         count, failures = check_roundtrip(cls)
