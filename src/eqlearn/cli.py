@@ -8,6 +8,7 @@ input files; all randomness flows from explicit --seed values.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import fixtures
@@ -89,6 +90,8 @@ def _load_hypotheses(spec, cls):
     if spec == "powerset":
         return AllTotals(cls.universe)
     if spec.startswith("m:"):
+        if not re.fullmatch(r"-?[0-9]+", spec[2:]):
+            raise UsageError(f"hypothesis {spec!r} does not have the form m:<k>")
         return hypothesis_hm(cls, int(spec[2:]))
     hyp_class = _load_class(spec)
     if hyp_class.universe != cls.universe:

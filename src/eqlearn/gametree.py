@@ -4,14 +4,54 @@ The game state is the bitset of concepts still consistent with all data.
 The teacher is the information-set adversary: each answer only has to stay
 consistent with some surviving concept, and the game ends when the learner
 submits the unique survivor (the correct final query is counted).  Values
-are memoized on the version bitset; hypotheses that admit a counterexample
-eliminating nothing are worthless for the learner and are skipped, which
-keeps the recursion well-founded.
+are memoized on the version bitset, and every memo entry is the exact value.
+
+Child table.  Every position the learner can move to from a version v is a
+single-element restriction: a counterexample x to a hypothesis h leaves
+`v & ones[x]` or `v & ~ones[x]` (the side that disagrees with h at x), and
+a membership query on x leaves one of the same two.  So a node splits v
+once per element and keeps the 2f restrictions on its f free elements (those
+on which v is not constant) in a table that the equivalence and membership
+moves share and fill lazily: each child is evaluated at most once per node.
+
+Useless hypotheses.  On an element where v is constant, a hypothesis that
+agrees admits no counterexample, and one that disagrees admits a
+counterexample that eliminates nothing, which the adversary could repeat
+forever; such a hypothesis is skipped.  Any other hypothesis costs one more
+than its worst counterexample child, which depends only on its labels on
+the free elements, so hypotheses are deduped by that restriction.  A
+child's free elements and useful hypotheses are among its parent's, so each
+node filters its parent's lists rather than the whole universe and class.
+
+Cutoffs.  A hypothesis is dropped as soon as one of its children shows it
+costs at least the best move found so far, and a membership query as soon
+as its first side does; children are always evaluated exactly.  A version of
+two or more concepts cannot be finished in one query (the adversary can keep
+a concept the hypothesis gets wrong, and a membership query leaves at least
+one concept on each side), so its value is at least 2 and the search stops
+at the first move of cost 2.  Singletons have value 1 and are never
+expanded; `nodes` counts the expanded versions.
+
+Depth.  Each move constrains a new free element and shrinks the version, so
+the recursion is at most min(|X|, |C| - 1) + 1 calls deep.
 """
 
 from __future__ import annotations
 
+import sys
+
 from .core import AllTotals, check_subclass
+
+
+def _fits(frames):
+    """Whether `frames` more nested calls fit under the recursion limit.
+
+    Measured rather than estimated, since the frames below the caller, and
+    the C calls among them, already use part of the limit."""
+    try:
+        return frames == 0 or _fits(frames - 1)
+    except RecursionError:
+        return False
 
 
 class _Oracle:
@@ -19,61 +59,89 @@ class _Oracle:
         check_subclass(concept_class, hypotheses)
         if isinstance(hypotheses, AllTotals) and concept_class.universe.size > 5:
             raise ValueError("AllTotals hypothesis oracle is limited to |X| <= 5")
-        self.cls = concept_class
+        depth = min(concept_class.universe.size, len(concept_class) - 1) + 1
+        # `value` and the `_expand` calls under it take at most `depth`
+        # frames, and the deepest makes one more call (a comprehension or
+        # `max`); the probe's depth + 1 frames cover that
+        if not _fits(depth):
+            raise ValueError(
+                f"the oracle would recurse {depth} calls deep on this class, "
+                f"past Python's recursion limit of {sys.getrecursionlimit()}"
+            )
+        self.elements = [
+            (1 << x, ones) for x, ones in enumerate(concept_class.element_ones)
+        ]
         self.hyp_bits = sorted(set(hypotheses.enumerate_bits()))
         self.allow_mq = allow_mq
-        self.memo = {}
+        self.memo = {1 << k: 1 for k in range(len(concept_class))}
         self.nodes = 0
 
     def value(self, version):
-        cached = self.memo.get(version)
-        if cached is not None:
-            return cached
+        return self.memo.get(version) or self._expand(
+            version, self.elements, self.hyp_bits
+        )
+
+    def _expand(self, version, elements, hyps):
+        """Value of a version of at least two concepts that is not in the
+        memo; `elements` and `hyps` are its parent's free elements and
+        useful hypotheses (or everything, at the root)."""
         self.nodes += 1
-        cls = self.cls
-        size = cls.universe.size
-        best = None
-        for bits in self.hyp_bits:
-            idx = cls.bits_index.get(bits)
-            in_version = idx is not None and (version >> idx) & 1
-            worst = 0
-            useless = False
-            any_cex = False
-            for x in range(size):
-                label = 1 - ((bits >> x) & 1)
-                survivors = cls.restrict_version(version, x, label)
-                if not survivors:
-                    continue
-                if survivors == version:
-                    useless = True
-                    break
-                any_cex = True
-                sub = 1 + self.value(survivors)
-                if sub > worst:
-                    worst = sub
-            if useless:
-                continue
-            if any_cex:
-                cost = worst
-            elif in_version:
-                cost = 1  # the teacher is forced to answer yes
+        fixed = 0  # elements on which the version is constant
+        label = 0  # and its labels there
+        free = []
+        slots = []  # per free element: (table index of its 0-side, element bit)
+        children = []
+        for bit, ones in elements:
+            s1 = version & ones
+            if s1 == version:
+                fixed |= bit
+                label |= bit
+            elif s1:
+                free.append((bit, ones))
+                slots.append((len(children), bit))
+                children += (version ^ s1, s1)
             else:
-                raise AssertionError("hypothesis outside version with no counterexample")
-            if best is None or cost < best:
-                best = cost
+                fixed |= bit
+        keep = ~fixed
+        keys = {h & keep for h in hyps if not (h ^ label) & fixed}
+        table = [None] * len(children)
+        memo = self.memo
+        expand = self._expand
+        best = len(free) + 2  # above every move's cost
         if self.allow_mq:
-            for x in range(size):
-                ones = cls.element_ones[x]
-                s1 = version & ones
-                s0 = version & ~ones
-                if not s1 or not s0:
-                    continue  # the adversary would answer the common label
-                cost = 1 + max(self.value(s0), self.value(s1))
-                if best is None or cost < best:
-                    best = cost
-        if best is None:
-            raise AssertionError("no admissible learner move")
-        self.memo[version] = best
+            for j in range(0, len(children), 2):
+                a = table[j]
+                if a is None:
+                    a = table[j] = memo.get(children[j]) or expand(children[j], free, keys)
+                if a + 1 >= best:
+                    continue
+                b = table[j + 1]
+                if b is None:
+                    b = table[j + 1] = memo.get(children[j + 1]) or expand(
+                        children[j + 1], free, keys
+                    )
+                if b + 1 < best:
+                    best = max(a, b) + 1
+                    if best == 2:
+                        break
+        if best > 2:
+            for key in keys:
+                worst = 0
+                for j, bit in slots:
+                    if not key & bit:
+                        j += 1  # the counterexample labels this element 1
+                    c = table[j]
+                    if c is None:
+                        c = table[j] = memo.get(children[j]) or expand(children[j], free, keys)
+                    if c > worst:
+                        worst = c
+                        if worst + 1 >= best:
+                            break
+                else:
+                    best = worst + 1
+                    if best == 2:
+                        break
+        memo[version] = best
         return best
 
 

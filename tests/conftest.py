@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's fast paths: the Littlestone
 oracle searches for explicit proper trees, the dimension oracles scan with
-the definitional consistency predicate from core, the game oracle is a plain
-unmemoized recursion, and the deficient-cycle oracle tries every tuple of
+the definitional consistency predicate from core, the game oracles are a
+plain unmemoized recursion and a memoized one that tries every hypothesis
+and element at every version, and the deficient-cycle oracle tries every tuple of
 distinct nodes.  They exist so the optimized implementations are checked
 against a second, slower route.
 """
@@ -173,6 +174,64 @@ def lc_reference(cls, hyp, allow_mq):
                 if best is None or cost < best:
                     best = cost
         assert best is not None
+        return best
+
+    return value(cls.full_version)
+
+
+def lc_memo_oracle(cls, hyp, allow_mq):
+    """Memoized minimax recursion over every hypothesis and element at every
+    version, with no cutoffs (mid-size instances)."""
+    hyp_bits = sorted(set(hyp.enumerate_bits()))
+    size = cls.universe.size
+    memo = {}
+
+    def value(version):
+        cached = memo.get(version)
+        if cached is not None:
+            return cached
+        best = None
+        for bits in hyp_bits:
+            idx = cls.bits_index.get(bits)
+            in_version = idx is not None and (version >> idx) & 1
+            worst = 0
+            useless = False
+            any_cex = False
+            for x in range(size):
+                label = 1 - ((bits >> x) & 1)
+                survivors = cls.restrict_version(version, x, label)
+                if not survivors:
+                    continue
+                if survivors == version:
+                    useless = True
+                    break
+                any_cex = True
+                sub = 1 + value(survivors)
+                if sub > worst:
+                    worst = sub
+            if useless:
+                continue
+            if any_cex:
+                cost = worst
+            elif in_version:
+                cost = 1  # the teacher is forced to answer yes
+            else:
+                raise AssertionError("hypothesis outside version with no counterexample")
+            if best is None or cost < best:
+                best = cost
+        if allow_mq:
+            for x in range(size):
+                ones = cls.element_ones[x]
+                s1 = version & ones
+                s0 = version & ~ones
+                if not s1 or not s0:
+                    continue  # the adversary would answer the common label
+                cost = 1 + max(value(s0), value(s1))
+                if best is None or cost < best:
+                    best = cost
+        if best is None:
+            raise AssertionError("no admissible learner move")
+        memo[version] = best
         return best
 
     return value(cls.full_version)

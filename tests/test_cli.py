@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, warnings."""
 
+import sys
+
 import pytest
 
 from eqlearn.automata import Dfa, format_dfa
@@ -66,6 +68,24 @@ def test_exact_eqmq(sing4_file):
         ["exact", "--mode", "eqmq", "--class", sing4_file, "--hyp", "self"]
     )
     assert code == 0 and text.startswith("lc=4 ")
+
+
+def test_exact_past_the_recursion_limit_is_input_error(tmp_path):
+    code, text = execute(["gen", "--singletons", "1100"])
+    assert code == 0
+    deep = tmp_path / "sing1100.cls"
+    deep.write_text(text)
+    # as wide, but three concepts: the search is only three calls deep
+    names = " ".join(f"x{i}" for i in range(1100))
+    wide = tmp_path / "wide.cls"
+    wide.write_text(f"elements: {names}\n{'0' * 1100}\n{'1' * 1100}\n{'1' * 550}{'0' * 550}\n")
+    for mode in ("eq", "eqmq"):
+        argv = ["exact", "--mode", mode, "--hyp", "self", "--class"]
+        code, text = execute(argv + [str(deep)])
+        assert code == 2 and text.startswith("input error: "), text
+        assert f"recursion limit of {sys.getrecursionlimit()}" in text
+        code, text = execute(argv + [str(wide)])
+        assert code == 0 and text.startswith("lc=2 "), text
 
 
 def test_missing_file_is_input_error(sing4_file):
@@ -142,6 +162,17 @@ def test_bad_usage_is_exit_1(sing4_file):
     ):
         code, text = execute(argv)
         assert (code, text) == (1, f"usage error: {message}\n"), argv
+    # a malformed m:<k>; a well-formed but meaningless m stays an input error
+    for spec in ("m:abc", "m:", "m:1.5", "m:3x"):
+        for argv in (
+            ["exact", "--class", sing4_file],
+            ["dims", "--class", sing4_file],
+            ["learn", "--class", sing4_file, "--algo", "cdim", "--teacher", "tree"],
+        ):
+            code, text = execute(argv + ["--hyp", spec])
+            message = f"usage error: hypothesis {spec!r} does not have the form m:<k>\n"
+            assert (code, text) == (1, message), argv
+    assert execute(["exact", "--class", sing4_file, "--hyp", "m:0"])[0] == 2
 
 
 def test_meaningless_sizes_are_input_errors(sing4_file):

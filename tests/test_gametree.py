@@ -1,15 +1,24 @@
-"""Minimax oracle: frozen values, the unmemoized reference, and sandwiches."""
+"""Minimax oracle: frozen values, the reference oracles, and sandwiches."""
 
 import math
+import sys
+import traceback
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlearn import fixtures
 from eqlearn.core import AllTotals, ExplicitHypotheses
-from eqlearn.dimensions import consistency_dim, ldim, strong_consistency_dim
+from eqlearn.dimensions import (
+    consistency_dim,
+    hypothesis_hm,
+    ldim,
+    strong_consistency_dim,
+)
 from eqlearn.gametree import lc_eq_exact, lc_eqmq_exact, lc_exact_with_stats
 
-from conftest import lc_reference, random_instance
+from conftest import lc_memo_oracle, lc_reference, random_instance
 
 
 def test_lc_eq_fixture_values(sing4, singe4, tree32):
@@ -56,8 +65,6 @@ def test_sc2_complexity_is_exactly_ldim_plus_one():
 
 
 def test_enumerated_hm_hypotheses(sing4):
-    from eqlearn.dimensions import hypothesis_hm
-
     # H_2 over the singletons adds exactly the empty set
     assert lc_eq_exact(sing4, hypothesis_hm(sing4, 2)) == 2
     assert lc_eqmq_exact(sing4, hypothesis_hm(sing4, 2)) == 2
@@ -73,6 +80,64 @@ def test_memoized_matches_reference(seed):
     cls, hyp = random_instance(seed + 1200, max_x=4, max_c=5, max_extra=2)
     assert lc_eq_exact(cls, hyp) == lc_reference(cls, hyp, allow_mq=False)
     assert lc_eqmq_exact(cls, hyp) == lc_reference(cls, hyp, allow_mq=True)
+
+
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_oracle_matches_memo_oracle(seed):
+    """The child-table search with cutoffs equals the plain memoized
+    recursion in both modes, for H = self, H_1..H_3, a random superset and
+    (on small universes) the powerset."""
+    cls, superset = random_instance(seed, max_x=8, max_c=16, max_extra=6)
+    hyps = [ExplicitHypotheses(cls), superset]
+    hyps += [hypothesis_hm(cls, m) for m in (1, 2, 3)]
+    if cls.universe.size <= 4:
+        hyps.append(AllTotals(cls.universe))
+    for hyp in hyps:
+        assert lc_eq_exact(cls, hyp) == lc_memo_oracle(cls, hyp, allow_mq=False)
+        assert lc_eqmq_exact(cls, hyp) == lc_memo_oracle(cls, hyp, allow_mq=True)
+
+
+def test_nodes_count_versions_of_two_or_more_concepts(sing4):
+    # SING(4) with itself: every subset of two or more singletons is expanded
+    assert lc_exact_with_stats(sing4, ExplicitHypotheses(sing4), "eq") == (4, 11)
+    for n_concepts, expected in ((2, (2, 1)), (1, (1, 0))):
+        cls = fixtures.random_class(3, n_concepts, seed=1)
+        for mode in ("eq", "eqmq"):
+            assert lc_exact_with_stats(cls, ExplicitHypotheses(cls), mode) == expected
+
+
+def test_recursion_guard_admits_only_what_fits():
+    """Raising Python's recursion limit step by step, the search is first
+    refused and then gives the value; no RecursionError ever comes from
+    inside it.  The first line of play on SING(10) goes the full depth."""
+    cls = fixtures.singletons(10)
+    hyp = ExplicitHypotheses(cls)
+    here = len(traceback.extract_stack())
+    saved = sys.getrecursionlimit()
+    seen = []
+    try:
+        for limit in range(here, here + 200):
+            try:
+                sys.setrecursionlimit(limit)
+            except RecursionError:
+                continue  # below the current depth
+            try:
+                assert lc_exact_with_stats(cls, hyp, "eq")[0] == 10
+                assert lc_exact_with_stats(cls, hyp, "eqmq")[0] == 10
+                seen.append("value")
+                break
+            except ValueError as exc:
+                assert f"recursion limit of {limit}" in str(exc)
+                seen.append("refused")
+            except RecursionError as exc:
+                # only the code before the guard may run out of frames
+                sys.setrecursionlimit(saved)
+                frames = {f.name for f in traceback.extract_tb(exc.__traceback__)}
+                assert not frames & {"value", "_expand"}, limit
+    finally:
+        sys.setrecursionlimit(saved)
+    assert seen[-1] == "value" and "refused" in seen
 
 
 def sandwich_eq(cls, hyp):
@@ -96,6 +161,9 @@ def sandwich_eqmq(cls, hyp, lc_eq):
     d = ldim(cls)[0]
     c = consistency_dim(cls, hyp)
     lc = lc_eqmq_exact(cls, hyp)
+    # the adversary keeps the Littlestone dimension dropping by at most one
+    # per query, and the last query is a correct EQ on a single concept
+    assert d + 1 <= lc
     assert c <= lc
     assert lc <= max(1, c - 1) * d + 1
     assert lc <= lc_eq
