@@ -11,20 +11,13 @@ the round-trip guarantee is existential over the family.
 
 from __future__ import annotations
 
-from .core import Concept, InvariantViolation, PartialConcept
-from .dimensions import full_ldim_partial, full_side_label, ldim_subset
+from .core import Concept, PartialConcept
+from .dimensions import full_ldim_partial, ldim_subset
 
 
 def is_exceptional(partial, concept_class, version=None):
     """Every specified point keeps the (sub)class at full dimension."""
-    if version is None:
-        version = concept_class.full_version
-    d = ldim_subset(concept_class, version)
-    for x in partial.domain():
-        sub = concept_class.restrict_version(version, x, partial.label(x))
-        if ldim_subset(concept_class, sub) != d:
-            return False
-    return True
+    return partial.is_restriction_of(full_ldim_partial(concept_class, version))
 
 
 def _zero_fill(partial):
@@ -34,9 +27,9 @@ def _zero_fill(partial):
 def compress(concept_class, sample):
     """Encode a finite sample as a tuple of ldim(C) of its own points.
 
-    While the sample is not exceptional in the running subclass, pick a
-    positive point whose constraint drops the dimension (lowest index), then
-    a negative one; a full run of d picks emits the positive picks followed
+    While some sample point's constraint drops the dimension of the running
+    subclass, pick the lowest such positive point, or else the lowest such
+    negative one; a full run of d picks emits the positive picks followed
     by the negative picks.  Early halts emit duplicate-padded encodings of
     the picks made so far; an immediate halt emits d copies of the least
     sample point.
@@ -52,24 +45,17 @@ def compress(concept_class, sample):
     positives = []
     negatives = []
     for _ in range(d):
-        if is_exceptional(sample, concept_class, version):
+        full = full_ldim_partial(concept_class, version)
+        # a sample point drops the dimension when `full` leaves it
+        # unspecified or labels it otherwise
+        drops = sample.mask & ~(full.mask & ~(full.bits ^ sample.bits))
+        picks = (drops & sample.bits) or drops
+        if not picks:
             break
-        dim = ldim_subset(concept_class, version)
-        picked = False
-        for wanted, bucket in ((1, positives), (0, negatives)):
-            for x in sample.domain():
-                if sample.label(x) != wanted:
-                    continue
-                sub = concept_class.restrict_version(version, x, wanted)
-                if ldim_subset(concept_class, sub) < dim:
-                    bucket.append(x)
-                    version = sub
-                    picked = True
-                    break
-            if picked:
-                break
-        if not picked:
-            raise InvariantViolation("non-exceptional sample with no dropping point")
+        x = (picks & -picks).bit_length() - 1
+        label = (sample.bits >> x) & 1
+        (positives if label else negatives).append(x)
+        version = concept_class.restrict_version(version, x, label)
     steps = len(positives) + len(negatives)
     if steps == d:
         return tuple(positives + negatives)
@@ -117,10 +103,10 @@ def decompress(concept_class, index, tup):
 
     if all(x == tup[0] for x in tup):
         point = tup[0]
-        full_side = full_side_label(concept_class, concept_class.full_version, d, point)
-        if index == full_side:
+        full = full_ldim_partial(concept_class)
+        if index == full.label(point):
             # overwritten decoder: the immediate-halt encoding
-            return _zero_fill(full_ldim_partial(concept_class))
+            return _zero_fill(full)
         if index == 1:
             return _constrained_extension(concept_class, [point], [])
         if index == 0:
@@ -206,17 +192,14 @@ class CompressionScheme:
     def enumerate_samples(self):
         """All distinct nonempty-domain restrictions of members (the sample
         space of the round-trip theorem)."""
-        seen = set()
         universe = self.cls.universe
+        member_bits = self.cls.member_bits()
         full = (1 << universe.size) - 1
-        for concept in self.cls.concepts:
-            mask = full
-            while mask:
-                key = (mask, concept.bits & mask)
-                if key not in seen:
-                    seen.add(key)
-                    yield PartialConcept(universe, mask, concept.bits & mask)
-                mask = (mask - 1) & full
+        mask = full
+        while mask:
+            for bits in dict.fromkeys(b & mask for b in member_bits):
+                yield PartialConcept(universe, mask, bits)
+            mask = (mask - 1) & full
 
 
 def check_roundtrip(concept_class):

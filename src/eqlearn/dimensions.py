@@ -129,28 +129,20 @@ def full_ldim_partial(concept_class, version=None):
     """The partial labeling each of whose points keeps the subclass at full
     Littlestone dimension: label j where constraining to j preserves the
     dimension (at most one label can, for nonempty halves), unspecified where
-    both labels drop it."""
+    both labels drop it.  The only per-element dimension test: the learners'
+    splitting element, `is_exceptional`, the picks in `compress` and
+    `decompress` read their answers off this partial."""
     if version is None:
         version = concept_class.full_version
     d = ldim_subset(concept_class, version)
     mask = bits = 0
-    for x in range(concept_class.universe.size):
-        label = full_side_label(concept_class, version, d, x)
-        if label is not None:
+    for x, ones in enumerate(concept_class.element_ones):
+        if ldim_subset(concept_class, version & ones) == d:
             mask |= 1 << x
-            bits |= label << x
+            bits |= 1 << x
+        elif ldim_subset(concept_class, version & ~ones) == d:
+            mask |= 1 << x
     return PartialConcept(concept_class.universe, mask, bits)
-
-
-def full_side_label(concept_class, version, d, x):
-    """The label at `x` keeping the subclass `version` (of dimension `d`) at
-    full dimension, or None when both labels drop it (label 1 checked first)."""
-    ones = concept_class.element_ones[x]
-    if ldim_subset(concept_class, version & ones) == d:
-        return 1
-    if ldim_subset(concept_class, version & ~ones) == d:
-        return 0
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +341,8 @@ class DimensionReport:
 
 
 def dimension_report(concept_class, hypotheses=None, strong=False):
-    d, _ = ldim(concept_class)
     report = DimensionReport(
-        ldim=d,
+        ldim=ldim_subset(concept_class, concept_class.full_version),
         vcdim=vc_dim(concept_class),
         threshold=consistency_threshold(concept_class),
     )

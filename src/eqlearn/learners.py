@@ -200,13 +200,9 @@ class HalvingEqLearner(_VersionLearner):
     thresholds degenerate, so the Littlestone-majority strategy is used
     instead (ldim + 1 queries)."""
 
-    def __init__(self, concept_class, hypotheses, _strong=None):
+    def __init__(self, concept_class, hypotheses):
         super().__init__(concept_class)
-        c = (
-            _strong
-            if _strong is not None
-            else strong_consistency_dim(concept_class, hypotheses)
-        )
+        c = strong_consistency_dim(concept_class, hypotheses)
         self.hyp = hypotheses
         self.c = c
         d = ldim_subset(concept_class, concept_class.full_version)
@@ -337,11 +333,14 @@ class CdimEqLearner(_VersionLearner):
         version = self.version
         if version & (version - 1) == 0:
             return EqQuery(self._single_concept())
-        x = _splitting_element(self.cls, version)
-        if x is not None:
+        full = full_ldim_partial(self.cls, version)
+        # the lowest element both of whose labels drop the dimension, if any
+        split = ~full.mask & ((1 << self.cls.universe.size) - 1)
+        if split:
+            x = (split & -split).bit_length() - 1
             self._spawn([self.cls.restrict_version(version, x, label) for label in (0, 1)])
             return self._sub.next_move()
-        bits = full_ldim_partial(self.cls, version).bits
+        bits = full.bits
         hypothesis = Concept(self.cls.universe, bits)
         if self.hyp.contains(hypothesis):
             return EqQuery(hypothesis)
@@ -360,23 +359,6 @@ class CdimEqLearner(_VersionLearner):
             self._sub.observe(response)
             return
         super().observe(response)
-
-
-def _splitting_element(concept_class, version):
-    """Lowest element whose both labels strictly lower the dimension of the
-    (non-singleton) version, or None."""
-    d = ldim_subset(concept_class, version)
-    for x, ones in enumerate(concept_class.element_ones):
-        s1 = version & ones
-        s0 = version & ~ones
-        if (
-            s1
-            and s0
-            and ldim_subset(concept_class, s1) < d
-            and ldim_subset(concept_class, s0) < d
-        ):
-            return x
-    return None
 
 
 def _unextendable_restriction(concept_class, version, bits, max_size):
@@ -422,11 +404,14 @@ class EqMqLearner(_VersionLearner):
         version = self.version
         if version & (version - 1) == 0:
             return EqQuery(self._single_concept())
-        x = _splitting_element(self.cls, version)
-        if x is not None:
+        full = full_ldim_partial(self.cls, version)
+        # the lowest element both of whose labels drop the dimension, if any
+        split = ~full.mask & ((1 << self.cls.universe.size) - 1)
+        if split:
+            x = (split & -split).bit_length() - 1
             self._await_point = x
             return MqQuery(x)
-        bits = full_ldim_partial(self.cls, version).bits
+        bits = full.bits
         hypothesis = Concept(self.cls.universe, bits)
         if self.hyp.contains(hypothesis):
             return EqQuery(hypothesis)

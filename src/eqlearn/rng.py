@@ -41,12 +41,18 @@ class SplitMix64:
         return _finalize(self._state)
 
     def below(self, n):
-        """Uniform integer in [0, n), exact via rejection sampling."""
+        """Uniform integer in [0, n), exact via rejection sampling.  Each
+        candidate joins k = max(1, ceil(bitlen(n - 1) / 64)) draws, most
+        significant first, so n up to 2^64 takes one draw per candidate."""
         if n <= 0:
             raise ValueError("n must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
+        k = max(1, -(-(n - 1).bit_length() // 64))
+        span = 1 << (64 * k)
+        limit = span - span % n
         while True:
-            u = self.next_u64()
+            u = 0
+            for _ in range(k):
+                u = (u << 64) | self.next_u64()
             if u < limit:
                 return u % n
 

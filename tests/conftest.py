@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's fast paths: the Littlestone
 oracle searches for explicit proper trees, the dimension oracles scan with
 the definitional consistency predicate from core, the game oracles are a
 plain unmemoized recursion and a memoized one that tries every hypothesis
-and element at every version, and the deficient-cycle oracle tries every tuple of
-distinct nodes.  They exist so the optimized implementations are checked
-against a second, slower route.
+and element at every version, the splitting-element, exceptional-partial and
+compression oracles test each point's constraint with its own dimension
+call, and the deficient-cycle oracle tries every tuple of distinct nodes.
+They exist so the optimized implementations are checked against a second,
+slower route.
 """
 
 from fractions import Fraction
@@ -20,10 +22,12 @@ from eqlearn.core import (
     Concept,
     ConceptClass,
     ExplicitHypotheses,
+    InvariantViolation,
     PartialConcept,
     Universe,
     is_n_consistent,
 )
+from eqlearn.dimensions import ldim_subset
 from eqlearn.rng import SplitMix64
 
 
@@ -235,6 +239,85 @@ def lc_memo_oracle(cls, hyp, allow_mq):
         return best
 
     return value(cls.full_version)
+
+
+def splitting_element_oracle(concept_class, version):
+    """Lowest element whose both labels strictly lower the dimension of the
+    (non-singleton) version, or None."""
+    d = ldim_subset(concept_class, version)
+    for x, ones in enumerate(concept_class.element_ones):
+        s1 = version & ones
+        s0 = version & ~ones
+        if (
+            s1
+            and s0
+            and ldim_subset(concept_class, s1) < d
+            and ldim_subset(concept_class, s0) < d
+        ):
+            return x
+    return None
+
+
+def is_exceptional_oracle(partial, concept_class, version=None):
+    """Every specified point keeps the (sub)class at full dimension."""
+    if version is None:
+        version = concept_class.full_version
+    d = ldim_subset(concept_class, version)
+    for x in partial.domain():
+        sub = concept_class.restrict_version(version, x, partial.label(x))
+        if ldim_subset(concept_class, sub) != d:
+            return False
+    return True
+
+
+def compress_oracle(concept_class, sample):
+    """The compression encoder with a per-point dimension test at every pick:
+    while the sample is not exceptional in the running subclass, pick a
+    positive point whose constraint drops the dimension (lowest index), then
+    a negative one; then the same tuple encodings as the library."""
+    if concept_class.first_member(sample.mask, sample.bits) is None:
+        raise ValueError("sample is not a restriction of any member of the class")
+    d = ldim_subset(concept_class, concept_class.full_version)
+    if d == 0:
+        return ()
+    if sample.mask == 0:
+        raise ValueError("cannot encode an empty-domain sample when ldim >= 1")
+    version = concept_class.full_version
+    positives = []
+    negatives = []
+    for _ in range(d):
+        if is_exceptional_oracle(sample, concept_class, version):
+            break
+        dim = ldim_subset(concept_class, version)
+        picked = False
+        for wanted, bucket in ((1, positives), (0, negatives)):
+            for x in sample.domain():
+                if sample.label(x) != wanted:
+                    continue
+                sub = concept_class.restrict_version(version, x, wanted)
+                if ldim_subset(concept_class, sub) < dim:
+                    bucket.append(x)
+                    version = sub
+                    picked = True
+                    break
+            if picked:
+                break
+        if not picked:
+            raise InvariantViolation("non-exceptional sample with no dropping point")
+    steps = len(positives) + len(negatives)
+    if steps == d:
+        return tuple(positives + negatives)
+    if positives:
+        first = positives[0]
+        tup = positives + [first] + negatives
+        tup += [first] * (d - len(tup))
+        return tuple(tup)
+    if negatives:
+        first = negatives[0]
+        tup = negatives + [first] * (d - len(negatives))
+        return tuple(tup)
+    least = min(sample.domain())
+    return (least,) * d
 
 
 def deficient_cycle_oracle(weight, n, max_len):

@@ -159,7 +159,7 @@ def test_criterion_4_learner_bounds():
                 runs = [
                     (OptimalEqLearner(cls), d + 1, "eq"),
                     (CdimEqLearner(cls, hyp, _consistency=c), cdim_bound, "eq"),
-                    (HalvingEqLearner(cls, hyp, _strong=sc), halving_bound, "eq"),
+                    (HalvingEqLearner(cls, hyp), halving_bound, "eq"),
                     (EqMqLearner(cls, hyp, _consistency=c), eqmq_bound, "total"),
                 ]
                 if c == 2:

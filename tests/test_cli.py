@@ -385,6 +385,15 @@ def test_gen_deterministic_and_roundtrip():
     assert code == 2  # more concepts than totals
 
 
+def test_gen_random_wider_than_64_elements():
+    for nx, nc in ((65, 3), (130, 2)):
+        code, text = execute(["gen", "--random", str(nx), str(nc), "--seed", "1"])
+        assert code == 0
+        cls = parse_class(text)
+        assert cls.universe.size == nx and len(cls) == nc
+        assert len(set(cls.member_bits())) == nc
+
+
 def test_gen_requires_seed_for_random():
     code, text = execute(["gen", "--random", "4", "4"])
     assert code == 1

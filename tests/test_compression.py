@@ -15,7 +15,12 @@ from eqlearn.compression import (
 from eqlearn.core import PartialConcept, parse_partial
 from eqlearn.dimensions import full_ldim_partial
 
-from conftest import concept_classes, random_class_only
+from conftest import (
+    compress_oracle,
+    concept_classes,
+    is_exceptional_oracle,
+    random_class_only,
+)
 
 
 def test_f_partial_fixture_values(sing4, tree32, pow2):
@@ -39,9 +44,39 @@ def test_is_exceptional_is_restriction_of_full_ldim_partial(cls, data):
     mask = data.draw(st.integers(0, full), label="mask")
     bits = data.draw(st.integers(0, full), label="bits") & mask
     partial = PartialConcept(cls.universe, mask, bits)
-    assert is_exceptional(partial, cls, version) == partial.is_restriction_of(
+    assert is_exceptional_oracle(partial, cls, version) == partial.is_restriction_of(
         full_ldim_partial(cls, version)
     )
+
+
+@given(cls=concept_classes(max_x=7, max_c=12), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_exceptional_matches_oracle(cls, data):
+    version = data.draw(st.integers(1, cls.full_version), label="version")
+    full = (1 << cls.universe.size) - 1
+    mask = data.draw(st.integers(0, full), label="mask")
+    bits = data.draw(st.integers(0, full), label="bits") & mask
+    partial = PartialConcept(cls.universe, mask, bits)
+    assert is_exceptional(partial, cls, version) == is_exceptional_oracle(
+        partial, cls, version
+    )
+    assert is_exceptional(partial, cls) == is_exceptional_oracle(partial, cls)
+
+
+@given(cls=concept_classes(max_x=7, max_c=12))
+@settings(max_examples=40, deadline=None)
+def test_compress_matches_oracle_on_every_sample(cls):
+    for sample in CompressionScheme(cls).enumerate_samples():
+        assert compress(cls, sample) == compress_oracle(cls, sample)
+
+
+@given(cls=concept_classes(max_x=6, max_c=12))
+@settings(max_examples=60, deadline=None)
+def test_enumerate_samples_is_every_restriction_once(cls):
+    keys = [(s.mask, s.bits) for s in CompressionScheme(cls).enumerate_samples()]
+    full = (1 << cls.universe.size) - 1
+    expected = {(m, b & m) for m in range(1, full + 1) for b in cls.member_bits()}
+    assert len(keys) == len(set(keys)) and set(keys) == expected
 
 
 def test_compress_examples(sing4):

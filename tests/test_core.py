@@ -23,6 +23,7 @@ from eqlearn.core import (
     parse_partial,
 )
 from eqlearn.dimensions import hypothesis_hm
+from eqlearn.rng import SplitMix64
 
 from conftest import all_partials, concept_classes, random_class_only
 
@@ -245,3 +246,28 @@ def test_uniform_distribution(sing4):
     mu = Distribution.uniform(sing4.universe)
     assert sum(mu.weights) == 1
     assert mu.weight(0) == Fraction(1, 4)
+
+
+def test_below_stream_fixed_up_to_2_64():
+    # one 64-bit draw per candidate for every n <= 2^64: these draws are frozen
+    rng = SplitMix64(7)
+    ns = [1, 2, 3, 10, 1000, (1 << 32) + 1, (1 << 63) + 5, (1 << 64) - 1, 1 << 64]
+    assert [rng.below(n) for n in ns] == [
+        0,
+        0,
+        0,
+        3,
+        674,
+        2346969995,
+        8632209307422871798,
+        6051947643683389182,
+        2476628477891077985,
+    ]
+
+
+@pytest.mark.parametrize("n", [(1 << 64) + 1, 1 << 65, 3 << 100])
+def test_below_above_2_64_in_range(n):
+    rng = SplitMix64(3)
+    draws = [rng.below(n) for _ in range(20)]
+    assert all(0 <= u < n for u in draws)
+    assert max(draws) >= n // 2  # the candidates span the whole range

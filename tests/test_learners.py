@@ -1,10 +1,20 @@
 """Learning strategies: frozen behaviors, certified bounds, composition, soundness."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlearn import fixtures
 from eqlearn.core import Distribution, ExplicitHypotheses, parse_partial
-from eqlearn.dimensions import consistency_dim, ldim, ldim_subset, strong_consistency_dim
+from eqlearn.dimensions import (
+    consistency_dim,
+    full_ldim_partial,
+    ldim,
+    ldim_subset,
+    strong_consistency_dim,
+)
 from eqlearn.learners import (
     CdimEqLearner,
     ComposeLearner,
@@ -27,7 +37,12 @@ from eqlearn.teachers import (
     YesAnswer,
 )
 
-from conftest import enumerate_playouts, random_class_only
+from conftest import (
+    concept_classes,
+    enumerate_playouts,
+    random_class_only,
+    splitting_element_oracle,
+)
 
 
 def test_run_session_budget_validation(sing4):
@@ -451,6 +466,7 @@ def test_learner_bounds_random_suite():
         d = ldim(cls)[0]
         c = consistency_dim(cls, hyp)
         sc = strong_consistency_dim(cls, hyp)
+        halving_bound = max(1, math.ceil(sc * math.log(len(cls)))) if sc >= 2 else d + 1
         for target in range(len(cls)):
             for make_teacher in (
                 lambda: HonestTeacher(cls, target),
@@ -459,7 +475,7 @@ def test_learner_bounds_random_suite():
                 runs = [
                     (OptimalEqLearner(cls), d + 1, "eq"),
                     (CdimEqLearner(cls, hyp, _consistency=c), None, "eq"),
-                    (HalvingEqLearner(cls, hyp, _strong=sc), None, "eq"),
+                    (HalvingEqLearner(cls, hyp), halving_bound, "eq"),
                     (EqMqLearner(cls, hyp, _consistency=c), None, "total"),
                 ]
                 if c == 2:
@@ -475,3 +491,14 @@ def test_learner_bounds_random_suite():
                     if not transcript.success or used > bound:
                         violations.append((seed, target, type(learner).__name__))
     assert not violations
+
+
+@given(cls=concept_classes(max_x=7, max_c=12), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_splitting_element_is_lowest_unspecified_point(cls, data):
+    # the learners split on the lowest element the full-dimension partial
+    # leaves unspecified
+    version = data.draw(st.integers(1, cls.full_version), label="version")
+    full = full_ldim_partial(cls, version)
+    free = [x for x in range(cls.universe.size) if full.label(x) is None]
+    assert (free[0] if free else None) == splitting_element_oracle(cls, version)
