@@ -19,15 +19,11 @@ from .core import (
     PartialConcept,
     Universe,
 )
-from .dimensions import consistency_dim, ldim_subset
+from .dimensions import _MAX_SCAN_SIZE, consistency_dim, ldim_subset
 from .learners import CdimEqLearner, EqMqLearner, run_session
 from .teachers import HonestTeacher
 
 EPSILON_NAME = "e"
-
-# exact consistency dimension scans all 2^|X| totals; above this universe
-# size the learners fall back to the constructive distinguishing-suffix cap
-MAX_EXACT_UNIVERSE = 16
 
 
 class Dfa:
@@ -127,14 +123,13 @@ def bound_of_universe(universe):
     return m
 
 
+def _language_bits(dfa, strings):
+    return sum(1 << i for i, s in enumerate(strings) if dfa.accepts(s))
+
+
 def dfa_language(dfa, m):
     """The total labeling of the bounded-string universe by acceptance."""
-    universe = string_universe(m)
-    bits = 0
-    for i, s in enumerate(bounded_strings(m)):
-        if dfa.accepts(s):
-            bits |= 1 << i
-    return Concept(universe, bits)
+    return Concept(string_universe(m), _language_bits(dfa, bounded_strings(m)))
 
 
 def enumerate_dfas(n):
@@ -158,10 +153,7 @@ def enumerate_dfa_class(n, m):
     seen = set()
     concepts = []
     for dfa in enumerate_dfas(n):
-        bits = 0
-        for i, s in enumerate(strings):
-            if dfa.accepts(s):
-                bits |= 1 << i
+        bits = _language_bits(dfa, strings)
         if bits not in seen:
             seen.add(bits)
             concepts.append(Concept(universe, bits))
@@ -181,18 +173,20 @@ def nerode_witness(concept, n):
     strings = bounded_strings(m)
     index = {s: i for i, s in enumerate(strings)}
 
-    def equivalent(x, y):
+    def distinguisher(x, y):
+        """The least suffix z on whose concatenations, both inside the
+        bound, the labeling differs, or None."""
         limit = m - max(len(x), len(y))
         for z in strings:
             if len(z) > limit:
-                continue
+                return None  # strings are in length order
             if concept.label(index[x + z]) != concept.label(index[y + z]):
-                return False
-        return True
+                return z
+        return None
 
     reps = []
     for s in strings:
-        if all(not equivalent(s, r) for r in reps):
+        if all(distinguisher(s, r) is not None for r in reps):
             reps.append(s)
             if len(reps) == n + 1:
                 break
@@ -202,16 +196,7 @@ def nerode_witness(concept, n):
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             x, y = reps[i], reps[j]
-            limit = m - max(len(x), len(y))
-            suffix = None
-            for z in strings:
-                if len(z) > limit:
-                    continue
-                if concept.label(index[x + z]) != concept.label(index[y + z]):
-                    suffix = z
-                    break
-            if suffix is None:
-                raise AssertionError("inequivalent prefixes without a distinguisher")
+            suffix = distinguisher(x, y)
             points.add(index[x + suffix])
             points.add(index[y + suffix])
     mask = 0
@@ -256,6 +241,6 @@ def dfa_class_summary(n, m):
     """
     cls = enumerate_dfa_class(n, m)
     d = ldim_subset(cls, cls.full_version)
-    if cls.universe.size <= MAX_EXACT_UNIVERSE:
+    if cls.universe.size <= _MAX_SCAN_SIZE:
         return cls, d, consistency_dim(cls, ExplicitHypotheses(cls)), True
     return cls, d, n * (n + 1), False

@@ -219,8 +219,8 @@ class ConceptClass:
     The list order is the canonical tie-break order.  The instance carries a
     Littlestone-dimension memo table shared by every algorithm that walks
     subclasses of this class (keyed by the bitset of surviving concept
-    indices) and the consistency levels of all totals, as far as they have
-    been scanned (see `dimensions.consistency_levels`).
+    indices) and the consistency levels of all totals once they have been
+    scanned (see `dimensions.consistency_levels`).
     """
 
     def __init__(self, universe, concepts):
@@ -246,7 +246,7 @@ class ConceptClass:
         rows = [format(c.bits, f"0{universe.size}b") for c in reversed(concepts)]
         self.element_ones = tuple(int("".join(col), 2) for col in zip(*rows))[::-1]
         self._ldim_memo = {}
-        self._consistency_scan = None  # (levels, depth scanned)
+        self._consistency_levels = None
 
     def __len__(self):
         return len(self.concepts)

@@ -4,7 +4,7 @@ Littlestone dimension is computed by the splitting recursion with a memo
 table keyed on the bitset of surviving concept indices (the table lives on
 the ConceptClass and is shared with the learners and the game-tree oracle).
 Consistency dimension, the consistency threshold and H_m read one array of
-consistency levels over all 2^|X| totals, filled at most once per class.
+consistency levels over all 2^|X| totals, filled once per class.
 Strong consistency dimension works on arrays with one cell per partial
 labeling (3^|X| cells in base-3 order), updated in place by one numpy pass
 per element.
@@ -12,6 +12,7 @@ per element.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,6 +27,30 @@ from .core import (
     check_subclass,
 )
 
+# Exhaustive arrays are refused above these universe sizes rather than
+# allocated.  Measured as peak-memory growth: the level scan takes about 20
+# bytes per total (2^24 totals: about 340 MB), and the strong-consistency
+# arrays about 2.4 bytes per partial labeling (3^17 cells: about 310 MB).
+_MAX_SCAN_SIZE = 24
+_MAX_PARTIALS_SIZE = 17
+
+
+def _check_size(size, limit, what):
+    if size > limit:
+        raise ValueError(f"{what} is limited to |X| <= {limit}; this universe has {size} elements")
+
+
+def _fits(frames):
+    """Whether `frames` more nested calls fit under the recursion limit.
+
+    Measured rather than estimated, since the frames below the caller, and
+    the C calls among them, already use part of the limit."""
+    try:
+        return frames == 0 or _fits(frames - 1)
+    except RecursionError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Littlestone dimension
 
@@ -34,10 +59,27 @@ def ldim_subset(concept_class, version):
     """Littlestone dimension of the subclass given by a concept-index bitset.
 
     Returns -1 for the empty bitset; used internally so that "element does
-    not split" falls out of the max/min recursion naturally.
+    not split" falls out of the max/min recursion naturally.  Each step of
+    the recursion constrains a new element and shrinks the version, so on a
+    memo miss it is at most min(|X|, |v| - 1) + 1 calls deep; a version
+    whose recursion would not fit under Python's recursion limit is refused.
     """
     if version == 0:
         return -1
+    cached = concept_class._ldim_memo.get(version)
+    if cached is not None:
+        return cached
+    depth = min(concept_class.universe.size, version.bit_count() - 1) + 1
+    if not _fits(depth):
+        raise ValueError(
+            f"the Littlestone recursion would go {depth} calls deep on this class, "
+            f"past Python's recursion limit of {sys.getrecursionlimit()}"
+        )
+    return _ldim(concept_class, version)
+
+
+def _ldim(concept_class, version):
+    """The memoized splitting recursion behind `ldim_subset`."""
     memo = concept_class._ldim_memo
     cached = memo.get(version)
     if cached is not None:
@@ -53,7 +95,7 @@ def ldim_subset(concept_class, version):
         s0 = version & ~ones
         if not s0:
             continue
-        cand = 1 + min(ldim_subset(concept_class, s0), ldim_subset(concept_class, s1))
+        cand = 1 + min(_ldim(concept_class, s0), _ldim(concept_class, s1))
         if cand > best:
             best = cand
     memo[version] = best
@@ -157,83 +199,73 @@ def vc_dim(concept_class):
     for k in range(1, n + 1):
         if len(concept_class) < (1 << k):
             break
-        found = False
         for subset in combinations(range(n), k):
-            patterns = set()
-            for bits in member_bits:
-                p = 0
-                for j, x in enumerate(subset):
-                    p |= ((bits >> x) & 1) << j
-                patterns.add(p)
-                if len(patterns) == (1 << k):
-                    break
-            if len(patterns) == (1 << k):
-                found = True
+            mask = sum(1 << x for x in subset)
+            if len({bits & mask for bits in member_bits}) == 1 << k:
+                best = k
                 break
-        if not found:
+        else:
             break
-        best = k
     return best
 
 
 # ---------------------------------------------------------------------------
-# consistency dimension (one resumable scan over totals per class)
+# consistency dimension (one scan over totals per class)
 
 
 def _hypothesis_bits(hypotheses):
     return np.array(hypotheses.enumerate_bits(), dtype=np.int64)
 
 
-def consistency_levels(concept_class, n):
+def consistency_levels(concept_class):
     """Per total (indexed by its bits): the size of its smallest restriction
-    with no extension in the class when that size is at most n, and a value
-    above n otherwise (|X|+1 for members).
+    with no extension in the class, and |X|+1 for members.
 
-    The array lives on the class and is filled one restriction size at a
-    time; a deeper request resumes where the last one stopped, and the scan
-    ends once only members survive.
+    Filled once per class, one restriction size at a time, until only members
+    survive: for each subset of that size, the members' restrictions to it
+    are marked in a boolean table, and every surviving total whose
+    restriction is unmarked gets the size.
     """
-    size = concept_class.universe.size
-    if concept_class._consistency_scan is None:
-        concept_class._consistency_scan = (np.full(1 << size, size + 1, dtype=np.int8), 0)
-    levels, depth = concept_class._consistency_scan
-    if depth < min(n, size):
+    levels = concept_class._consistency_levels
+    if levels is None:
+        size = concept_class.universe.size
+        _check_size(size, _MAX_SCAN_SIZE, "the scan over all 2^|X| totals")
+        levels = np.full(1 << size, size + 1, dtype=np.int8)
         member = np.array(concept_class.member_bits(), dtype=np.int64)
-        alive = np.flatnonzero(levels > depth)
-        for k in range(depth + 1, min(n, size) + 1):
+        alive = np.arange(1 << size, dtype=np.int64)
+        seen = np.zeros(1 << size, dtype=bool)
+        for k in range(1, size + 1):
+            if alive.size == member.size:
+                break
             for subset in combinations(range(size), k):
                 mask = sum(1 << x for x in subset)
-                keep = np.isin(alive & mask, np.unique(member & mask))
+                marks = member & mask
+                seen[marks] = True
+                keep = seen[alive & mask]
+                seen[marks] = False
                 levels[alive[~keep]] = k
                 alive = alive[keep]
-            depth = k
-            if alive.size == member.size:  # only members left: no deeper level kills any
-                depth = size
-                break
-        concept_class._consistency_scan = (levels, depth)
-    view = levels.view()  # read-only: every later request reads the same array
-    view.flags.writeable = False
-    return view
+        levels.flags.writeable = False
+        concept_class._consistency_levels = levels
+    return levels
 
 
 def m_consistent_totals(concept_class, m):
     """All totals (as bitmasks) m-consistent with the class, ascending."""
     n = min(m, concept_class.universe.size)
-    return [int(v) for v in np.flatnonzero(consistency_levels(concept_class, n) > n)]
+    return [int(v) for v in np.flatnonzero(consistency_levels(concept_class) > n)]
 
 
 def consistency_dim(concept_class, hypotheses):
-    """Least n such that every total n-consistent with the class lies in H."""
+    """Least n such that every total n-consistent with the class lies in H:
+    the largest level of a total outside H, and at least 1."""
     check_subclass(concept_class, hypotheses)
     if isinstance(hypotheses, AllTotals):
         return 1
-    size = concept_class.universe.size
-    outside = np.ones(1 << size, dtype=bool)
+    levels = consistency_levels(concept_class)
+    outside = np.ones(levels.size, dtype=bool)
     outside[_hypothesis_bits(hypotheses)] = False
-    for n in range(1, size + 1):
-        if not (consistency_levels(concept_class, n)[outside] > n).any():
-            return n
-    raise AssertionError("unreachable: |X|-consistent totals are class members")
+    return int(levels.max(where=outside, initial=1))
 
 
 def consistency_threshold(concept_class):
@@ -268,6 +300,7 @@ def _smallest_unextendable(concept_class):
     its smallest restriction with no extension in the class, or `_INF` when
     the class extends it."""
     size = concept_class.universe.size
+    _check_size(size, _MAX_PARTIALS_SIZE, "the array over all 3^|X| partial labelings")
     smallest = np.zeros(3**size, dtype=np.int8)
     for i in range(size):
         smallest.reshape(3 ** (size - 1 - i), 3, 3**i)[:, 1:] += 1

@@ -41,17 +41,7 @@ from __future__ import annotations
 import sys
 
 from .core import AllTotals, check_subclass
-
-
-def _fits(frames):
-    """Whether `frames` more nested calls fit under the recursion limit.
-
-    Measured rather than estimated, since the frames below the caller, and
-    the C calls among them, already use part of the limit."""
-    try:
-        return frames == 0 or _fits(frames - 1)
-    except RecursionError:
-        return False
+from .dimensions import _fits
 
 
 class _Oracle:

@@ -1,8 +1,9 @@
 """Shared fixtures, independent oracles, and instance generators.
 
 The oracles here deliberately avoid the library's fast paths: the Littlestone
-oracle searches for explicit proper trees, the dimension oracles scan with
-the definitional consistency predicate from core, the game oracles are a
+oracle searches for explicit proper trees, the VC oracle packs each member's
+pattern on a subset bit by bit, the dimension oracles scan with the
+definitional consistency predicate from core, the game oracles are a
 plain unmemoized recursion and a memoized one that tries every hypothesis
 and element at every version, the splitting-element, exceptional-partial and
 compression oracles test each point's constraint with its own dimension
@@ -11,8 +12,10 @@ They exist so the optimized implementations are checked against a second,
 slower route.
 """
 
+import sys
+import traceback
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -110,6 +113,34 @@ def all_partials(universe):
 def all_totals(universe):
     for bits in range(1 << universe.size):
         yield Concept(universe, bits)
+
+
+def vc_oracle(cls):
+    """Largest k such that some k-subset of the universe is shattered, each
+    member's pattern on the subset packed bit by bit."""
+    n = cls.universe.size
+    member_bits = cls.member_bits()
+    best = 0
+    for k in range(1, n + 1):
+        if len(cls) < (1 << k):
+            break
+        found = False
+        for subset in combinations(range(n), k):
+            patterns = set()
+            for bits in member_bits:
+                p = 0
+                for j, x in enumerate(subset):
+                    p |= ((bits >> x) & 1) << j
+                patterns.add(p)
+                if len(patterns) == (1 << k):
+                    break
+            if len(patterns) == (1 << k):
+                found = True
+                break
+        if not found:
+            break
+        best = k
+    return best
 
 
 def cdim_oracle(cls, hyp):
@@ -371,6 +402,37 @@ def random_class_only(seed, max_x=7, max_c=10):
     nx = 2 + rng.below(max_x - 1)
     nc = min(2 + rng.below(max_c - 1), 1 << nx)
     return fixtures.random_class(nx, nc, rng.next_u64())
+
+
+def steps_under_raising_limit(attempt, inner):
+    """Call `attempt` under Python's recursion limit raised one step at a
+    time from the current depth until it returns, and list what each step
+    gave: "refused" (a ValueError naming the limit) and, last, "value".  A
+    RecursionError may come only from the code before the recursion guard,
+    never from inside the functions named in `inner`."""
+    here = len(traceback.extract_stack())
+    saved = sys.getrecursionlimit()
+    seen = []
+    try:
+        for limit in range(here, here + 200):
+            try:
+                sys.setrecursionlimit(limit)
+            except RecursionError:
+                continue  # below the current depth
+            try:
+                attempt()
+                seen.append("value")
+                break
+            except ValueError as exc:
+                assert f"recursion limit of {limit}" in str(exc)
+                seen.append("refused")
+            except RecursionError as exc:
+                sys.setrecursionlimit(saved)
+                frames = {f.name for f in traceback.extract_tb(exc.__traceback__)}
+                assert not frames & inner, limit
+    finally:
+        sys.setrecursionlimit(saved)
+    return seen
 
 
 # ---------------------------------------------------------------------------

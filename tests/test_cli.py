@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from eqlearn import dimensions
 from eqlearn.automata import Dfa, format_dfa
 from eqlearn.cli import execute
 from eqlearn.core import parse_class
@@ -70,22 +71,58 @@ def test_exact_eqmq(sing4_file):
     assert code == 0 and text.startswith("lc=4 ")
 
 
+def _wide_class(tmp_path, n):
+    """n elements, three concepts: 0^n, 1^n and 1^(n/2) 0^(n/2)."""
+    names = " ".join(f"x{i}" for i in range(n))
+    path = tmp_path / f"wide{n}.cls"
+    half = n // 2
+    path.write_text(f"elements: {names}\n{'0' * n}\n{'1' * n}\n{'1' * half}{'0' * (n - half)}\n")
+    return str(path)
+
+
 def test_exact_past_the_recursion_limit_is_input_error(tmp_path):
     code, text = execute(["gen", "--singletons", "1100"])
     assert code == 0
     deep = tmp_path / "sing1100.cls"
     deep.write_text(text)
     # as wide, but three concepts: the search is only three calls deep
-    names = " ".join(f"x{i}" for i in range(1100))
-    wide = tmp_path / "wide.cls"
-    wide.write_text(f"elements: {names}\n{'0' * 1100}\n{'1' * 1100}\n{'1' * 550}{'0' * 550}\n")
+    wide = _wide_class(tmp_path, 1100)
     for mode in ("eq", "eqmq"):
         argv = ["exact", "--mode", mode, "--hyp", "self", "--class"]
         code, text = execute(argv + [str(deep)])
         assert code == 2 and text.startswith("input error: "), text
         assert f"recursion limit of {sys.getrecursionlimit()}" in text
-        code, text = execute(argv + [str(wide)])
+        code, text = execute(argv + [wide])
         assert code == 0 and text.startswith("lc=2 "), text
+
+
+def test_ldim_past_the_recursion_limit_is_input_error(tmp_path):
+    code, text = execute(["gen", "--singletons", "1100"])
+    assert code == 0
+    deep = tmp_path / "sing1100.cls"
+    deep.write_text(text)
+    for command in ("dims", "compress", "thicket"):
+        code, text = execute([command, "--class", str(deep)])
+        assert code == 2 and text.startswith("input error: "), (command, text)
+        assert f"recursion limit of {sys.getrecursionlimit()}" in text
+
+
+def test_exhaustive_arrays_past_their_size_limit_are_input_errors(tmp_path):
+    wide = _wide_class(tmp_path, 40)
+    for argv in (
+        ["dims"],
+        ["dims", "--hyp", "m:2"],
+        ["learn", "--algo", "cdim", "--teacher", "honest:0"],
+        ["exact", "--hyp", "m:2"],
+    ):
+        code, text = execute(argv + ["--class", wide])
+        assert code == 2 and text.startswith("input error: "), (argv, text)
+        assert f"limited to |X| <= {dimensions._MAX_SCAN_SIZE}" in text
+    narrow = _wide_class(tmp_path, 18)
+    code, text = execute(["dims", "--class", narrow, "--hyp", "self"])
+    assert code == 0 and "cdim=2" in text, text
+    code, text = execute(["dims", "--class", narrow, "--hyp", "self", "--strong"])
+    assert code == 2 and f"limited to |X| <= {dimensions._MAX_PARTIALS_SIZE}" in text
 
 
 def test_missing_file_is_input_error(sing4_file):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlearn import dimensions, fixtures
 from eqlearn.core import (
@@ -35,6 +36,8 @@ from conftest import (
     random_class_only,
     random_instance,
     scdim_oracle,
+    steps_under_raising_limit,
+    vc_oracle,
 )
 
 
@@ -79,6 +82,20 @@ def test_ldim_subset_empty_and_singleton(sing4):
     assert ldim_subset(sing4, 0b0100) == 0
 
 
+def test_ldim_recursion_guard_admits_only_what_fits():
+    """Raising Python's recursion limit step by step, `ldim_subset` is first
+    refused and then gives the value; no RecursionError ever comes from
+    inside the recursion.  On SING(10) the recursion goes the full depth:
+    each split peels off one singleton."""
+
+    def attempt():
+        cls = fixtures.singletons(10)  # a fresh, empty memo
+        assert ldim_subset(cls, cls.full_version) == 1
+
+    seen = steps_under_raising_limit(attempt, {"_ldim"})
+    assert seen[-1] == "value" and "refused" in seen
+
+
 # ---------------------------------------------------------------------------
 # VC dimension
 
@@ -87,6 +104,12 @@ def test_vc_fixture_values(sing4, tree32, pow3):
     assert vc_dim(pow3) == 3
     assert vc_dim(sing4) == 1
     assert vc_dim(tree32) == 1
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_vc_matches_oracle(seed):
+    cls = random_class_only(seed + 700, max_x=8, max_c=24)
+    assert vc_dim(cls) == vc_oracle(cls)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -122,6 +145,31 @@ def test_cdim_requires_subclass(sing4):
 def test_cdim_matches_oracle(seed):
     cls, hyp = random_instance(seed + 300, max_x=5, max_c=6, max_extra=3)
     assert consistency_dim(cls, hyp) == cdim_oracle(cls, hyp)
+
+
+@given(
+    cls=concept_classes(max_x=6, max_c=10),
+    extra=st.sets(st.integers(0, (1 << 6) - 1), max_size=4),
+    hm_first=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_cdim_matches_oracle_for_self_hm_and_supersets(cls, extra, hm_first):
+    # H_m requested before or after the threshold reads the same levels
+    if hm_first:
+        hms = [hypothesis_hm(cls, m) for m in (1, 2, 3)]
+        threshold = consistency_threshold(cls)
+    else:
+        threshold = consistency_threshold(cls)
+        hms = [hypothesis_hm(cls, m) for m in (1, 2, 3)]
+    self_hyp = ExplicitHypotheses(cls)
+    assert threshold == cdim_oracle(cls, self_hyp)
+    universe = cls.universe
+    superset = set(cls.bits_index) | {b & ((1 << universe.size) - 1) for b in extra}
+    bigger = ExplicitHypotheses(
+        ConceptClass(universe, [Concept(universe, b) for b in sorted(superset)])
+    )
+    for hyp in [self_hyp, *hms, bigger]:
+        assert consistency_dim(cls, hyp) == cdim_oracle(cls, hyp)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +208,7 @@ def test_scdim_single_element():
 def test_smallest_unextendable_totals_are_consistency_levels(cls):
     size = cls.universe.size
     smallest = dimensions._smallest_unextendable(cls)
-    levels = consistency_levels(cls, size)
+    levels = consistency_levels(cls)
     for bits in range(1 << size):
         cell = sum(3**i * (1 + ((bits >> i) & 1)) for i in range(size))
         value = int(smallest[cell])
@@ -284,7 +332,7 @@ def test_dimension_report(tree32):
 def test_consistency_levels_match_predicate(cls):
     size = cls.universe.size
     for n in range(size + 1):
-        consistent = consistency_levels(cls, n) > n
+        consistent = consistency_levels(cls) > n
         for bits in range(1 << size):
             total = Concept(cls.universe, bits).as_partial()
             assert bool(consistent[bits]) == is_n_consistent(total, cls, n), (bits, n)
@@ -294,9 +342,10 @@ def test_consistency_levels_match_predicate(cls):
 
 
 @pytest.mark.parametrize("threshold_first", [True, False])
-def test_levels_are_scanned_once(monkeypatch, threshold_first):
-    # TREE(3,2): threshold 4, so levels 1-4 are scanned and, since only
-    # members survive level 4, nothing beyond; H_2 needs levels 1-2 only
+def test_levels_are_scanned_once_to_the_end(monkeypatch, threshold_first):
+    # TREE(3,2): threshold 4, so the first request, whichever it is, scans
+    # levels 1-4 and, since only members survive level 4, nothing beyond;
+    # every later request reads the same array
     cls = fixtures.tree_class(3, 2)
     scanned = []
 

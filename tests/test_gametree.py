@@ -1,8 +1,6 @@
 """Minimax oracle: frozen values, the reference oracles, and sandwiches."""
 
 import math
-import sys
-import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,12 @@ from eqlearn.dimensions import (
 )
 from eqlearn.gametree import lc_eq_exact, lc_eqmq_exact, lc_exact_with_stats
 
-from conftest import lc_memo_oracle, lc_reference, random_instance
+from conftest import (
+    lc_memo_oracle,
+    lc_reference,
+    random_instance,
+    steps_under_raising_limit,
+)
 
 
 def test_lc_eq_fixture_values(sing4, singe4, tree32):
@@ -113,30 +116,12 @@ def test_recursion_guard_admits_only_what_fits():
     inside it.  The first line of play on SING(10) goes the full depth."""
     cls = fixtures.singletons(10)
     hyp = ExplicitHypotheses(cls)
-    here = len(traceback.extract_stack())
-    saved = sys.getrecursionlimit()
-    seen = []
-    try:
-        for limit in range(here, here + 200):
-            try:
-                sys.setrecursionlimit(limit)
-            except RecursionError:
-                continue  # below the current depth
-            try:
-                assert lc_exact_with_stats(cls, hyp, "eq")[0] == 10
-                assert lc_exact_with_stats(cls, hyp, "eqmq")[0] == 10
-                seen.append("value")
-                break
-            except ValueError as exc:
-                assert f"recursion limit of {limit}" in str(exc)
-                seen.append("refused")
-            except RecursionError as exc:
-                # only the code before the guard may run out of frames
-                sys.setrecursionlimit(saved)
-                frames = {f.name for f in traceback.extract_tb(exc.__traceback__)}
-                assert not frames & {"value", "_expand"}, limit
-    finally:
-        sys.setrecursionlimit(saved)
+
+    def attempt():
+        assert lc_exact_with_stats(cls, hyp, "eq")[0] == 10
+        assert lc_exact_with_stats(cls, hyp, "eqmq")[0] == 10
+
+    seen = steps_under_raising_limit(attempt, {"value", "_expand"})
     assert seen[-1] == "value" and "refused" in seen
 
 
