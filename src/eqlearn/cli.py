@@ -84,15 +84,21 @@ def _load_class(path):
     return cls
 
 
+def _spec_int(text, what, spec, form):
+    """An integer field of a hypothesis or teacher spec: an optional minus
+    sign and decimal digits, nothing else (no '+', blanks or '_')."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise UsageError(f"{what} {spec!r} does not have the form {form}")
+    return int(text)
+
+
 def _load_hypotheses(spec, cls):
     if spec == "self":
         return ExplicitHypotheses(cls)
     if spec == "powerset":
         return AllTotals(cls.universe)
     if spec.startswith("m:"):
-        if not re.fullmatch(r"-?[0-9]+", spec[2:]):
-            raise UsageError(f"hypothesis {spec!r} does not have the form m:<k>")
-        return hypothesis_hm(cls, int(spec[2:]))
+        return hypothesis_hm(cls, _spec_int(spec[2:], "hypothesis", spec, "m:<k>"))
     hyp_class = _load_class(spec)
     if hyp_class.universe != cls.universe:
         raise ClassFormatError("hypothesis class universe differs from the class")
@@ -199,13 +205,13 @@ def _make_teacher(spec, cls, target):
         raise UsageError("--target applies only to the random teacher")
     if kind == "tree":
         return TreeAdversary(cls)
+    # every other form ends in its one integer field
+    number = _spec_int(fields[-1], "teacher", spec, form)
     if kind == "honest":
-        return HonestTeacher(cls, int(fields[0]))
+        return HonestTeacher(cls, number)
     if kind == "witness":
-        partial = parse_partial(cls.universe, fields[0])
-        return WitnessAdversary(cls, partial, int(fields[1]))
-    mu = _load_distribution(fields[0], cls.universe)
-    return RandomTeacher(cls, target, mu, int(fields[1]))
+        return WitnessAdversary(cls, parse_partial(cls.universe, fields[0]), number)
+    return RandomTeacher(cls, target, _load_distribution(fields[0], cls.universe), number)
 
 
 def _make_learner(algo, cls, hyp, mu_file):

@@ -51,6 +51,22 @@ def _fits(frames):
         return False
 
 
+def check_recursion_depth(concept_class, n_concepts, what):
+    """Refuse a recursion that would not fit under Python's recursion limit.
+
+    `what` constrains a new element and shrinks a version of `n_concepts`
+    concepts at each step, so it goes at most depth = min(|X|, n_concepts -
+    1) + 1 calls deep, and its deepest call may make one more (a
+    comprehension or `max`); the check itself probes depth + 2 frames deep
+    from the caller, which covers that."""
+    depth = min(concept_class.universe.size, n_concepts - 1) + 1
+    if not _fits(depth):
+        raise ValueError(
+            f"{what} would go {depth} calls deep on this class, "
+            f"past Python's recursion limit of {sys.getrecursionlimit()}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Littlestone dimension
 
@@ -59,22 +75,16 @@ def ldim_subset(concept_class, version):
     """Littlestone dimension of the subclass given by a concept-index bitset.
 
     Returns -1 for the empty bitset; used internally so that "element does
-    not split" falls out of the max/min recursion naturally.  Each step of
-    the recursion constrains a new element and shrinks the version, so on a
-    memo miss it is at most min(|X|, |v| - 1) + 1 calls deep; a version
-    whose recursion would not fit under Python's recursion limit is refused.
+    not split" falls out of the max/min recursion naturally.  On a memo miss,
+    a version whose recursion would not fit under Python's recursion limit
+    is refused.
     """
     if version == 0:
         return -1
     cached = concept_class._ldim_memo.get(version)
     if cached is not None:
         return cached
-    depth = min(concept_class.universe.size, version.bit_count() - 1) + 1
-    if not _fits(depth):
-        raise ValueError(
-            f"the Littlestone recursion would go {depth} calls deep on this class, "
-            f"past Python's recursion limit of {sys.getrecursionlimit()}"
-        )
+    check_recursion_depth(concept_class, version.bit_count(), "the Littlestone recursion")
     return _ldim(concept_class, version)
 
 

@@ -38,10 +38,8 @@ the recursion is at most min(|X|, |C| - 1) + 1 calls deep.
 
 from __future__ import annotations
 
-import sys
-
 from .core import AllTotals, check_subclass
-from .dimensions import _fits
+from .dimensions import check_recursion_depth
 
 
 class _Oracle:
@@ -49,15 +47,7 @@ class _Oracle:
         check_subclass(concept_class, hypotheses)
         if isinstance(hypotheses, AllTotals) and concept_class.universe.size > 5:
             raise ValueError("AllTotals hypothesis oracle is limited to |X| <= 5")
-        depth = min(concept_class.universe.size, len(concept_class) - 1) + 1
-        # `value` and the `_expand` calls under it take at most `depth`
-        # frames, and the deepest makes one more call (a comprehension or
-        # `max`); the probe's depth + 1 frames cover that
-        if not _fits(depth):
-            raise ValueError(
-                f"the oracle would recurse {depth} calls deep on this class, "
-                f"past Python's recursion limit of {sys.getrecursionlimit()}"
-            )
+        check_recursion_depth(concept_class, len(concept_class), "the oracle")
         self.elements = [
             (1 << x, ones) for x, ones in enumerate(concept_class.element_ones)
         ]

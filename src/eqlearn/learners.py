@@ -105,12 +105,11 @@ def run_session(learner, teacher, budget):
 
 
 class _VersionLearner(Learner):
-    """Common bookkeeping: a version bitset updated by observed data."""
+    """Common bookkeeping: a version bitset narrowed by counterexamples."""
 
     def __init__(self, concept_class, version=None):
         self.cls = concept_class
         self.version = concept_class.full_version if version is None else version
-        self._await_point = None
 
     @property
     def exhausted(self):
@@ -122,21 +121,10 @@ class _VersionLearner(Learner):
     def observe(self, response):
         if isinstance(response, YesAnswer):
             self.done = True
-            return
-        if isinstance(response, Counterexample):
+        elif isinstance(response, Counterexample):
             self._constrain(response.point, response.label)
-        elif isinstance(response, MqAnswer):
-            if self._await_point is None:
-                raise InvariantViolation("membership answer without a pending query")
-            self._constrain(self._await_point, response.label)
-            self._await_point = None
-        self._after_observe(response)
-
-    def _after_observe(self, response):
-        pass
-
-    def _single_concept(self):
-        return self.cls.concepts[self.cls.lowest_index(self.version)]
+        else:
+            raise InvariantViolation("membership answer without a pending query")
 
 
 class OptimalEqLearner(_VersionLearner):
@@ -170,26 +158,26 @@ class Sc2EqLearner(_VersionLearner):
     consistency dimension 2): extends the full-dimension partial of the
     version space into the hypothesis class; ldim + 1 queries suffice."""
 
-    def __init__(self, concept_class, hypotheses, _consistency=None):
+    def __init__(self, concept_class, hypotheses):
         super().__init__(concept_class)
-        c = (
-            _consistency
-            if _consistency is not None
-            else consistency_dim(concept_class, hypotheses)
-        )
+        c = consistency_dim(concept_class, hypotheses)
         if c > 2:
             raise ValueError(f"strategy needs consistency dimension <= 2, got {c}")
         self.hyp = hypotheses
         self.certified_budget = ldim_subset(concept_class, concept_class.full_version) + 1
 
     def next_move(self):
-        partial = full_ldim_partial(self.cls, self.version)
-        hyp = self.hyp.find_extension(partial)
-        if hyp is None:
-            raise InvariantViolation(
-                "full-dimension partial has no extension despite SC <= 2"
-            )
-        return EqQuery(hyp)
+        return EqQuery(_full_partial_extension(self.cls, self.hyp, self.version))
+
+
+def _full_partial_extension(concept_class, hypotheses, version):
+    """The first hypothesis extending the version's full-dimension partial."""
+    hyp = hypotheses.find_extension(full_ldim_partial(concept_class, version))
+    if hyp is None:
+        raise InvariantViolation(
+            "full-dimension partial has no extension despite SC <= 2"
+        )
+    return hyp
 
 
 class HalvingEqLearner(_VersionLearner):
@@ -212,8 +200,6 @@ class HalvingEqLearner(_VersionLearner):
             self.certified_budget = d + 1
 
     def next_move(self):
-        if self.version & (self.version - 1) == 0:
-            return EqQuery(self._single_concept())
         c = self.c
         if c < 2:
             return EqQuery(_majority_total(self.cls, self.version))
@@ -287,9 +273,10 @@ class CdimEqLearner(_VersionLearner):
     """The c^d recursion: split on an element when both halves drop the
     dimension, otherwise submit the full-dimension total when it is in H, and
     otherwise locate a small restriction of it with no extension in the
-    version space and compose learners over the subclasses it induces.
-    Consistency dimension 1 delegates to the Littlestone-majority strategy
-    and 2 to the partial-extension strategy."""
+    version space and compose learners over the subclasses it induces.  At
+    consistency dimension 1 it submits the Littlestone-majority total and at
+    2 the extension of the full-dimension partial, as OptimalEqLearner and
+    Sc2EqLearner do (ldim + 1 queries)."""
 
     def __init__(self, concept_class, hypotheses, _consistency=None, _version=None):
         super().__init__(concept_class, _version)
@@ -300,15 +287,8 @@ class CdimEqLearner(_VersionLearner):
             else consistency_dim(concept_class, hypotheses)
         )
         d = ldim_subset(concept_class, self.version)
+        self.certified_budget = d + 1 if self.c <= 2 else self.c**d
         self._sub = None
-        if _version is None and self.c <= 2:
-            if self.c == 1:
-                self._sub = OptimalEqLearner(concept_class)
-            else:
-                self._sub = Sc2EqLearner(concept_class, hypotheses, _consistency=2)
-            self.certified_budget = self._sub.certified_budget
-        else:
-            self.certified_budget = self.c**d
 
     @property
     def exhausted(self):
@@ -316,49 +296,49 @@ class CdimEqLearner(_VersionLearner):
             return self._sub.exhausted
         return self.version == 0
 
-    def _spawn(self, versions):
-        subs = []
-        for v in versions:
-            if not v:
-                continue
-            sub = CdimEqLearner(
-                self.cls, self.hyp, _consistency=self.c, _version=v
-            )
-            subs.append((sub, self.c ** ldim_subset(self.cls, v)))
-        self._sub = ComposeLearner(subs)
-
     def next_move(self):
         if self._sub is not None:
             return self._sub.next_move()
         version = self.version
-        if version & (version - 1) == 0:
-            return EqQuery(self._single_concept())
-        full = full_ldim_partial(self.cls, version)
-        # the lowest element both of whose labels drop the dimension, if any
-        split = ~full.mask & ((1 << self.cls.universe.size) - 1)
-        if split:
-            x = (split & -split).bit_length() - 1
-            self._spawn([self.cls.restrict_version(version, x, label) for label in (0, 1)])
-            return self._sub.next_move()
-        bits = full.bits
-        hypothesis = Concept(self.cls.universe, bits)
-        if self.hyp.contains(hypothesis):
-            return EqQuery(hypothesis)
-        points = _unextendable_restriction(self.cls, version, bits, self.c)
-        versions = [
-            self.cls.restrict_version(version, x, 1 - ((bits >> x) & 1))
-            for x in points
+        if self.c == 1:
+            return EqQuery(_majority_total(self.cls, version))
+        if self.c == 2:
+            return EqQuery(_full_partial_extension(self.cls, self.hyp, version))
+        x, total = _split_or_total(self.cls, version)
+        if total is None:
+            versions = [self.cls.restrict_version(version, x, label) for label in (0, 1)]
+        elif self.hyp.contains(total):
+            return EqQuery(total)
+        else:
+            points = _unextendable_restriction(self.cls, version, total.bits, self.c)
+            versions = [
+                self.cls.restrict_version(version, x, 1 - total.label(x)) for x in points
+            ]
+        subs = [
+            CdimEqLearner(self.cls, self.hyp, _consistency=self.c, _version=v)
+            for v in versions
         ]
-        self._spawn(versions)
+        self._sub = ComposeLearner([(sub, sub.certified_budget) for sub in subs])
         return self._sub.next_move()
 
     def observe(self, response):
-        if self._sub is not None:
-            if isinstance(response, YesAnswer):
-                self.done = True
-            self._sub.observe(response)
+        if self._sub is None:
+            super().observe(response)
             return
-        super().observe(response)
+        if isinstance(response, YesAnswer):
+            self.done = True
+        self._sub.observe(response)
+
+
+def _split_or_total(concept_class, version):
+    """The step the c^d and EQ+MQ learners share: `(x, None)` for the lowest
+    element x both of whose labels drop the version's dimension, else
+    `(None, total)` for the version's full-dimension total."""
+    full = full_ldim_partial(concept_class, version)
+    split = ~full.mask & ((1 << concept_class.universe.size) - 1)
+    if split:
+        return (split & -split).bit_length() - 1, None
+    return None, Concept(concept_class.universe, full.bits)
 
 
 def _unextendable_restriction(concept_class, version, bits, max_size):
@@ -380,7 +360,11 @@ def _unextendable_restriction(concept_class, version, bits, max_size):
 class EqMqLearner(_VersionLearner):
     """Query strategy mixing both types: membership queries resolve splitting
     elements and all but one point of an unextendable restriction; total
-    queries stay within max(1, c-1) * ldim + 1."""
+    queries stay within max(1, c-1) * ldim + 1.
+
+    The last point of the restriction is never asked: once the answers agree
+    with the total on the others, no survivor agrees with it on all of the
+    restriction, so every survivor already has the other label there."""
 
     def __init__(self, concept_class, hypotheses, _consistency=None):
         super().__init__(concept_class)
@@ -393,57 +377,37 @@ class EqMqLearner(_VersionLearner):
         self.cprime = max(1, self.c - 1)
         d = ldim_subset(concept_class, concept_class.full_version)
         self.certified_budget = self.cprime * d + 1
+        # pending membership queries: (point, the total's label there, or
+        # None at a splitting element)
         self._plan = []
-        self._deduce = None
 
     def next_move(self):
-        if self._plan:
-            point, _ = self._plan[0]
-            self._await_point = point
-            return MqQuery(point)
-        version = self.version
-        if version & (version - 1) == 0:
-            return EqQuery(self._single_concept())
-        full = full_ldim_partial(self.cls, version)
-        # the lowest element both of whose labels drop the dimension, if any
-        split = ~full.mask & ((1 << self.cls.universe.size) - 1)
-        if split:
-            x = (split & -split).bit_length() - 1
-            self._await_point = x
-            return MqQuery(x)
-        bits = full.bits
-        hypothesis = Concept(self.cls.universe, bits)
-        if self.hyp.contains(hypothesis):
-            return EqQuery(hypothesis)
-        points = _unextendable_restriction(self.cls, version, bits, self.c)
-        if len(points) < 2:
-            raise InvariantViolation(
-                "unextendable restriction of size < 2 contradicts the hypothesis choice"
-            )
-        self._plan = [(x, (bits >> x) & 1) for x in points[:-1]]
-        last = points[-1]
-        self._deduce = (last, 1 - ((bits >> last) & 1))
-        point, _ = self._plan[0]
-        self._await_point = point
-        return MqQuery(point)
+        if not self._plan:
+            x, total = _split_or_total(self.cls, self.version)
+            if total is None:
+                self._plan = [(x, None)]
+            elif self.hyp.contains(total):
+                return EqQuery(total)
+            else:
+                points = _unextendable_restriction(self.cls, self.version, total.bits, self.c)
+                if len(points) < 2:
+                    raise InvariantViolation(
+                        "unextendable restriction of size < 2 contradicts the hypothesis choice"
+                    )
+                self._plan = [(x, total.label(x)) for x in points[:-1]]
+        return MqQuery(self._plan[0][0])
 
-    def _after_observe(self, response):
-        if not isinstance(response, MqAnswer) or not self._plan:
+    def observe(self, response):
+        if not isinstance(response, MqAnswer):
+            super().observe(response)
             return
+        if not self._plan:
+            raise InvariantViolation("membership answer without a pending query")
         point, expected = self._plan.pop(0)
+        self._constrain(point, response.label)
         if response.label != expected:
-            # the target left the hypothesis here; the version update said it all
+            # a split is resolved, or the target left the total here
             self._plan = []
-            self._deduce = None
-        elif not self._plan:
-            x, label = self._deduce
-            self._deduce = None
-            survivors = self.cls.restrict_version(self.version, x, label)
-            if not survivors:
-                raise InvariantViolation(
-                    "witness deduction emptied the version space"
-                )
-            self.version = survivors
 
 
 class ThicketMaxMinLearner(_VersionLearner):
@@ -462,7 +426,8 @@ class ThicketMaxMinLearner(_VersionLearner):
     def next_move(self):
         version = self.version
         if version & (version - 1) == 0:
-            return EqQuery(self._single_concept())
+            # the query rank needs two concepts
+            return EqQuery(self.cls.concepts[self.cls.lowest_index(version)])
         if version not in self._policy:
             graph = ThicketGraph(self.cls, self.mu, version)
             self._policy[version] = max(graph.indices, key=graph.query_rank)

@@ -163,7 +163,7 @@ def test_criterion_4_learner_bounds():
                     (EqMqLearner(cls, hyp, _consistency=c), eqmq_bound, "total"),
                 ]
                 if c == 2:
-                    runs.append((Sc2EqLearner(cls, hyp, _consistency=c), d + 1, "eq"))
+                    runs.append((Sc2EqLearner(cls, hyp), d + 1, "eq"))
                 for learner, bound, counting in runs:
                     transcript = run_session(learner, make_teacher(), bound)
                     sessions += 1

@@ -155,7 +155,7 @@ def test_bad_teacher_index_is_input_error(sing4_file):
         assert code == 2 and text.startswith("input error: invalid target index"), index
 
 
-def test_bad_usage_is_exit_1(sing4_file):
+def test_bad_usage_is_exit_1(sing4_file, tmp_path):
     code, text = execute(["dims"])
     assert code == 1
     code, text = execute(["frobnicate"])
@@ -168,10 +168,20 @@ def test_bad_usage_is_exit_1(sing4_file):
         ("random:", "random:<mu-file>:<seed>"),
         ("honest:1:2", "honest:<i>"),
         ("tree:1", "tree"),
+        # integer fields are an optional minus sign and decimal digits
+        ("honest:abc", "honest:<i>"),
+        ("honest:1_0", "honest:<i>"),
+        ("honest:+1", "honest:<i>"),
+        ("honest: 1", "honest:<i>"),
+        ("witness:0000:x", "witness:<partial>:<n>"),
     ):
         code, text = execute(learn + [spec])
         assert code == 1 and text.startswith("usage error: teacher"), spec
         assert text.rstrip().endswith(form), spec
+    mu = tmp_path / "mu.dist"
+    mu.write_text("x0 1/4\nx1 1/4\nx2 1/4\nx3 1/4\n")
+    code, text = execute(learn + [f"random:{mu}:x", "--target", "0"])
+    assert code == 1 and text.rstrip().endswith("random:<mu-file>:<seed>"), text
     for spec in ("honest:1", "tree", "witness:0000:3"):
         code, text = execute(learn + [spec, "--target", "3"])
         assert code == 1, spec

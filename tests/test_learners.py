@@ -3,14 +3,15 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqlearn import fixtures
-from eqlearn.core import Distribution, ExplicitHypotheses, parse_partial
+from eqlearn.core import AllTotals, Distribution, ExplicitHypotheses, parse_partial
 from eqlearn.dimensions import (
     consistency_dim,
     full_ldim_partial,
+    hypothesis_hm,
     ldim,
     ldim_subset,
     strong_consistency_dim,
@@ -24,6 +25,7 @@ from eqlearn.learners import (
     Sc2EqLearner,
     ThicketGraph,
     ThicketMaxMinLearner,
+    _unextendable_restriction,
     run_session,
     transcript_lines,
 )
@@ -479,7 +481,7 @@ def test_learner_bounds_random_suite():
                     (EqMqLearner(cls, hyp, _consistency=c), None, "total"),
                 ]
                 if c == 2:
-                    runs.append((Sc2EqLearner(cls, hyp, _consistency=c), d + 1, "eq"))
+                    runs.append((Sc2EqLearner(cls, hyp), d + 1, "eq"))
                 for learner, bound, counting in runs:
                     bound = learner.certified_budget if bound is None else bound
                     transcript = run_session(learner, make_teacher(), bound)
@@ -502,3 +504,59 @@ def test_splitting_element_is_lowest_unspecified_point(cls, data):
     full = full_ldim_partial(cls, version)
     free = [x for x in range(cls.universe.size) if full.label(x) is None]
     assert (free[0] if free else None) == splitting_element_oracle(cls, version)
+
+
+@given(cls=concept_classes(max_x=7, max_c=12), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_last_point_of_unextendable_restriction_is_implied(cls, data):
+    # why the EQ+MQ learner never asks about the last point of a smallest
+    # unextendable restriction S of a total: the survivors that agree with
+    # the total on S minus its last point all disagree with it there
+    n = cls.universe.size
+    version = data.draw(st.integers(1, cls.full_version), label="version")
+    bits = data.draw(st.integers(0, (1 << n) - 1), label="total")
+    assume(cls.first_member((1 << n) - 1, bits, version) is None)
+    points = _unextendable_restriction(cls, version, bits, n)
+    assume(len(points) >= 2)
+    agreeing = version
+    for x in points[:-1]:
+        agreeing = cls.restrict_version(agreeing, x, (bits >> x) & 1)
+    last = points[-1]
+    assert agreeing  # S is a smallest one
+    assert cls.restrict_version(agreeing, last, (bits >> last) & 1) == 0
+
+
+def _same_moves(learner, reference, teacher):
+    """Run both learners on one teacher's answers, asserting equal moves."""
+    assert learner.certified_budget == reference.certified_budget
+    for _ in range(reference.certified_budget):
+        move = learner.next_move()
+        assert move == reference.next_move()
+        response = teacher.respond(move)
+        learner.observe(response)
+        reference.observe(response)
+        if isinstance(response, YesAnswer):
+            return
+    raise AssertionError("no success within the certified budget")
+
+
+@given(cls=concept_classes(max_x=6, max_c=10))
+@settings(max_examples=100, deadline=None)
+def test_cdim_at_small_dimensions_moves_as_optimal_and_sc2(cls):
+    # at c = 1 the c^d learner makes the Littlestone-majority move and at
+    # c = 2 the partial-extension move, turn by turn
+    for hyp in (
+        ExplicitHypotheses(cls),
+        hypothesis_hm(cls, 1),
+        hypothesis_hm(cls, 2),
+        AllTotals(cls.universe),
+    ):
+        c = consistency_dim(cls, hyp)
+        if c > 2:
+            continue
+        reference = (
+            (lambda: OptimalEqLearner(cls)) if c == 1 else (lambda: Sc2EqLearner(cls, hyp))
+        )
+        teachers = [lambda t=t: HonestTeacher(cls, t) for t in range(len(cls))]
+        for make_teacher in teachers + [lambda: TreeAdversary(cls)]:
+            _same_moves(CdimEqLearner(cls, hyp), reference(), make_teacher())
