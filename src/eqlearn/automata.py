@@ -81,7 +81,10 @@ def parse_dfa(text):
         src, sym, dst = int(parts[0]), parts[1], int(parts[2])
         if sym not in ("0", "1"):
             raise ClassFormatError(f"line {lineno}: symbol must be 0 or 1")
-        edges[(src, int(sym))] = dst
+        key = (src, int(sym))
+        if key in edges:
+            raise ClassFormatError(f"line {lineno}: repeated transition for ({src}, {sym})")
+        edges[key] = dst
     if n_states is None or accepting is None:
         raise ClassFormatError("missing DFA header lines")
     transitions = []

@@ -2,11 +2,11 @@
 
 A finite sample (a restriction of some member) is encoded by a tuple of
 d = ldim(C) of its own points; d + 1 reconstruction functions suffice to
-recover it.  Full runs of the point-picking loop yield tuples of distinct
-entries decoded by membership constraints; early halts are encoded with
-duplicate-element patterns that only the first two reconstruction functions
-know how to parse.  No single decoder needs to disambiguate every tuple:
-the round-trip guarantee is existential over the family.
+recover it.  Every tuple has one layout: k <= d distinct picks, positives
+first, padded with d - k copies of the first pick.  Reconstruction function
+i reads the first i picks as positive and the other k - i as negative.  No
+single decoder needs to disambiguate every tuple: the round-trip guarantee
+is existential over the family.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ def compress(concept_class, sample):
 
     While some sample point's constraint drops the dimension of the running
     subclass, pick the lowest such positive point, or else the lowest such
-    negative one; a full run of d picks emits the positive picks followed
-    by the negative picks.  Early halts emit duplicate-padded encodings of
-    the picks made so far; an immediate halt emits d copies of the least
-    sample point.
+    negative one.  Emit the k <= d picks, positives first, then d - k
+    copies of the first pick; an immediate halt emits d copies of the least
+    sample point.  Picks are distinct (a picked point is constant on the
+    running subclass, so it never drops the dimension again), and after an
+    early halt the sample is a restriction of the subclass's full-dimension
+    partial.
     """
     if concept_class.first_member(sample.mask, sample.bits) is None:
         raise ValueError("sample is not a restriction of any member of the class")
@@ -56,20 +58,8 @@ def compress(concept_class, sample):
         label = (sample.bits >> x) & 1
         (positives if label else negatives).append(x)
         version = concept_class.restrict_version(version, x, label)
-    steps = len(positives) + len(negatives)
-    if steps == d:
-        return tuple(positives + negatives)
-    if positives:
-        first = positives[0]
-        tup = positives + [first] + negatives
-        tup += [first] * (d - len(tup))
-        return tuple(tup)
-    if negatives:
-        first = negatives[0]
-        tup = negatives + [first] * (d - len(negatives))
-        return tuple(tup)
-    least = min(sample.domain())
-    return (least,) * d
+    tup = positives + negatives or [min(sample.domain())]
+    return tuple(tup + tup[:1] * (d - len(tup)))
 
 
 def _constrained_extension(concept_class, ones, zeros):
@@ -88,7 +78,17 @@ def _constrained_extension(concept_class, ones, zeros):
 def decompress(concept_class, index, tup):
     """Apply reconstruction function `index` to a tuple; returns a total
     labeling (not necessarily a class member) or None when the tuple is
-    unparseable under this function's readings."""
+    unparseable under this function's readings.
+
+    The tuple holds k = d + 1 - (copies of its first entry) distinct picks
+    followed by the d - k copies; function i reads the first i picks as
+    positive and the rest as negative, and returns the member they pin when
+    k = d, else the zero-filled full-dimension partial of the subclass they
+    cut out.  On the all-equal tuple (x, ..., x), function full.label(x)
+    instead returns the zero-filled full-dimension partial of the whole
+    class (the immediate halt); a one-pick encoding of x is never read by
+    it, since a pick's label is one that drops the dimension.
+    """
     d = ldim_subset(concept_class, concept_class.full_version)
     if not (0 <= index <= d):
         raise ValueError(f"reconstruction index {index} out of range 0..{d}")
@@ -101,67 +101,20 @@ def decompress(concept_class, index, tup):
     if d == 0:
         return concept_class.concepts[0]
 
-    if all(x == tup[0] for x in tup):
-        point = tup[0]
+    first = tup[0]
+    k = d + 1 - tup.count(first)
+    if k == 1:
         full = full_ldim_partial(concept_class)
-        if index == full.label(point):
+        if index == full.label(first):
             # overwritten decoder: the immediate-halt encoding
             return _zero_fill(full)
-        if index == 1:
-            return _constrained_extension(concept_class, [point], [])
-        if index == 0:
-            return _constrained_extension(concept_class, [], [point])
+    if index > k or tup[k:] != tup[:1] * (d - k) or len(set(tup[:k])) != k:
         return None
-
-    if len(set(tup)) == d:
-        # distinct entries: the first `index` are positive picks, the rest negative
+    if k == d:
         mask = sum(1 << x for x in tup)
         ones = sum(1 << x for x in tup[:index])
         return concept_class.first_member(mask, ones)
-
-    if index == 1:
-        return _parse_positive_padded(concept_class, tup)
-    if index == 0:
-        return _parse_negative_padded(concept_class, tup)
-    return None
-
-
-def _parse_positive_padded(concept_class, tup):
-    """Parse (a-picks, a', d-picks, a', ..., a') with a' the first positive pick."""
-    first = tup[0]
-    second = None
-    for j in range(1, len(tup)):
-        if tup[j] == first:
-            second = j
-            break
-    if second is None:
-        return None
-    ones = list(tup[:second])
-    if len(set(ones)) != len(ones):
-        return None
-    rest = list(tup[second + 1 :])
-    while rest and rest[-1] == first:
-        rest.pop()
-    zeros = rest
-    if first in zeros or len(set(zeros)) != len(zeros):
-        return None
-    if set(ones) & set(zeros):
-        return None
-    return _constrained_extension(concept_class, ones, zeros)
-
-
-def _parse_negative_padded(concept_class, tup):
-    """Parse (d-picks, d', ..., d') with d' the first negative pick."""
-    first = tup[0]
-    k = len(tup)
-    while k > 0 and tup[k - 1] == first:
-        k -= 1
-    if k == 0 or k == len(tup):
-        return None
-    zeros = list(tup[:k])
-    if len(set(zeros)) != len(zeros):
-        return None
-    return _constrained_extension(concept_class, [], zeros)
+    return _constrained_extension(concept_class, tup[:index], tup[index:k])
 
 
 class CompressionScheme:

@@ -25,16 +25,23 @@ def _finalize(z):
     return z ^ (z >> 31)
 
 
+def _check_seed(seed):
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed {seed} is outside the range 0..2^64-1")
+    return seed
+
+
 def mix64(seed, index):
     """Per-trial seed: finalize(seed + GOLDEN * (index + 1)) over 64 bits."""
-    return _finalize((seed + GOLDEN * (index + 1)) & MASK64)
+    return _finalize((_check_seed(seed) + GOLDEN * (index + 1)) & MASK64)
 
 
 class SplitMix64:
-    """Seeded deterministic generator; identical seeds give identical streams."""
+    """Seeded deterministic generator; identical seeds give identical streams.
+    Seeds lie in [0, 2^64); any other seed raises ValueError."""
 
     def __init__(self, seed):
-        self._state = seed & MASK64
+        self._state = _check_seed(seed)
 
     def next_u64(self):
         self._state = (self._state + GOLDEN) & MASK64

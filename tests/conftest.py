@@ -305,7 +305,7 @@ def compress_oracle(concept_class, sample):
     """The compression encoder with a per-point dimension test at every pick:
     while the sample is not exceptional in the running subclass, pick a
     positive point whose constraint drops the dimension (lowest index), then
-    a negative one; then the same tuple encodings as the library."""
+    a negative one; then the same tuple layout as the library."""
     if concept_class.first_member(sample.mask, sample.bits) is None:
         raise ValueError("sample is not a restriction of any member of the class")
     d = ldim_subset(concept_class, concept_class.full_version)
@@ -335,20 +335,8 @@ def compress_oracle(concept_class, sample):
                 break
         if not picked:
             raise InvariantViolation("non-exceptional sample with no dropping point")
-    steps = len(positives) + len(negatives)
-    if steps == d:
-        return tuple(positives + negatives)
-    if positives:
-        first = positives[0]
-        tup = positives + [first] + negatives
-        tup += [first] * (d - len(tup))
-        return tuple(tup)
-    if negatives:
-        first = negatives[0]
-        tup = negatives + [first] * (d - len(negatives))
-        return tuple(tup)
-    least = min(sample.domain())
-    return (least,) * d
+    tup = positives + negatives or [min(sample.domain())]
+    return tuple(tup + tup[:1] * (d - len(tup)))
 
 
 def deficient_cycle_oracle(weight, n, max_len):

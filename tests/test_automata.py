@@ -58,6 +58,8 @@ def test_dfa_file_roundtrip():
         parse_dfa("states: 1\naccept: 0\n0 0 0\n")  # missing a transition
     with pytest.raises(ClassFormatError):
         parse_dfa("accept: 0\n")
+    with pytest.raises(ClassFormatError, match="line 5: repeated transition for \\(0, 0\\)"):
+        parse_dfa("states: 2\naccept: 0\n0 0 1\n0 1 0\n0 0 0\n1 0 0\n1 1 1\n")
 
 
 def test_enumerate_one_state():

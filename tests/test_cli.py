@@ -222,7 +222,7 @@ def test_bad_usage_is_exit_1(sing4_file, tmp_path):
     assert execute(["exact", "--class", sing4_file, "--hyp", "m:0"])[0] == 2
 
 
-def test_meaningless_sizes_are_input_errors(sing4_file):
+def test_meaningless_sizes_are_input_errors(sing4_file, tmp_path):
     for argv in (
         ["dfa", "--states", "2", "--maxlen", "-1", "--dims"],
         ["dfa", "--states", "0", "--maxlen", "2", "--dims"],
@@ -234,6 +234,26 @@ def test_meaningless_sizes_are_input_errors(sing4_file):
     ):
         code, text = execute(argv)
         assert code == 2 and text.startswith("input error: "), argv
+    # seeds outside [0, 2^64) are refused, not reduced mod 2^64
+    mu = tmp_path / "mu.dist"
+    mu.write_text("x0 1/4\nx1 1/4\nx2 1/4\nx3 1/4\n")
+    learn = ["learn", "--class", sing4_file, "--algo", "halving", "--target", "3"]
+    thicket = ["thicket", "--class", sing4_file, "--trials", "5", "--seed"]
+    for argv in (
+        learn + ["--teacher", f"random:{mu}:-1"],
+        thicket + ["-1"],
+        thicket + [str(1 << 64)],
+        ["gen", "--random", "6", "8", "--seed", "-1"],
+    ):
+        code, text = execute(argv)
+        assert code == 2 and "outside the range 0..2^64-1" in text, (argv, text)
+    assert execute(thicket + [str((1 << 64) - 1)])[0] == 0
+    # a repeated transition is a parse error, not a silent overwrite
+    target = tmp_path / "repeated.dfa"
+    target.write_text("states: 2\naccept: 0\n0 0 1\n0 1 0\n0 0 0\n1 0 0\n1 1 1\n")
+    argv = ["dfa", "--states", "2", "--maxlen", "2", "--learn", "--target", str(target)]
+    code, text = execute(argv)
+    assert code == 2 and "repeated transition" in text, text
 
 
 def test_learn_transcript(sing4_file):

@@ -79,15 +79,46 @@ def test_enumerate_samples_is_every_restriction_once(cls):
     assert len(keys) == len(set(keys)) and set(keys) == expected
 
 
-def test_compress_examples(sing4):
+def test_compress_examples(sing4, pow3):
     # one positive pick pins the class
     assert compress(sing4, parse_partial(sing4.universe, "**10")) == (2,)
     # exceptional immediately: encode the least domain point
     assert compress(sing4, parse_partial(sing4.universe, "*0*0")) == (1,)
+    # POW(3) halts after a positive and a negative pick: padded with the first
+    assert compress(pow3, parse_partial(pow3.universe, "01*")) == (1, 0, 1)
     # dimension-zero class: empty tuple
     single = fixtures.random_class(3, 1, seed=40)
     sample = single.concepts[0].as_partial().restrict([0, 1])
     assert compress(single, sample) == ()
+
+
+def _assert_one_layout(cls, sample):
+    """The tuple is k distinct picks, positives first, then d - k copies of
+    the first pick, and decoder #positives reads back an extension."""
+    tup = compress(cls, sample)
+    d = len(tup)
+    k = d + 1 - tup.count(tup[0])
+    picks = tup[:k]
+    assert len(set(picks)) == k and tup[k:] == (tup[0],) * (d - k), tup
+    labels = [sample.label(x) for x in picks]
+    positives = labels.count(1)
+    assert labels == [1] * positives + [0] * (k - positives), (tup, labels)
+    total = decompress(cls, positives, tup)
+    assert total is not None and sample.extended_by(total), (sample.literal(), tup)
+
+
+@given(cls=concept_classes(max_x=6, max_c=12))
+@settings(max_examples=60, deadline=None)
+def test_one_layout_read_by_decoder_positives(cls):
+    scheme = CompressionScheme(cls)
+    if scheme.dimension:
+        for sample in scheme.enumerate_samples():
+            _assert_one_layout(cls, sample)
+
+
+def test_one_layout_on_pow3(pow3):
+    for sample in CompressionScheme(pow3).enumerate_samples():
+        _assert_one_layout(pow3, sample)
 
 
 def test_compress_rejects_non_samples(sing4):
@@ -114,6 +145,19 @@ def test_decompress_examples(sing4):
     assert decompress(sing4, 0, (1,)).bitstring() == "0000"
     single = fixtures.random_class(3, 1, seed=41)
     assert decompress(single, 0, ()).bits == single.concepts[0].bits
+
+
+def test_decompress_rejects_misplaced_repeats_and_too_many_positives(pow3):
+    # a repeat of the first entry must fill the tail exactly
+    for tup in ((0, 0, 1), (1, 1, 2)):
+        assert [decompress(pow3, i, tup) for i in range(4)] == [None] * 4
+    # two picks (0, 1): decoders 0..2 read them, decoder 3 would need a third
+    got = [decompress(pow3, i, (0, 1, 0)) for i in range(4)]
+    assert [t.bitstring() for t in got[:3]] == ["000", "100", "110"]
+    assert got[3] is None
+    # one pick (2, 2, 2): only decoders 0 and 1
+    assert decompress(pow3, 1, (2, 2, 2)).bitstring() == "001"
+    assert decompress(pow3, 2, (2, 2, 2)) is None
 
 
 def test_decompress_validation(sing4, tree32):

@@ -23,7 +23,7 @@ from eqlearn.core import (
     parse_partial,
 )
 from eqlearn.dimensions import hypothesis_hm
-from eqlearn.rng import SplitMix64
+from eqlearn.rng import SplitMix64, mix64
 
 from conftest import all_partials, concept_classes, random_class_only
 
@@ -263,6 +263,19 @@ def test_below_stream_fixed_up_to_2_64():
         6051947643683389182,
         2476628477891077985,
     ]
+
+
+def test_seeds_lie_in_64_bits():
+    # the ends of the range keep their streams; nothing outside is reduced
+    assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+    assert SplitMix64((1 << 64) - 1).next_u64() == 16490336266968443936
+    assert mix64((1 << 64) - 1, 0) == 16490336266968443936
+    assert mix64(0, 0) == 16294208416658607535
+    for seed in (-1, 1 << 64, -(1 << 64)):
+        with pytest.raises(ValueError, match=r"outside the range 0\.\.2\^64-1"):
+            SplitMix64(seed)
+        with pytest.raises(ValueError, match=r"outside the range 0\.\.2\^64-1"):
+            mix64(seed, 0)
 
 
 @pytest.mark.parametrize("n", [(1 << 64) + 1, 1 << 65, 3 << 100])
