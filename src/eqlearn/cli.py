@@ -37,6 +37,7 @@ from .learners import (
     run_session,
     transcript_lines,
 )
+from .rng import check_seed
 from .teachers import HonestTeacher, RandomTeacher, TreeAdversary, WitnessAdversary
 from .thicket import ThicketGraph, deficient_cycle_search, estimate_expected_queries
 
@@ -336,6 +337,8 @@ def execute(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed)
         lines = _COMMANDS[args.command](args)
         return 0, "\n".join(lines) + "\n"
     except UsageError as exc:

@@ -6,7 +6,9 @@ recover it.  Every tuple has one layout: k <= d distinct picks, positives
 first, padded with d - k copies of the first pick.  Reconstruction function
 i reads the first i picks as positive and the other k - i as negative.  No
 single decoder needs to disambiguate every tuple: the round-trip guarantee
-is existential over the family.
+is existential over the family.  Few distinct tuples occur, so a scheme
+decodes each one once with all d + 1 functions and checks every sample that
+encodes to it against those totals.
 """
 
 from __future__ import annotations
@@ -123,24 +125,19 @@ class CompressionScheme:
     def __init__(self, concept_class):
         self.cls = concept_class
         self.dimension = ldim_subset(concept_class, concept_class.full_version)
+        self._decoded = {}  # tuple -> the non-None totals of its decoders
 
     @property
     def reconstruction_count(self):
         return self.dimension + 1
 
-    def kappa(self, sample):
-        return compress(self.cls, sample)
-
-    def rho(self, index, tup):
-        return decompress(self.cls, index, tup)
-
     def roundtrip_ok(self, sample):
-        tup = self.kappa(sample)
-        for i in range(self.reconstruction_count):
-            total = self.rho(i, tup)
-            if total is not None and sample.extended_by(total):
-                return True
-        return False
+        tup = compress(self.cls, sample)
+        totals = self._decoded.get(tup)
+        if totals is None:
+            decoded = (decompress(self.cls, i, tup) for i in range(self.dimension + 1))
+            totals = self._decoded[tup] = [t for t in decoded if t is not None]
+        return any(sample.extended_by(t) for t in totals)
 
     def enumerate_samples(self):
         """All distinct nonempty-domain restrictions of members (the sample

@@ -219,8 +219,11 @@ class ConceptClass:
     The list order is the canonical tie-break order.  The instance carries a
     Littlestone-dimension memo table shared by every algorithm that walks
     subclasses of this class (keyed by the bitset of surviving concept
-    indices) and the consistency levels of all totals once they have been
-    scanned (see `dimensions.consistency_levels`).
+    indices), the full-dimension partial of each version asked for (see
+    `dimensions.full_ldim_partial`; every nonempty version in it is also a
+    key of the Littlestone memo, so it never outgrows that table) and the
+    consistency levels of all totals once they have been scanned (see
+    `dimensions.consistency_levels`).
     """
 
     def __init__(self, universe, concepts):
@@ -246,6 +249,7 @@ class ConceptClass:
         rows = [format(c.bits, f"0{universe.size}b") for c in reversed(concepts)]
         self.element_ones = tuple(int("".join(col), 2) for col in zip(*rows))[::-1]
         self._ldim_memo = {}
+        self._full_partial_memo = {}
         self._consistency_levels = None
 
     def __len__(self):

@@ -183,9 +183,14 @@ def full_ldim_partial(concept_class, version=None):
     dimension (at most one label can, for nonempty halves), unspecified where
     both labels drop it.  The only per-element dimension test: the learners'
     splitting element, `is_exceptional`, the picks in `compress` and
-    `decompress` read their answers off this partial."""
+    `decompress` read their answers off this partial.  Memoized per version
+    on the class; the partial is immutable, so callers share it."""
     if version is None:
         version = concept_class.full_version
+    memo = concept_class._full_partial_memo
+    full = memo.get(version)
+    if full is not None:
+        return full
     d = ldim_subset(concept_class, version)
     mask = bits = 0
     for x, ones in enumerate(concept_class.element_ones):
@@ -194,7 +199,8 @@ def full_ldim_partial(concept_class, version=None):
             bits |= 1 << x
         elif ldim_subset(concept_class, version & ~ones) == d:
             mask |= 1 << x
-    return PartialConcept(concept_class.universe, mask, bits)
+    full = memo[version] = PartialConcept(concept_class.universe, mask, bits)
+    return full
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def _finalize(z):
     return z ^ (z >> 31)
 
 
-def _check_seed(seed):
+def check_seed(seed):
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed {seed} is outside the range 0..2^64-1")
     return seed
@@ -33,7 +33,7 @@ def _check_seed(seed):
 
 def mix64(seed, index):
     """Per-trial seed: finalize(seed + GOLDEN * (index + 1)) over 64 bits."""
-    return _finalize((_check_seed(seed) + GOLDEN * (index + 1)) & MASK64)
+    return _finalize((check_seed(seed) + GOLDEN * (index + 1)) & MASK64)
 
 
 class SplitMix64:
@@ -41,7 +41,7 @@ class SplitMix64:
     Seeds lie in [0, 2^64); any other seed raises ValueError."""
 
     def __init__(self, seed):
-        self._state = _check_seed(seed)
+        self._state = check_seed(seed)
 
     def next_u64(self):
         self._state = (self._state + GOLDEN) & MASK64

@@ -301,6 +301,20 @@ def is_exceptional_oracle(partial, concept_class, version=None):
     return True
 
 
+def full_ldim_partial_oracle(concept_class, version):
+    """The full-dimension partial by a per-point dimension test: each point
+    takes the label whose constraint keeps ldim(version), if one does."""
+    d = ldim_subset(concept_class, version)
+    mask = bits = 0
+    for x in range(concept_class.universe.size):
+        for label in (0, 1):
+            sub = concept_class.restrict_version(version, x, label)
+            if ldim_subset(concept_class, sub) == d:
+                mask |= 1 << x
+                bits |= label << x
+    return PartialConcept(concept_class.universe, mask, bits)
+
+
 def compress_oracle(concept_class, sample):
     """The compression encoder with a per-point dimension test at every pick:
     while the sample is not exceptional in the running subclass, pick a

@@ -21,7 +21,7 @@ from eqlearn.automata import (
     learn_dfa,
     nerode_witness,
 )
-from eqlearn.compression import CompressionScheme
+from eqlearn.compression import CompressionScheme, compress
 from eqlearn.core import Distribution, ExplicitHypotheses, parse_partial
 from eqlearn.dimensions import (
     consistency_dim,
@@ -275,7 +275,7 @@ def test_criterion_8_compression_roundtrip():
             failures += 1
         for sample in scheme.enumerate_samples():
             total += 1
-            tup = scheme.kappa(sample)
+            tup = compress(cls, sample)
             if len(tup) != scheme.dimension:
                 failures += 1
             elif not scheme.roundtrip_ok(sample):

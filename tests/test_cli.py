@@ -244,6 +244,10 @@ def test_meaningless_sizes_are_input_errors(sing4_file, tmp_path):
         thicket + ["-1"],
         thicket + [str(1 << 64)],
         ["gen", "--random", "6", "8", "--seed", "-1"],
+        # checked when parsed, also where no generator is built
+        ["thicket", "--class", sing4_file, "--seed", "-1"],
+        ["gen", "--singletons", "2", "--seed", "-5"],
+        ["gen", "--singletons", "2", "--seed", str(1 << 64)],
     ):
         code, text = execute(argv)
         assert code == 2 and "outside the range 0..2^64-1" in text, (argv, text)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqlearn import fixtures
+from eqlearn import compression, fixtures
 from eqlearn.compression import (
     CompressionScheme,
     check_roundtrip,
@@ -12,12 +12,13 @@ from eqlearn.compression import (
     decompress,
     is_exceptional,
 )
-from eqlearn.core import PartialConcept, parse_partial
+from eqlearn.core import ConceptClass, PartialConcept, parse_partial
 from eqlearn.dimensions import full_ldim_partial
 
 from conftest import (
     compress_oracle,
     concept_classes,
+    full_ldim_partial_oracle,
     is_exceptional_oracle,
     random_class_only,
 )
@@ -28,6 +29,22 @@ def test_f_partial_fixture_values(sing4, tree32, pow2):
     assert full_ldim_partial(sing4).literal() == "0000"
     assert full_ldim_partial(pow2).literal() == "**"
     assert full_ldim_partial(tree32).literal() == "0" * 12
+
+
+@given(cls=concept_classes(max_x=5, max_c=7), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_memoized_full_ldim_partial_matches_oracle_on_every_version(cls, data):
+    # the warm class fills its memo in a drawn order; the oracle runs on a
+    # fresh copy of the class, in ascending version order
+    versions = range(1, cls.full_version + 1)
+    order = data.draw(st.permutations(versions), label="order")
+    for version in order:
+        full_ldim_partial(cls, version)
+    fresh = ConceptClass(cls.universe, cls.concepts)
+    for version in versions:
+        full = full_ldim_partial(cls, version)
+        assert full is full_ldim_partial(cls, version)
+        assert full == full_ldim_partial_oracle(fresh, version), version
 
 
 def test_is_exceptional_examples(sing4):
@@ -134,7 +151,7 @@ def test_compress_rejects_empty_domain(sing4):
 def test_compress_entries_in_domain(tree32):
     scheme = CompressionScheme(tree32)
     for sample in scheme.enumerate_samples():
-        tup = scheme.kappa(sample)
+        tup = compress(tree32, sample)
         assert len(tup) == scheme.dimension
         assert all((sample.mask >> x) & 1 for x in tup)
 
@@ -197,15 +214,50 @@ def test_roundtrip_property(cls):
     assert count > 0 and not failures
 
 
+def test_full_partial_memo_keys_are_ldim_memo_keys():
+    classes = [
+        fixtures.singletons(4),
+        fixtures.tree_class(3, 2),
+        fixtures.powerset_class(3),
+        fixtures.five_class(),
+    ]
+    classes += [random_class_only(7100 + k, max_x=6, max_c=10) for k in range(10)]
+    for cls in classes:
+        check_roundtrip(cls)
+        assert cls._full_partial_memo
+        assert set(cls._full_partial_memo) <= set(cls._ldim_memo)
+
+
+@pytest.mark.parametrize("name", ["tree32", "pow3"])
+def test_decode_cache_reports_every_sample_of_a_failing_tuple(name, request, monkeypatch):
+    # a tuple that no decoder reads back fails every sample encoded to it,
+    # not only the first one whose decodes were cached
+    cls = request.getfixturevalue(name)
+    samples = list(CompressionScheme(cls).enumerate_samples())
+    tuples = [compress_oracle(cls, s) for s in samples]
+    chosen = max(sorted(set(tuples)), key=tuples.count)
+    decode = compression.decompress
+
+    def broken(concept_class, index, tup):
+        return None if tup == chosen else decode(concept_class, index, tup)
+
+    monkeypatch.setattr(compression, "decompress", broken)
+    count, failures = check_roundtrip(cls)
+    expected = {(s.mask, s.bits) for s, t in zip(samples, tuples) if t == chosen}
+    assert count == len(samples) and len(expected) > 1
+    assert sorted((s.mask, s.bits) for s in failures) == sorted(expected)
+
+
 def test_roundtrip_requires_existential_decoder(tree32):
     # the same tuple can be parseable by several decoders; the guarantee is
     # that at least one works per sample, not that each tuple is unambiguous
     scheme = CompressionScheme(tree32)
     sample = parse_partial(tree32.universe, "1***********")
-    tup = scheme.kappa(sample)
+    tup = compress(tree32, sample)
     winners = [
         i
         for i in range(scheme.reconstruction_count)
-        if scheme.rho(i, tup) is not None and sample.extended_by(scheme.rho(i, tup))
+        if decompress(tree32, i, tup) is not None
+        and sample.extended_by(decompress(tree32, i, tup))
     ]
     assert winners

@@ -514,10 +514,15 @@ def test_last_point_of_unextendable_restriction_is_implied(cls, data):
     # the total on S minus its last point all disagree with it there
     n = cls.universe.size
     version = data.draw(st.integers(1, cls.full_version), label="version")
-    bits = data.draw(st.integers(0, (1 << n) - 1), label="total")
-    assume(cls.first_member((1 << n) - 1, bits, version) is None)
-    points = _unextendable_restriction(cls, version, bits, n)
-    assume(len(points) >= 2)
+    # the totals outside the version whose S has two or more points
+    candidates = []
+    for bits in range(1 << n):
+        if cls.first_member((1 << n) - 1, bits, version) is None:
+            points = _unextendable_restriction(cls, version, bits, n)
+            if len(points) >= 2:
+                candidates.append((bits, points))
+    assume(candidates)
+    bits, points = data.draw(st.sampled_from(candidates), label="total")
     agreeing = version
     for x in points[:-1]:
         agreeing = cls.restrict_version(agreeing, x, (bits >> x) & 1)
