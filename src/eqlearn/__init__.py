@@ -17,7 +17,6 @@ from .core import (
     InvariantViolation,
     PartialConcept,
     Universe,
-    consistent_total_extension,
     format_class,
     is_n_consistent,
     parse_class,
@@ -31,7 +30,6 @@ from .dimensions import (
     consistency_levels,
     consistency_threshold,
     dimension_report,
-    enumerate_hypotheses,
     hypothesis_hm,
     ldim,
     ldim_subset,
@@ -70,10 +68,8 @@ from .thicket import (
     ThicketGraph,
     TrialStats,
     deficient_cycle_search,
-    edge_weight,
     estimate_expected_queries,
     query_rank,
-    u_value,
 )
 from .compression import (
     CompressionScheme,

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 internal
-invariant violation.  Every command is a pure function of its arguments and
-input files; all randomness flows from explicit --seed values.
+Exit codes: 0 success (or help text), 1 usage error, 2 input error, 3
+internal invariant violation.  Every command is a pure function of its
+arguments and input files; all randomness flows from explicit --seed values.
 """
 
 from __future__ import annotations
@@ -43,15 +43,24 @@ from .thicket import ThicketGraph, deficient_cycle_search, estimate_expected_que
 
 UNIVERSE_SOFT_CAP = 16
 CLASS_SOFT_CAP = 64
+# label cells (see _gen_cells) of the largest class `gen` builds
+GEN_CELL_LIMIT = 1 << 22
 
 
 class UsageError(Exception):
     pass
 
 
+class _HelpText(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpText(self.format_help())
 
 
 def _read_text(path):
@@ -306,7 +315,39 @@ def _cmd_dfa(args):
     ]
 
 
+def _gen_cells(args):
+    """Label cells |X| * |C| of the class `gen` would build, computed from the
+    arguments alone.  An element's name costs about as much as 64 cells, so
+    each element is charged at least that.  Any value above GEN_CELL_LIMIT
+    stands for all of them; sizes below 1 are left to the builder to refuse."""
+    if args.tree:
+        c, d = args.tree
+        if c < 2 or d < 1:
+            return 0
+        elements, concepts = 0, 1
+        for _ in range(d):
+            concepts *= c
+            if concepts > GEN_CELL_LIMIT:
+                return concepts
+            elements += concepts
+    elif args.singletons is not None:
+        elements = concepts = args.singletons
+    elif args.powerset is not None:
+        # every k past the limit's bit length is over it too
+        elements = min(args.powerset, GEN_CELL_LIMIT.bit_length())
+        concepts = 1 << max(elements, 0)
+    else:
+        elements, concepts = args.random
+    return max(elements, 0) * max(concepts, 64)
+
+
 def _cmd_gen(args):
+    if args.random and args.seed is None:
+        raise UsageError("--random needs --seed")
+    if _gen_cells(args) > GEN_CELL_LIMIT:
+        raise ClassFormatError(
+            f"gen is limited to |X| * |C| <= {GEN_CELL_LIMIT} label cells"
+        )
     if args.tree:
         cls = fixtures.tree_class(*args.tree)
     elif args.singletons is not None:
@@ -314,10 +355,7 @@ def _cmd_gen(args):
     elif args.powerset is not None:
         cls = fixtures.powerset_class(args.powerset)
     else:
-        if args.seed is None:
-            raise UsageError("--random needs --seed")
-        nx, nc = args.random
-        cls = fixtures.random_class(nx, nc, args.seed)
+        cls = fixtures.random_class(*args.random, args.seed)
     return format_class(cls).splitlines()
 
 
@@ -333,7 +371,8 @@ _COMMANDS = {
 
 
 def execute(argv):
-    """Dispatch a command line; returns (exit code, report text)."""
+    """Dispatch a command line; returns (exit code, report text).  A help
+    request (-h/--help) returns 0 and the help text."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -341,6 +380,8 @@ def execute(argv):
             check_seed(args.seed)
         lines = _COMMANDS[args.command](args)
         return 0, "\n".join(lines) + "\n"
+    except _HelpText as exc:
+        return 0, str(exc)
     except UsageError as exc:
         return 1, f"usage error: {exc}\n"
     except (ClassFormatError, ValueError) as exc:

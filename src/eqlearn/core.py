@@ -77,7 +77,7 @@ class Concept:
         return (self.bits >> i) & 1
 
     def bitstring(self):
-        return "".join(str(self.label(i)) for i in range(self.universe.size))
+        return format(self.bits, f"0{self.universe.size}b")[::-1]
 
     @classmethod
     def from_bitstring(cls, universe, text):
@@ -144,14 +144,6 @@ class PartialConcept:
             return (self.bits >> i) & 1
         return None
 
-    def is_total(self):
-        return self.mask == (1 << self.universe.size) - 1
-
-    def to_concept(self):
-        if not self.is_total():
-            raise ValueError("partial concept is not total")
-        return Concept(self.universe, self.bits)
-
     def restrict(self, indices):
         """Restriction to a subset of the specified domain."""
         ymask = 0
@@ -160,11 +152,6 @@ class PartialConcept:
         if ymask & ~self.mask:
             raise ValueError("restriction set is not contained in the domain")
         return PartialConcept(self.universe, ymask, self.bits & ymask)
-
-    def with_point(self, i, label):
-        bit = 1 << i
-        bits = (self.bits | bit) if label else (self.bits & ~bit)
-        return PartialConcept(self.universe, self.mask | bit, bits)
 
     def extended_by(self, concept):
         """True when the total `concept` agrees with this partial on its domain."""
@@ -345,29 +332,6 @@ def is_n_consistent(partial, concept_class, n):
     return True
 
 
-def consistent_total_extension(partial, concept_class):
-    """Total extension of `partial` that stays consistent with the class.
-
-    Extends one element at a time in universe order, preferring label 0
-    whenever both labels keep an extension alive.  On a finite universe the
-    result is a member of the class.  Returns None when no member extends
-    `partial` at all.
-    """
-    if concept_class.universe != partial.universe:
-        raise ValueError("partial and class universes differ")
-    if concept_class.first_member(partial.mask, partial.bits) is None:
-        return None
-    current = partial
-    for i in range(partial.universe.size):
-        if current.label(i) is not None:
-            continue
-        candidate = current.with_point(i, 0)
-        if concept_class.first_member(candidate.mask, candidate.bits) is None:
-            candidate = current.with_point(i, 1)
-        current = candidate
-    return current.to_concept()
-
-
 # ---------------------------------------------------------------------------
 # hypothesis classes
 
@@ -442,9 +406,6 @@ class Distribution:
 
     def weight(self, i):
         return self.weights[i]
-
-    def mass(self, indices):
-        return sum((self.weights[i] for i in indices), Fraction(0))
 
 
 def parse_distribution(universe, text):

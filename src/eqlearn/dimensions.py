@@ -372,14 +372,6 @@ def hypothesis_hm(concept_class, m):
     return ExplicitHypotheses(ConceptClass(universe, [Concept(universe, b) for b in members]))
 
 
-def enumerate_hypotheses(hypotheses):
-    """Materialize a hypothesis class as an explicit ConceptClass."""
-    universe = hypotheses.universe
-    return ConceptClass(
-        universe, [Concept(universe, b) for b in sorted(set(hypotheses.enumerate_bits()))]
-    )
-
-
 @dataclass
 class DimensionReport:
     ldim: int

@@ -13,43 +13,19 @@ from fractions import Fraction
 
 from .core import InvariantViolation
 from .dimensions import ldim_subset
-from .learners import ThicketGraph, ThicketMaxMinLearner, edge_weight_in, run_session
+from .learners import ThicketGraph, ThicketMaxMinLearner, run_session
 from .rng import mix64
 from .teachers import RandomTeacher
 
 _HALF = Fraction(1, 2)
 
 
-def _index_in(concept_class, concept):
+def query_rank(concept_class, mu, concept):
+    """Minimum outgoing edge weight of the concept (over all other members)."""
     i = concept_class.bits_index.get(concept.bits)
     if i is None:
         raise ValueError("concept is not a member of the class")
-    return i
-
-
-def u_value(concept_class, concept, element):
-    """Dimension drop when the class is constrained to agree with the concept
-    at one element."""
-    _index_in(concept_class, concept)
-    full = concept_class.full_version
-    d = ldim_subset(concept_class, full)
-    sub = concept_class.restrict_version(full, element, concept.label(element))
-    return d - ldim_subset(concept_class, sub)
-
-
-def edge_weight(concept_class, mu, concept_a, concept_b):
-    """Expected dimension drop when the teacher samples a point of the
-    symmetric difference and reveals concept_b's label there."""
-    if _index_in(concept_class, concept_a) == _index_in(concept_class, concept_b):
-        raise ValueError("edge weight is undefined for identical concepts")
-    return edge_weight_in(
-        concept_class, mu, concept_class.full_version, concept_a, concept_b
-    )
-
-
-def query_rank(concept_class, mu, concept):
-    """Minimum outgoing edge weight of the concept (over all other members)."""
-    return ThicketGraph(concept_class, mu).query_rank(_index_in(concept_class, concept))
+    return ThicketGraph(concept_class, mu).query_rank(i)
 
 
 def shortest_deficient_cycle(weight, n, max_len):

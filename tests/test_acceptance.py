@@ -25,7 +25,6 @@ from eqlearn.compression import CompressionScheme, compress
 from eqlearn.core import Distribution, ExplicitHypotheses, parse_partial
 from eqlearn.dimensions import (
     consistency_dim,
-    enumerate_hypotheses,
     hypothesis_hm,
     ldim,
     ldim_subset,
@@ -327,7 +326,7 @@ def test_criterion_10_hm_theorem():
     for cls in classes:
         d = ldim(cls)[0]
         hm = hypothesis_hm(cls, d + 1)
-        as_class = enumerate_hypotheses(hm)
+        as_class = hm.concept_class
         if ldim(as_class)[0] != d:
             violations += 1
         if consistency_dim(cls, hm) > d + 1:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from eqlearn import dimensions
+from eqlearn import cli, dimensions
 from eqlearn.automata import Dfa, format_dfa
 from eqlearn.cli import execute
 from eqlearn.core import parse_class
@@ -470,6 +470,41 @@ def test_gen_requires_seed_for_random():
     assert code == 1
 
 
+def test_gen_refuses_oversized_classes_before_building_them(monkeypatch):
+    def not_built(*args):
+        raise AssertionError("class built past the cell limit")
+
+    for name in ("tree_class", "singletons", "powerset_class", "random_class"):
+        monkeypatch.setattr(cli.fixtures, name, not_built)
+    limit = cli.GEN_CELL_LIMIT
+    for argv in (
+        ["--tree", "99999", "99999"],
+        ["--tree", "4", "6"],
+        ["--tree", "2", str(10**18)],
+        ["--powerset", "18"],
+        ["--powerset", str(10**18)],
+        ["--singletons", "2049"],
+        ["--random", "99999", "99999", "--seed", "1"],
+        # each element is charged at least 64 cells for its name
+        ["--random", str(limit // 64 + 1), "1", "--seed", "1"],
+    ):
+        code, text = execute(["gen"] + argv)
+        assert (code, text) == (
+            2,
+            f"input error: gen is limited to |X| * |C| <= {limit} label cells\n",
+        ), argv
+    # a usage error still comes first
+    assert execute(["gen", "--random", "99999", "99999"])[0] == 1
+
+
+def test_gen_at_the_cell_limit():
+    assert cli.GEN_CELL_LIMIT == 2048 * 2048
+    code, text = execute(["gen", "--singletons", "2048"])
+    assert code == 0
+    lines = text.splitlines()
+    assert len(lines) == 2049 and lines[1] == "1" + "0" * 2047
+
+
 def test_soft_cap_warning(tmp_path, capsys):
     lines = ["elements: " + " ".join(f"x{i}" for i in range(17))]
     lines.append("0" * 17)
@@ -480,3 +515,37 @@ def test_soft_cap_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 0
     assert "soft cap" in err
+
+
+_SUBCOMMANDS = ("dims", "exact", "learn", "thicket", "compress", "dfa", "gen")
+
+
+def test_help_is_returned_not_exited():
+    for argv in [["-h"], ["--help"]] + [[c, "-h"] for c in _SUBCOMMANDS] + [
+        ["learn", "--help"]
+    ]:
+        code, text = execute(argv)
+        assert code == 0 and text.startswith("usage: eqlearn"), argv
+        if len(argv) == 2:
+            assert text.startswith(f"usage: eqlearn {argv[0]} "), argv
+    # help wins over a missing required argument, as in argparse
+    assert execute(["exact", "--class", "x.cls", "-h"])[0] == 0
+
+
+def _run_main(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "argv", ["eqlearn"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_main_streams_and_exit_codes(monkeypatch, capsys, sing4_file):
+    code, out, err = _run_main(monkeypatch, capsys, ["dims", "--class", sing4_file])
+    assert (code, out, err) == (0, "ldim=1\nvcdim=1\nthreshold=4\n", "")
+    code, out, err = _run_main(monkeypatch, capsys, ["dims", "-h"])
+    assert code == 0 and out.startswith("usage: eqlearn dims ") and err == ""
+    code, out, err = _run_main(monkeypatch, capsys, ["dims"])
+    assert code == 1 and out == "" and err.startswith("usage error: ")
+    code, out, err = _run_main(monkeypatch, capsys, ["dims", "--class", "no-such-file.cls"])
+    assert code == 2 and out == "" and err.startswith("input error: cannot read")

@@ -20,7 +20,6 @@ from eqlearn.dimensions import (
     consistency_levels,
     consistency_threshold,
     dimension_report,
-    enumerate_hypotheses,
     hypothesis_hm,
     ldim,
     ldim_subset,
@@ -292,7 +291,7 @@ def test_hm_tree32_contains_chain_root(tree32):
 def fixed_ldim_check(cls):
     d = ldim_subset(cls, cls.full_version)
     hm = hypothesis_hm(cls, d + 1)
-    as_class = enumerate_hypotheses(hm)
+    as_class = hm.concept_class
     assert ldim(as_class)[0] == d
     assert consistency_dim(cls, hm) <= d + 1
 

@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqlearn import fixtures
-from eqlearn.core import Distribution, parse_class
+from eqlearn.core import Concept, Distribution, parse_class
 from eqlearn.dimensions import ldim_subset
 from eqlearn.learners import edge_weight_in
 from eqlearn.thicket import (
     ThicketGraph,
     deficient_cycle_search,
-    edge_weight,
     estimate_expected_queries,
     query_rank,
     shortest_deficient_cycle,
-    u_value,
 )
 
 from conftest import deficient_cycle_oracle, random_class_only
@@ -31,6 +29,14 @@ def pair_class():
     return parse_class("elements: x\n0\n1")
 
 
+def u_value(cls, concept, element):
+    """Dimension drop when the class is constrained to agree with the concept
+    at one element."""
+    full = cls.full_version
+    sub = cls.restrict_version(full, element, concept.label(element))
+    return ldim_subset(cls, full) - ldim_subset(cls, sub)
+
+
 def test_u_value_examples(sing4):
     assert u_value(sing4, sing4.concepts[0], 0) == 1
     assert u_value(sing4, sing4.concepts[0], 1) == 0
@@ -39,19 +45,19 @@ def test_u_value_examples(sing4):
         assert u_value(single, single.concepts[0], a) == 0
 
 
-def test_u_value_requires_membership(sing4):
-    from eqlearn.core import Concept
-
+def test_query_rank_requires_membership(sing4):
+    mu = Distribution.uniform(sing4.universe)
     with pytest.raises(ValueError, match="member"):
-        u_value(sing4, Concept(sing4.universe, 0b1111), 0)
+        query_rank(sing4, mu, Concept(sing4.universe, 0b1111))
 
 
 def test_edge_weight_examples(sing4, pair_class):
     mu = Distribution.uniform(sing4.universe)
-    w = edge_weight(sing4, mu, sing4.concepts[0], sing4.concepts[1])
-    assert w == HALF
+    a, b = sing4.concepts[:2]
+    assert edge_weight_in(sing4, mu, sing4.full_version, a, b) == HALF
     mu1 = Distribution.uniform(pair_class.universe)
-    assert edge_weight(pair_class, mu1, pair_class.concepts[0], pair_class.concepts[1]) == 1
+    a, b = pair_class.concepts
+    assert edge_weight_in(pair_class, mu1, pair_class.full_version, a, b) == 1
 
 
 def _tree32_version(tree32, name):
@@ -85,7 +91,7 @@ def test_edge_weight_tree32_against_direct_sum(tree32, version_name):
     expected = total / Fraction(len(delta), 12)
     assert edge_weight_in(tree32, mu, version, a, b) == expected
     if version_name == "full":
-        assert edge_weight(tree32, mu, a, b) == expected
+        assert ThicketGraph(tree32, mu).weight(0, 4) == expected
         # four delta points; revealing b's labels drops 0, 0 (chain points of a),
         # 1 (b's level-1 point), 2 (b's leaf pins a singleton)
         assert expected == Fraction(3, 4)
@@ -96,8 +102,8 @@ def test_edge_weight_tree32_against_direct_sum(tree32, version_name):
 
 def test_edge_weight_rejects_equal(sing4):
     mu = Distribution.uniform(sing4.universe)
-    with pytest.raises(ValueError, match="identical"):
-        edge_weight(sing4, mu, sing4.concepts[0], sing4.concepts[0])
+    with pytest.raises(ValueError, match="no self-edges"):
+        ThicketGraph(sing4, mu).weight(0, 0)
 
 
 def test_query_rank_examples(sing4, pair_class):
