@@ -24,12 +24,10 @@ from .core import (
     parse_partial,
 )
 from .dimensions import (
-    DimensionReport,
     MistakeTree,
     consistency_dim,
     consistency_levels,
     consistency_threshold,
-    dimension_report,
     hypothesis_hm,
     ldim,
     ldim_subset,

@@ -25,7 +25,15 @@ from .core import (
     format_class,
 )
 from .compression import CompressionScheme, check_roundtrip
-from .dimensions import dimension_report, hypothesis_hm
+from .dimensions import (
+    check_recursion_depth,
+    consistency_dim,
+    consistency_threshold,
+    hypothesis_hm,
+    ldim_subset,
+    strong_consistency_dim,
+    vc_dim,
+)
 from .gametree import lc_exact_with_stats
 from .learners import (
     CdimEqLearner,
@@ -177,13 +185,15 @@ def _cmd_dims(args):
         raise UsageError("--strong needs --hyp")
     cls = _load_class(args.class_file)
     hyp = _load_hypotheses(args.hyp, cls) if args.hyp else None
-    report = dimension_report(cls, hyp, strong=args.strong)
-    lines = [f"ldim={report.ldim}", f"vcdim={report.vcdim}"]
-    if report.cdim is not None:
-        lines.append(f"cdim={report.cdim}")
-    if report.scdim is not None:
-        lines.append(f"scdim={report.scdim}")
-    lines.append(f"threshold={report.threshold}")
+    # the two refusals come before any exhaustive work
+    check_recursion_depth(cls, len(cls), "the Littlestone recursion")
+    threshold = consistency_threshold(cls)
+    lines = [f"ldim={ldim_subset(cls, cls.full_version)}", f"vcdim={vc_dim(cls)}"]
+    if hyp is not None:
+        lines.append(f"cdim={consistency_dim(cls, hyp)}")
+        if args.strong:
+            lines.append(f"scdim={strong_consistency_dim(cls, hyp)}")
+    lines.append(f"threshold={threshold}")
     return lines
 
 

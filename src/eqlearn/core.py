@@ -312,24 +312,35 @@ def format_class(concept_class):
 # consistency predicates
 
 
+def smallest_unextendable_restriction(concept_class, mask, bits, max_size, version=None):
+    """The smallest restriction (size ascending, then lexicographic) of at
+    most `max_size` points of the labels `bits` on `mask` with no extension in
+    the class (within `version` when given), as a tuple of points, or None."""
+    dom = [x for x in range(concept_class.universe.size) if (mask >> x) & 1]
+    for k in range(1, min(max_size, len(dom)) + 1):
+        for subset in combinations(dom, k):
+            ymask = 0
+            for x in subset:
+                ymask |= 1 << x
+            if concept_class.first_member(ymask, bits & ymask, version) is None:
+                return subset
+    return None
+
+
 def is_n_consistent(partial, concept_class, n):
     """Every size-n restriction of `partial` has an extension in the class.
 
     When n exceeds the domain size the check degrades to "the partial itself
-    has an extension" (which keeps consistency monotone in n).
+    has an extension" (which keeps consistency monotone in n).  By that
+    monotonicity it is enough that no restriction of at most n points is
+    unextendable.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    dom = partial.domain()
-    if n >= len(dom):
-        return concept_class.first_member(partial.mask, partial.bits) is not None
-    for subset in combinations(dom, n):
-        ymask = 0
-        for i in subset:
-            ymask |= 1 << i
-        if concept_class.first_member(ymask, partial.bits & ymask) is None:
-            return False
-    return True
+    return (
+        smallest_unextendable_restriction(concept_class, partial.mask, partial.bits, n)
+        is None
+    )
 
 
 # ---------------------------------------------------------------------------

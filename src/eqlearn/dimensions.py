@@ -371,24 +371,3 @@ def hypothesis_hm(concept_class, m):
     )
     return ExplicitHypotheses(ConceptClass(universe, [Concept(universe, b) for b in members]))
 
-
-@dataclass
-class DimensionReport:
-    ldim: int
-    vcdim: int
-    threshold: int
-    cdim: int | None = None
-    scdim: int | None = None
-
-
-def dimension_report(concept_class, hypotheses=None, strong=False):
-    report = DimensionReport(
-        ldim=ldim_subset(concept_class, concept_class.full_version),
-        vcdim=vc_dim(concept_class),
-        threshold=consistency_threshold(concept_class),
-    )
-    if hypotheses is not None:
-        report.cdim = consistency_dim(concept_class, hypotheses)
-        if strong:
-            report.scdim = strong_consistency_dim(concept_class, hypotheses)
-    return report

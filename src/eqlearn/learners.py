@@ -1,10 +1,12 @@
 """Learning strategies, the session driver, and learner composition.
 
 Every learner is a single-session stateful object exposing next_move() and
-observe().  The version space is the bitset of concept indices consistent
-with everything observed; hypotheses submitted always agree with all
-constrained points, so no refuted hypothesis is ever repeated.  Each learner
-carries `certified_budget`, the query bound its construction guarantees.
+observe().  A learner's version space is the bitset of concept indices
+consistent with what it has observed.  The c^d learner's sub-learners each
+start from the version their split made, not from the one that earlier
+counterexamples narrowed, so a sub-learner may submit a hypothesis that an
+earlier counterexample already refuted.  Each learner carries
+`certified_budget`, the query bound its construction guarantees.
 """
 
 from __future__ import annotations
@@ -12,9 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
-from .core import Concept, InvariantViolation, PartialConcept
+from .core import (
+    AllTotals,
+    Concept,
+    InvariantViolation,
+    PartialConcept,
+    smallest_unextendable_restriction,
+)
 from .dimensions import (
     consistency_dim,
     full_ldim_partial,
@@ -127,20 +134,6 @@ class _VersionLearner(Learner):
             raise InvariantViolation("membership answer without a pending query")
 
 
-class OptimalEqLearner(_VersionLearner):
-    """Submits the Littlestone-majority total at each step; every
-    counterexample strictly lowers the version space's dimension, so at most
-    ldim + 1 equivalence queries are used.  Intended for sessions where any
-    total labeling is an admissible hypothesis."""
-
-    def __init__(self, concept_class):
-        super().__init__(concept_class)
-        self.certified_budget = ldim_subset(concept_class, concept_class.full_version) + 1
-
-    def next_move(self):
-        return EqQuery(_majority_total(self.cls, self.version))
-
-
 def _majority_total(concept_class, version):
     """The Littlestone-majority total of a version: at each element, the label
     whose side keeps the larger dimension (label 1 on ties)."""
@@ -151,33 +144,6 @@ def _majority_total(concept_class, version):
         if ldim_subset(concept_class, s1) >= ldim_subset(concept_class, s0):
             bits |= 1 << x
     return Concept(concept_class.universe, bits)
-
-
-class Sc2EqLearner(_VersionLearner):
-    """For hypothesis classes at strong consistency dimension 2 (equivalently
-    consistency dimension 2): extends the full-dimension partial of the
-    version space into the hypothesis class; ldim + 1 queries suffice."""
-
-    def __init__(self, concept_class, hypotheses):
-        super().__init__(concept_class)
-        c = consistency_dim(concept_class, hypotheses)
-        if c > 2:
-            raise ValueError(f"strategy needs consistency dimension <= 2, got {c}")
-        self.hyp = hypotheses
-        self.certified_budget = ldim_subset(concept_class, concept_class.full_version) + 1
-
-    def next_move(self):
-        return EqQuery(_full_partial_extension(self.cls, self.hyp, self.version))
-
-
-def _full_partial_extension(concept_class, hypotheses, version):
-    """The first hypothesis extending the version's full-dimension partial."""
-    hyp = hypotheses.find_extension(full_ldim_partial(concept_class, version))
-    if hyp is None:
-        raise InvariantViolation(
-            "full-dimension partial has no extension despite SC <= 2"
-        )
-    return hyp
 
 
 class HalvingEqLearner(_VersionLearner):
@@ -275,8 +241,7 @@ class CdimEqLearner(_VersionLearner):
     otherwise locate a small restriction of it with no extension in the
     version space and compose learners over the subclasses it induces.  At
     consistency dimension 1 it submits the Littlestone-majority total and at
-    2 the extension of the full-dimension partial, as OptimalEqLearner and
-    Sc2EqLearner do (ldim + 1 queries)."""
+    2 the first extension of the full-dimension partial (ldim + 1 queries)."""
 
     def __init__(self, concept_class, hypotheses, _consistency=None, _version=None):
         super().__init__(concept_class, _version)
@@ -303,7 +268,12 @@ class CdimEqLearner(_VersionLearner):
         if self.c == 1:
             return EqQuery(_majority_total(self.cls, version))
         if self.c == 2:
-            return EqQuery(_full_partial_extension(self.cls, self.hyp, version))
+            hyp = self.hyp.find_extension(full_ldim_partial(self.cls, version))
+            if hyp is None:
+                raise InvariantViolation(
+                    "full-dimension partial has no extension despite SC <= 2"
+                )
+            return EqQuery(hyp)
         x, total = _split_or_total(self.cls, version)
         if total is None:
             versions = [self.cls.restrict_version(version, x, label) for label in (0, 1)]
@@ -330,6 +300,30 @@ class CdimEqLearner(_VersionLearner):
         self._sub.observe(response)
 
 
+class OptimalEqLearner(CdimEqLearner):
+    """The c^d learner over all totals, where the consistency dimension is 1:
+    it submits the Littlestone-majority total at each step; every
+    counterexample strictly lowers the version space's dimension, so at most
+    ldim + 1 equivalence queries are used."""
+
+    def __init__(self, concept_class):
+        super().__init__(concept_class, AllTotals(concept_class.universe))
+
+
+class Sc2EqLearner(CdimEqLearner):
+    """For hypothesis classes at strong consistency dimension 2 (equivalently
+    consistency dimension 2): the c^d learner's c = 2 move, which extends the
+    full-dimension partial of the version space into the hypothesis class;
+    ldim + 1 queries suffice.  It plays that move at c = 1 too, where the c^d
+    learner would submit the Littlestone-majority total."""
+
+    def __init__(self, concept_class, hypotheses):
+        c = consistency_dim(concept_class, hypotheses)
+        if c > 2:
+            raise ValueError(f"strategy needs consistency dimension <= 2, got {c}")
+        super().__init__(concept_class, hypotheses, _consistency=2)
+
+
 def _split_or_total(concept_class, version):
     """The step the c^d and EQ+MQ learners share: `(x, None)` for the lowest
     element x both of whose labels drop the version's dimension, else
@@ -344,17 +338,13 @@ def _split_or_total(concept_class, version):
 def _unextendable_restriction(concept_class, version, bits, max_size):
     """Smallest restriction (size ascending, lexicographic) of the total
     `bits` with no extension among the surviving concepts."""
-    size = concept_class.universe.size
-    for k in range(1, max_size + 1):
-        for subset in combinations(range(size), k):
-            mask = 0
-            for x in subset:
-                mask |= 1 << x
-            if concept_class.first_member(mask, bits & mask, version) is None:
-                return subset
-    raise InvariantViolation(
-        "hypothesis outside H admits no small unextendable restriction"
-    )
+    full = (1 << concept_class.universe.size) - 1
+    points = smallest_unextendable_restriction(concept_class, full, bits, max_size, version)
+    if points is None:
+        raise InvariantViolation(
+            "hypothesis outside H admits no small unextendable restriction"
+        )
+    return points
 
 
 class EqMqLearner(_VersionLearner):

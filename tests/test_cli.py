@@ -125,6 +125,17 @@ def test_exhaustive_arrays_past_their_size_limit_are_input_errors(tmp_path):
     assert code == 2 and f"limited to |X| <= {dimensions._MAX_PARTIALS_SIZE}" in text
 
 
+def test_dims_refuses_a_wide_universe_before_any_dimension(tmp_path, monkeypatch):
+    def fail(*args):
+        raise AssertionError("dims computed a dimension before refusing the scan")
+
+    monkeypatch.setattr(cli, "vc_dim", fail)
+    monkeypatch.setattr(cli, "ldim_subset", fail)
+    code, text = execute(["dims", "--class", _wide_class(tmp_path, 25)])
+    assert code == 2 and text.startswith("input error: "), text
+    assert f"limited to |X| <= {dimensions._MAX_SCAN_SIZE}" in text
+
+
 def test_missing_file_is_input_error(sing4_file):
     code, text = execute(["dims", "--class", "no-such-file.cls"])
     assert code == 2 and "input error" in text

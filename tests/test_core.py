@@ -1,6 +1,7 @@
 """Data model: parsing, restriction, consistency predicates, hypothesis classes."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,22 @@ def test_n_consistency_monotone(seed, n, data):
     n_prime = data.draw(st.integers(n, 9))
     if is_n_consistent(partial, cls, n_prime):
         assert is_n_consistent(partial, cls, n)
+
+
+@given(cls=concept_classes(max_x=5, max_c=8), n=st.integers(0, 7), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_n_consistency_against_its_definition(cls, n, data):
+    literal = data.draw(
+        st.text(alphabet="01*", min_size=cls.universe.size, max_size=cls.universe.size)
+    )
+    partial = parse_partial(cls.universe, literal)
+    dom = partial.domain()
+    masks = [sum(1 << x for x in y) for y in combinations(dom, min(n, len(dom)))]
+    expected = all(
+        any((c.bits & ymask) == (partial.bits & ymask) for c in cls.concepts)
+        for ymask in masks
+    )
+    assert is_n_consistent(partial, cls, n) == expected, (literal, n)
 
 
 def test_total_full_consistency_is_membership(sing4):

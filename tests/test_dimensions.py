@@ -19,7 +19,6 @@ from eqlearn.dimensions import (
     consistency_dim,
     consistency_levels,
     consistency_threshold,
-    dimension_report,
     hypothesis_hm,
     ldim,
     ldim_subset,
@@ -311,15 +310,14 @@ def test_fixed_ldim_random(seed):
 
 
 def test_dimension_report(tree32):
-    report = dimension_report(tree32, ExplicitHypotheses(tree32), strong=True)
-    assert (report.ldim, report.vcdim, report.cdim, report.scdim, report.threshold) == (
-        2,
-        1,
-        4,
-        9,
-        4,
-    )
-    assert report.vcdim <= report.ldim and report.cdim <= report.scdim
+    hyp = ExplicitHypotheses(tree32)
+    ldim_value = ldim_subset(tree32, tree32.full_version)
+    vcdim = vc_dim(tree32)
+    cdim = consistency_dim(tree32, hyp)
+    scdim = strong_consistency_dim(tree32, hyp)
+    threshold = consistency_threshold(tree32)
+    assert (ldim_value, vcdim, cdim, scdim, threshold) == (2, 1, 4, 9, 4)
+    assert vcdim <= ldim_value and cdim <= scdim
 
 
 # ---------------------------------------------------------------------------

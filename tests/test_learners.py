@@ -245,6 +245,16 @@ def test_sc2_sing6(sing4):
         assert transcript.success and transcript.eq_count <= 2
 
 
+def test_sc2_keeps_its_move_at_consistency_dimension_1(pow2):
+    # over all totals c = 1: the SC-2 learner still extends the
+    # full-dimension partial (empty here, since both elements split), while
+    # the optimal learner submits the Littlestone-majority total
+    hyp = AllTotals(pow2.universe)
+    assert consistency_dim(pow2, hyp) == 1
+    assert Sc2EqLearner(pow2, hyp).next_move().hypothesis.bitstring() == "00"
+    assert OptimalEqLearner(pow2).next_move().hypothesis.bitstring() == "11"
+
+
 def test_sc2_singleton_class():
     cls = fixtures.random_class(3, 1, seed=11)
     learner = Sc2EqLearner(cls, ExplicitHypotheses(cls))
