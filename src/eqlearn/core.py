@@ -312,12 +312,15 @@ def format_class(concept_class):
 # consistency predicates
 
 
-def smallest_unextendable_restriction(concept_class, mask, bits, max_size, version=None):
-    """The smallest restriction (size ascending, then lexicographic) of at
-    most `max_size` points of the labels `bits` on `mask` with no extension in
-    the class (within `version` when given), as a tuple of points, or None."""
+def smallest_unextendable_restriction(
+    concept_class, mask, bits, max_size, version=None, min_size=1
+):
+    """The smallest restriction (size ascending, then lexicographic) of
+    `min_size` to `max_size` points of the labels `bits` on `mask` with no
+    extension in the class (within `version` when given), as a tuple of
+    points, or None."""
     dom = [x for x in range(concept_class.universe.size) if (mask >> x) & 1]
-    for k in range(1, min(max_size, len(dom)) + 1):
+    for k in range(min_size, min(max_size, len(dom)) + 1):
         for subset in combinations(dom, k):
             ymask = 0
             for x in subset:
@@ -331,14 +334,17 @@ def is_n_consistent(partial, concept_class, n):
     """Every size-n restriction of `partial` has an extension in the class.
 
     When n exceeds the domain size the check degrades to "the partial itself
-    has an extension" (which keeps consistency monotone in n).  By that
-    monotonicity it is enough that no restriction of at most n points is
-    unextendable.
+    has an extension" (which keeps consistency monotone in n).  A restriction
+    with no extension keeps none when points are added to it, so the
+    restrictions of exactly min(n, domain size) points decide.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    k = min(n, partial.size)
     return (
-        smallest_unextendable_restriction(concept_class, partial.mask, partial.bits, n)
+        smallest_unextendable_restriction(
+            concept_class, partial.mask, partial.bits, k, min_size=k
+        )
         is None
     )
 

@@ -1,8 +1,13 @@
 """Exact combinatorial dimensions of finite concept classes.
 
-Littlestone dimension is computed by the splitting recursion with a memo
-table keyed on the bitset of surviving concept indices (the table lives on
-the ConceptClass and is shared with the learners and the game-tree oracle).
+Littlestone dimension is computed by an exact branch-and-bound over the
+splitting recursion: the element loop stops at the floor(log2 |v|) bound,
+the smaller side of each split is evaluated first and the element skipped
+when it cannot beat the running maximum, and the larger side is evaluated
+only when the min is still undecided (see `_ldim`).  The memo table is keyed
+on the bitset of surviving concept indices and holds exact values only (it
+lives on the ConceptClass and is shared with the learners, teachers, the
+compression scheme, the thicket code and the full-dimension partials).
 Consistency dimension, the consistency threshold and H_m read one array of
 consistency levels over all 2^|X| totals, filled once per class.
 Strong consistency dimension works on arrays with one cell per partial
@@ -89,25 +94,51 @@ def ldim_subset(concept_class, version):
 
 
 def _ldim(concept_class, version):
-    """The memoized splitting recursion behind `ldim_subset`."""
+    """The branch-and-bound splitting recursion behind `ldim_subset`.
+
+    ldim(v) is the largest 1 + min(ldim(v0), ldim(v1)) over the elements
+    splitting v into nonempty sides v0 and v1.  Each pruning rule skips only
+    work that cannot raise the running maximum `best`:
+
+    - ldim(v) <= floor(log2 |v|), so the element loop stops once `best`
+      reaches that bound;
+    - the smaller side is evaluated first, and the element is skipped when
+      floor(log2 |small|) < best, or else when ldim(small) < best;
+    - the larger side is evaluated only when the min is still undecided: it
+      holds at least as many concepts as the smaller one, and a side with two
+      or more distinct concepts is split by some element, so it has dimension
+      >= 1.  When ldim(small) <= 1 the min is ldim(small) itself.
+
+    Every call returns, and memoizes, the exact dimension of its version, so
+    the memo holds exact values only.
+    """
     memo = concept_class._ldim_memo
     cached = memo.get(version)
     if cached is not None:
         return cached
-    if version & (version - 1) == 0:
-        memo[version] = 0
-        return 0
+    n = version.bit_count()
+    cap = n.bit_length() - 1
     best = 0
     for ones in concept_class.element_ones:
+        if best == cap:
+            break
         s1 = version & ones
         if not s1:
             continue
-        s0 = version & ~ones
+        s0 = version ^ s1
         if not s0:
             continue
-        cand = 1 + min(_ldim(concept_class, s0), _ldim(concept_class, s1))
-        if cand > best:
-            best = cand
+        n1 = s1.bit_count()
+        small, large = (s1, s0) if 2 * n1 <= n else (s0, s1)
+        if min(n1, n - n1).bit_length() - 1 < best:
+            continue
+        low = _ldim(concept_class, small)
+        if low < best:
+            continue
+        if low > 1:
+            low = min(low, _ldim(concept_class, large))
+        if low >= best:
+            best = low + 1
     memo[version] = best
     return best
 

@@ -1,7 +1,8 @@
 """Shared fixtures, independent oracles, and instance generators.
 
 The oracles here deliberately avoid the library's fast paths: the Littlestone
-oracle searches for explicit proper trees, the VC oracle packs each member's
+oracle searches for explicit proper trees, the Littlestone memo oracle is the
+splitting recursion with no pruning, the VC oracle packs each member's
 pattern on a subset bit by bit, the dimension oracles scan with the
 definitional consistency predicate from core, the game oracles are a
 plain unmemoized recursion and a memoized one that tries every hypothesis
@@ -96,6 +97,30 @@ def ldim_oracle(cls):
     while buildable(indices, h + 1):
         h += 1
     return h
+
+
+def ldim_memo_oracle(cls, version, memo):
+    """Littlestone dimension of a nonempty version by the unpruned splitting
+    recursion: both sides of every splitting element, memoized in `memo`."""
+    cached = memo.get(version)
+    if cached is not None:
+        return cached
+    if version & (version - 1) == 0:
+        memo[version] = 0
+        return 0
+    best = 0
+    for ones in cls.element_ones:
+        s1 = version & ones
+        if not s1:
+            continue
+        s0 = version & ~ones
+        if not s0:
+            continue
+        cand = 1 + min(ldim_memo_oracle(cls, s0, memo), ldim_memo_oracle(cls, s1, memo))
+        if cand > best:
+            best = cand
+    memo[version] = best
+    return best
 
 
 def all_partials(universe):

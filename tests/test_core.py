@@ -139,12 +139,18 @@ def test_n_consistency_against_its_definition(cls, n, data):
     )
     partial = parse_partial(cls.universe, literal)
     dom = partial.domain()
-    masks = [sum(1 << x for x in y) for y in combinations(dom, min(n, len(dom)))]
-    expected = all(
-        any((c.bits & ymask) == (partial.bits & ymask) for c in cls.concepts)
-        for ymask in masks
-    )
-    assert is_n_consistent(partial, cls, n) == expected, (literal, n)
+
+    def extendable(restrictions):
+        masks = [sum(1 << x for x in y) for y in restrictions]
+        return all(
+            any((c.bits & ymask) == (partial.bits & ymask) for c in cls.concepts)
+            for ymask in masks
+        )
+
+    expected = extendable(combinations(dom, min(n, len(dom))))
+    # by monotonicity the one size decides what every size up to n does
+    every_size = extendable(y for k in range(1, n + 1) for y in combinations(dom, k))
+    assert is_n_consistent(partial, cls, n) == expected == every_size, (literal, n)
 
 
 def test_total_full_consistency_is_membership(sing4):

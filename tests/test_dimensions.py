@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqlearn import dimensions, fixtures
+from eqlearn.compression import check_roundtrip
 from eqlearn.core import (
     AllTotals,
     Concept,
@@ -19,6 +20,7 @@ from eqlearn.dimensions import (
     consistency_dim,
     consistency_levels,
     consistency_threshold,
+    full_ldim_partial,
     hypothesis_hm,
     ldim,
     ldim_subset,
@@ -30,6 +32,7 @@ from eqlearn.dimensions import (
 from conftest import (
     cdim_oracle,
     concept_classes,
+    ldim_memo_oracle,
     ldim_oracle,
     random_class_only,
     random_instance,
@@ -83,8 +86,10 @@ def test_ldim_subset_empty_and_singleton(sing4):
 def test_ldim_recursion_guard_admits_only_what_fits():
     """Raising Python's recursion limit step by step, `ldim_subset` is first
     refused and then gives the value; no RecursionError ever comes from
-    inside the recursion.  On SING(10) the recursion goes the full depth:
-    each split peels off one singleton."""
+    inside the recursion.  On SING(10) the pruned recursion goes about one
+    call deep, but the guard still probes the worst-case depth
+    min(|X|, |C| - 1) + 1 = 10, where each split would peel off one
+    singleton."""
 
     def attempt():
         cls = fixtures.singletons(10)  # a fresh, empty memo
@@ -92,6 +97,54 @@ def test_ldim_recursion_guard_admits_only_what_fits():
 
     seen = steps_under_raising_limit(attempt, {"_ldim"})
     assert seen[-1] == "value" and "refused" in seen
+
+
+@given(cls=concept_classes(max_x=6, max_c=24), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ldim_memo_holds_exact_values_only(cls, data):
+    """After the witness tree, full-dimension partials of drawn versions and
+    the compression round trip have read the pruned recursion, every memo
+    entry equals the unpruned recursion's value."""
+    ldim(cls)
+    versions = data.draw(st.lists(st.integers(1, cls.full_version), max_size=6))
+    for version in versions:
+        full_ldim_partial(cls, version)
+    if cls.universe.size <= 4:
+        check_roundtrip(cls)
+    oracle = {}
+    for version, value in cls._ldim_memo.items():
+        assert value == ldim_memo_oracle(cls, version, oracle), version
+
+
+class _BoundedMemo(dict):
+    """A memo table that fails as soon as it holds more than `bound` entries."""
+
+    def __init__(self, bound):
+        super().__init__()
+        self.bound = bound
+
+    def __setitem__(self, key, value):
+        if len(self) >= self.bound and key not in self:
+            raise AssertionError(f"the Littlestone memo outgrew {self.bound} entries")
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "cls, expected, bound",
+    [
+        (fixtures.singletons(64), 1, 8),
+        (fixtures.tree_class(2, 6), 6, 256),
+        (fixtures.powerset_class(10), 10, 4096),
+    ],
+    ids=["SING(64)", "TREE(2,6)", "POW(10)"],
+)
+def test_ldim_memo_entries_stay_within_bound(cls, expected, bound):
+    """The pruned recursion's work, counted in memo entries: the unpruned one
+    needs 2^64 - 1 on SING(64) and about 3^10 on POW(10), and does not finish
+    within a minute on TREE(2,6)."""
+    cls._ldim_memo = _BoundedMemo(bound)
+    d, tree = ldim(cls)
+    assert d == expected and tree.height() == d
 
 
 # ---------------------------------------------------------------------------
