@@ -8,6 +8,7 @@ arguments and input files; all randomness flows from explicit --seed values.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -123,7 +124,10 @@ def _load_hypotheses(spec, cls):
     return ExplicitHypotheses(hyp_class)
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process, built on first use.  Parsing keeps no
+    state on it between calls, and help text reads COLUMNS when formatted."""
     parser = _Parser(prog="eqlearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -382,10 +386,13 @@ _COMMANDS = {
 
 def execute(argv):
     """Dispatch a command line; returns (exit code, report text).  A help
-    request (-h/--help) returns 0 and the help text."""
-    parser = _build_parser()
+    request (-h/--help) returns 0 and the help text.
+
+    Every call parses with the one parser the process shares
+    (`_build_parser`); no call mutates it, so `execute` may be called any
+    number of times, in any order."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if getattr(args, "seed", None) is not None:
             check_seed(args.seed)
         lines = _COMMANDS[args.command](args)

@@ -12,7 +12,8 @@ Consistency dimension, the consistency threshold and H_m read one array of
 consistency levels over all 2^|X| totals, filled once per class.
 Strong consistency dimension works on arrays with one cell per partial
 labeling (3^|X| cells in base-3 order), updated in place by one numpy pass
-per element.
+per element.  numpy is imported by the kernels that build these arrays,
+on first use, so a command that never scans does not load it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .core import (
     AllTotals,
@@ -261,6 +260,8 @@ def vc_dim(concept_class):
 
 
 def _hypothesis_bits(hypotheses):
+    import numpy as np
+
     return np.array(hypotheses.enumerate_bits(), dtype=np.int64)
 
 
@@ -277,6 +278,8 @@ def consistency_levels(concept_class):
     if levels is None:
         size = concept_class.universe.size
         _check_size(size, _MAX_SCAN_SIZE, "the scan over all 2^|X| totals")
+        import numpy as np
+
         levels = np.full(1 << size, size + 1, dtype=np.int8)
         member = np.array(concept_class.member_bits(), dtype=np.int64)
         alive = np.arange(1 << size, dtype=np.int64)
@@ -300,7 +303,7 @@ def consistency_levels(concept_class):
 def m_consistent_totals(concept_class, m):
     """All totals (as bitmasks) m-consistent with the class, ascending."""
     n = min(m, concept_class.universe.size)
-    return [int(v) for v in np.flatnonzero(consistency_levels(concept_class) > n)]
+    return (consistency_levels(concept_class) > n).nonzero()[0].tolist()
 
 
 def consistency_dim(concept_class, hypotheses):
@@ -309,10 +312,9 @@ def consistency_dim(concept_class, hypotheses):
     check_subclass(concept_class, hypotheses)
     if isinstance(hypotheses, AllTotals):
         return 1
-    levels = consistency_levels(concept_class)
-    outside = np.ones(levels.size, dtype=bool)
-    outside[_hypothesis_bits(hypotheses)] = False
-    return int(levels.max(where=outside, initial=1))
+    levels = consistency_levels(concept_class).copy()
+    levels[_hypothesis_bits(hypotheses)] = 0  # totals in H do not count
+    return int(levels.max(initial=1))
 
 
 def consistency_threshold(concept_class):
@@ -324,13 +326,16 @@ def consistency_threshold(concept_class):
 # ---------------------------------------------------------------------------
 # strong consistency dimension (per-element passes over all partials)
 
-_INF = np.iinfo(np.int8).max
+# the int8 maximum (the arrays' dtype), above every restriction size
+_INF = 127
 
 
 def _extendable(bits, size):
     """Per partial labeling, in base-3 cell order (digit i of a cell is 0
     when element i is unspecified and 1 + its label otherwise): whether one
     of the totals `bits` extends it."""
+    import numpy as np
+
     place = np.zeros(1 << size, dtype=np.int64)  # place[mask] = sum of 3^i over i in mask
     for i in range(size):
         place[1 << i : 2 << i] = place[: 1 << i] + 3**i
@@ -348,6 +353,8 @@ def _smallest_unextendable(concept_class):
     the class extends it."""
     size = concept_class.universe.size
     _check_size(size, _MAX_PARTIALS_SIZE, "the array over all 3^|X| partial labelings")
+    import numpy as np
+
     smallest = np.zeros(3**size, dtype=np.int8)
     for i in range(size):
         smallest.reshape(3 ** (size - 1 - i), 3, 3**i)[:, 1:] += 1
@@ -376,9 +383,9 @@ def strong_consistency_dim(concept_class, hypotheses):
         return 1
     size = concept_class.universe.size
     smallest = _smallest_unextendable(concept_class)
-    outside = _extendable(_hypothesis_bits(hypotheses), size)
-    np.logical_not(outside, out=outside)
-    worst = int(smallest.max(where=outside, initial=1))
+    # partials H extends do not count
+    smallest[_extendable(_hypothesis_bits(hypotheses), size)] = 0
+    worst = int(smallest.max(initial=1))
     if worst == _INF:
         raise AssertionError("partial consistent with the class but unextendable in a superclass")
     return worst

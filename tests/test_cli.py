@@ -1,8 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism, warnings."""
 
+import json
+import os
+import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlearn import cli, dimensions
 from eqlearn.automata import Dfa, format_dfa
@@ -560,3 +566,161 @@ def test_main_streams_and_exit_codes(monkeypatch, capsys, sing4_file):
     assert code == 1 and out == "" and err.startswith("usage error: ")
     code, out, err = _run_main(monkeypatch, capsys, ["dims", "--class", "no-such-file.cls"])
     assert code == 2 and out == "" and err.startswith("input error: cannot read")
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def _execute_fresh(argv):
+    """`execute` with a parser built for this call alone."""
+    with mock.patch.object(cli, "_build_parser", cli._build_parser.__wrapped__):
+        return execute(argv)
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(sing4_file, tree32_file):
+    argvs = [
+        ["dims", "--class", tree32_file, "--hyp", "self", "--strong"],
+        # a usage error raised part-way through parsing
+        ["learn", "--class", sing4_file, "--algo", "zz", "--teacher", "tree"],
+        ["exact", "--class", sing4_file, "--hyp", "self", "--mode", "eqmq"],
+        ["exact", "--class", sing4_file, "--mode"],
+        ["learn", "--class", sing4_file, "--algo", "cdim", "--teacher", "honest:1"],
+        ["-h"],
+        ["thicket", "--class", sing4_file, "--trials", "20", "--seed", "3"],
+        ["gen", "--tree", "3", "2", "--singletons", "4"],
+        ["compress", "--class", tree32_file],
+        ["learn", "-h"],
+        ["thicket", "--class", sing4_file, "--seed", "-1"],
+        ["dfa", "--states", "2", "--maxlen", "2", "--dims"],
+        ["gen", "--singletons", "4"],
+        ["dims", "--class", sing4_file],
+    ]
+    fresh = [_execute_fresh(argv) for argv in argvs]
+    assert [code for code, _ in fresh] == [0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0]
+    assert [execute(argv) for argv in argvs] == fresh
+    assert [execute(argv) for argv in reversed(argvs)] == fresh[::-1]
+
+
+def test_numpy_is_loaded_only_by_the_commands_that_scan(sing4_file, tree32_file):
+    argvs = [
+        ["compress", "--class", tree32_file, "--check-all"],
+        ["exact", "--class", sing4_file, "--hyp", "self"],
+        ["exact", "--class", sing4_file, "--hyp", "powerset"],
+        ["gen", "--random", "6", "8", "--seed", "1"],
+        ["thicket", "--class", sing4_file, "--trials", "10"],
+        ["learn", "--class", sing4_file, "--algo", "thicket", "--teacher", "tree"],
+        ["learn", "--class", sing4_file, "--algo", "optimal", "--hyp", "powerset"]
+        + ["--teacher", "tree"],
+        # last, and it does scan: the probe sees numpy when it is loaded
+        ["dims", "--class", sing4_file],
+    ]
+    script = (
+        "import json, sys\n"
+        "from eqlearn.cli import execute\n"
+        "seen = [[0, 'numpy' in sys.modules]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    seen.append([execute(argv)[0], 'numpy' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    seen = json.loads(proc.stdout)
+    assert seen == [[0, False]] * len(argvs) + [[0, True]], proc.stderr
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """SING(4), TREE(3,2), a malformed class file and a missing path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for name, text in (
+        ("sing4.cls", execute(["gen", "--singletons", "4"])[1]),
+        ("tree32.cls", execute(["gen", "--tree", "3", "2"])[1]),
+        ("malformed.cls", "elements: a b\n01\n2x\n"),
+    ):
+        (root / name).write_text(text)
+        paths.append(str(root / name))
+    return tuple(paths) + (str(root / "missing.cls"),)
+
+
+_GARBAGE = ("", "-", "--", "-x", "--bogus", "zz", "m:x", "-h", "3.5")
+_INTS = tuple(str(i) for i in range(-3, 6))
+
+
+@st.composite
+def _argvs(draw, paths):
+    """A subcommand (or an unknown one), then each of its flags or not, with
+    a value drawn for it (mostly of the right kind), and perhaps a stray
+    token, in any order."""
+
+    def value(likely, unlikely=()):
+        return st.sampled_from(likely * 3 + unlikely).map(lambda t: [t])
+
+    number, path = value(_INTS, paths), value(paths, _INTS)
+    switch, pair = st.just([]), st.lists(st.sampled_from(_INTS), min_size=2, max_size=2)
+    hyp = value(("self", "powerset", "m:2", "m:x"), paths + _INTS)
+    mode = value(("eq", "eqmq"), _INTS)
+    flags = {
+        "dims": {"--class": path, "--hyp": hyp, "--strong": switch},
+        "exact": {"--class": path, "--hyp": hyp, "--mode": mode},
+        "learn": {
+            "--class": path,
+            "--hyp": hyp,
+            "--algo": value(("optimal", "cdim", "sc2", "halving", "eqmq", "thicket"), _INTS),
+            "--teacher": value(("tree", "honest:1", "honest:x", "witness:0000:1", "random:x:1")),
+            "--target": number,
+            "--budget": number,
+            "--mu": path,
+        },
+        "thicket": {
+            "--class": path,
+            "--mu": path,
+            "--cycles": number,
+            "--trials": number,
+            "--seed": number,
+        },
+        "compress": {"--class": path, "--check-all": switch},
+        "dfa": {
+            "--states": number,
+            "--maxlen": number,
+            "--dims": switch,
+            "--learn": switch,
+            "--target": path,
+            "--mode": mode,
+        },
+        "gen": {
+            "--tree": pair,
+            "--singletons": number,
+            "--powerset": number,
+            "--random": pair,
+            "--seed": number,
+        },
+    }
+    command = draw(st.sampled_from(_SUBCOMMANDS + ("frobnicate",)))
+    # a flag argparse requires is left out one time in eight, any other in two
+    required = ("--class", "--algo", "--teacher", "--states", "--maxlen")
+    items = [
+        [flag] + draw(values)
+        for flag, values in flags.get(command, {}).items()
+        if draw(st.sampled_from((True,) * 7 + (False,) if flag in required else (True, False)))
+    ]
+    stray = draw(st.sampled_from((None,) * 4 * len(_GARBAGE) + _GARBAGE))
+    if stray is not None:
+        items.append([stray])
+    return [command] + [token for item in draw(st.permutations(items)) for token in item]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_paths, data):
+    argv = data.draw(_argvs(fuzz_paths))
+    code, text = execute(argv)
+    assert code in (0, 1, 2, 3) and isinstance(text, str)
+    assert _execute_fresh(argv) == (code, text)
