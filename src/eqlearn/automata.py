@@ -45,14 +45,19 @@ class Dfa:
         self.transitions = transitions
         self.accepting = accepting
 
-    def accepts(self, string):
-        state = 0
-        for ch in string:
-            state = self.transitions[state][int(ch)]
-        return state in self.accepting
-
     def __repr__(self):
         return f"Dfa(states={self.n_states}, accept={sorted(self.accepting)})"
+
+
+def _int_field(lineno, what, text, lo, hi):
+    """The integer `text` on line `lineno`, which must lie in lo..hi."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = lo - 1
+    if not lo <= value <= hi:
+        raise ClassFormatError(f"line {lineno}: {what} {text!r} is not an integer in {lo}..{hi}")
+    return value
 
 
 def parse_dfa(text):
@@ -68,22 +73,26 @@ def parse_dfa(text):
         if n_states is None:
             if not line.startswith("states:"):
                 raise ClassFormatError(f"line {lineno}: expected 'states:' header")
-            n_states = int(line[len("states:"):].strip())
+            count = line[len("states:"):].strip()
+            n_states = _int_field(lineno, "state count", count, 1, float("inf"))
             continue
         if accepting is None:
             if not line.startswith("accept:"):
                 raise ClassFormatError(f"line {lineno}: expected 'accept:' line")
-            accepting = [int(t) for t in line[len("accept:"):].split()]
+            accepting = [
+                _int_field(lineno, "state", t, 0, n_states - 1)
+                for t in line[len("accept:"):].split()
+            ]
             continue
         parts = line.split()
         if len(parts) != 3:
             raise ClassFormatError(f"line {lineno}: expected 'from symbol to'")
-        src, sym, dst = int(parts[0]), parts[1], int(parts[2])
-        if sym not in ("0", "1"):
+        if parts[1] not in ("0", "1"):
             raise ClassFormatError(f"line {lineno}: symbol must be 0 or 1")
-        key = (src, int(sym))
+        src, dst = (_int_field(lineno, "state", t, 0, n_states - 1) for t in parts[::2])
+        key = (src, int(parts[1]))
         if key in edges:
-            raise ClassFormatError(f"line {lineno}: repeated transition for ({src}, {sym})")
+            raise ClassFormatError(f"line {lineno}: repeated transition for {key}")
         edges[key] = dst
     if n_states is None or accepting is None:
         raise ClassFormatError("missing DFA header lines")
@@ -126,41 +135,39 @@ def bound_of_universe(universe):
     return m
 
 
-def _language_bits(dfa, strings):
-    return sum(1 << i for i, s in enumerate(strings) if dfa.accepts(s))
+def _state_sets(transitions, size):
+    """Per state, the bitset of the strings of the `size`-element bounded
+    universe whose run from state 0 ends there.  String i's children are
+    2i+1 and 2i+2, so each string's state is one step from its parent's."""
+    states = [0]
+    for i in range(size // 2):
+        states += transitions[states[i]]
+    sets = [0] * len(transitions)
+    for i, s in enumerate(states):
+        sets[s] |= 1 << i
+    return sets
 
 
 def dfa_language(dfa, m):
     """The total labeling of the bounded-string universe by acceptance."""
-    return Concept(string_universe(m), _language_bits(dfa, bounded_strings(m)))
-
-
-def enumerate_dfas(n):
-    """All DFAs with at most n states, lexicographic by (state count,
-    transition table, accepting-set bitmask)."""
-    for k in range(1, n + 1):
-        for table in product(range(k), repeat=2 * k):
-            transitions = [(table[2 * s], table[2 * s + 1]) for s in range(k)]
-            for acc_bits in range(1 << k):
-                accepting = [s for s in range(k) if (acc_bits >> s) & 1]
-                yield Dfa(k, transitions, accepting)
+    sets = _state_sets(dfa.transitions, (2 << m) - 1)
+    return Concept(string_universe(m), sum(sets[s] for s in dfa.accepting))
 
 
 def enumerate_dfa_class(n, m):
-    """Distinct languages of <= n-state DFAs over strings of length <= m,
-    deduplicated in first-seen order of the canonical DFA enumeration."""
+    """Distinct languages of <= n-state DFAs over strings of length <= m, in
+    first-seen order by (state count, transition table, accepting-set bitmask)."""
     if not (1 <= n <= 3 and 0 <= m <= 4):
         raise ValueError("size guard: enumeration supports 1 <= n <= 3, 0 <= m <= 4")
     universe = string_universe(m)
-    strings = bounded_strings(m)
-    seen = set()
-    concepts = []
-    for dfa in enumerate_dfas(n):
-        bits = _language_bits(dfa, strings)
-        if bits not in seen:
-            seen.add(bits)
-            concepts.append(Concept(universe, bits))
-    return ConceptClass(universe, concepts)
+    languages = {}  # a dict keeps the first-seen order
+    for k in range(1, n + 1):
+        for transitions in product(product(range(k), repeat=2), repeat=k):
+            by_accepting = [0]  # indexed by accepting-set bitmask
+            for state_set in _state_sets(transitions, universe.size):
+                by_accepting += [bits | state_set for bits in by_accepting]
+            languages.update(dict.fromkeys(by_accepting))
+    return ConceptClass(universe, [Concept(universe, bits) for bits in languages])
 
 
 def nerode_witness(concept, n):

@@ -9,7 +9,9 @@ after construction, so all operations are pure and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 
 class ClassFormatError(ValueError):
@@ -263,13 +265,11 @@ class ConceptClass:
         """Index of the lowest-index concept in a nonempty version."""
         return (version & -version).bit_length() - 1
 
-    def first_member(self, mask, bits, version=None):
-        """First concept in class order (within `version` when given) that
-        agrees with the labels `bits` on the elements in `mask`, or None."""
+    def first_member(self, mask, bits):
+        """First concept in class order that agrees with the labels `bits` on
+        the elements in `mask`, or None."""
         for c in self.concepts:
-            if (c.bits & mask) == bits and (
-                version is None or (version >> self.bits_index[c.bits]) & 1
-            ):
+            if (c.bits & mask) == bits:
                 return c
         return None
 
@@ -318,14 +318,15 @@ def smallest_unextendable_restriction(
     """The smallest restriction (size ascending, then lexicographic) of
     `min_size` to `max_size` points of the labels `bits` on `mask` with no
     extension in the class (within `version` when given), as a tuple of
-    points, or None."""
+    points, or None.  A subset has none when ANDing the version with each
+    of its points' agreement bitsets leaves no survivor."""
+    if version is None:
+        version = concept_class.full_version
     dom = [x for x in range(concept_class.universe.size) if (mask >> x) & 1]
+    agree = {x: concept_class.restrict_version(version, x, (bits >> x) & 1) for x in dom}
     for k in range(min_size, min(max_size, len(dom)) + 1):
         for subset in combinations(dom, k):
-            ymask = 0
-            for x in subset:
-                ymask |= 1 << x
-            if concept_class.first_member(ymask, bits & ymask, version) is None:
+            if not reduce(and_, map(agree.get, subset), version):
                 return subset
     return None
 

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's fast paths: the Littlestone
 oracle searches for explicit proper trees, the Littlestone memo oracle is the
 splitting recursion with no pruning, the VC oracle packs each member's
-pattern on a subset bit by bit, the dimension oracles scan with the
-definitional consistency predicate from core, the game oracles are a
+pattern on a subset bit by bit, the dimension oracles scan with a
+definitional consistency predicate that tests every restriction against
+every concept of the version, the DFA oracles run each automaton string by
+string, the game oracles are a
 plain unmemoized recursion and a memoized one that tries every hypothesis
 and element at every version, the splitting-element, exceptional-partial and
 compression oracles test each point's constraint with its own dimension
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import strategies as st
 
 from eqlearn import fixtures
+from eqlearn.automata import Dfa, bounded_strings
 from eqlearn.core import (
     Concept,
     ConceptClass,
@@ -29,7 +32,6 @@ from eqlearn.core import (
     InvariantViolation,
     PartialConcept,
     Universe,
-    is_n_consistent,
 )
 from eqlearn.dimensions import ldim_subset
 from eqlearn.rng import SplitMix64
@@ -168,12 +170,42 @@ def vc_oracle(cls):
     return best
 
 
+def unextendable_restriction_oracle(
+    concept_class, mask, bits, max_size, version=None, min_size=1
+):
+    """`core.smallest_unextendable_restriction` by its definition: the
+    subsets of the domain in `combinations` order, each tested against every
+    concept of the version in turn."""
+    if version is None:
+        version = concept_class.full_version
+    members = [c.bits for c in concept_class.concepts]
+    dom = [x for x in range(concept_class.universe.size) if (mask >> x) & 1]
+    for k in range(min_size, min(max_size, len(dom)) + 1):
+        for subset in combinations(dom, k):
+            ymask = 0
+            for x in subset:
+                ymask |= 1 << x
+            if not any(
+                (version >> i) & 1 and (c & ymask) == (bits & ymask)
+                for i, c in enumerate(members)
+            ):
+                return subset
+    return None
+
+
+def n_consistent_oracle(partial, cls, n):
+    """Every restriction of min(n, domain size) points of the partial has an
+    extension in the class."""
+    k = min(n, partial.size)
+    return unextendable_restriction_oracle(cls, partial.mask, partial.bits, k, min_size=k) is None
+
+
 def cdim_oracle(cls, hyp):
     """Definition-level scan: least n making every n-consistent total a member of H."""
     for n in range(1, cls.universe.size + 1):
         ok = True
         for total in all_totals(cls.universe):
-            if is_n_consistent(total.as_partial(), cls, n) and not hyp.contains(total):
+            if n_consistent_oracle(total.as_partial(), cls, n) and not hyp.contains(total):
                 ok = False
                 break
         if ok:
@@ -186,7 +218,7 @@ def scdim_oracle(cls, hyp):
     for n in range(1, cls.universe.size + 1):
         ok = True
         for partial in all_partials(cls.universe):
-            if is_n_consistent(partial, cls, n) and hyp.find_extension(partial) is None:
+            if n_consistent_oracle(partial, cls, n) and hyp.find_extension(partial) is None:
                 ok = False
                 break
         if ok:
@@ -376,6 +408,31 @@ def compress_oracle(concept_class, sample):
             raise InvariantViolation("non-exceptional sample with no dropping point")
     tup = positives + negatives or [min(sample.domain())]
     return tuple(tup + tup[:1] * (d - len(tup)))
+
+
+def dfa_accepts(dfa, string):
+    """Run the automaton on the string symbol by symbol from state 0."""
+    state = 0
+    for ch in string:
+        state = dfa.transitions[state][int(ch)]
+    return state in dfa.accepting
+
+
+def dfa_language_oracle(dfa, m):
+    """The bitset of the strings of length <= m that the automaton accepts,
+    each run on its own."""
+    return sum(1 << i for i, s in enumerate(bounded_strings(m)) if dfa_accepts(dfa, s))
+
+
+def enumerate_dfas(n):
+    """All DFAs with at most n states, lexicographic by (state count,
+    transition table, accepting-set bitmask)."""
+    for k in range(1, n + 1):
+        for table in product(range(k), repeat=2 * k):
+            transitions = [(table[2 * s], table[2 * s + 1]) for s in range(k)]
+            for acc_bits in range(1 << k):
+                accepting = [s for s in range(k) if (acc_bits >> s) & 1]
+                yield Dfa(k, transitions, accepting)
 
 
 def deficient_cycle_oracle(weight, n, max_len):

@@ -17,7 +17,6 @@ from eqlearn.automata import (
     Dfa,
     dfa_language,
     enumerate_dfa_class,
-    enumerate_dfas,
     learn_dfa,
     nerode_witness,
 )
@@ -42,7 +41,7 @@ from eqlearn.learners import (
 from eqlearn.teachers import HonestTeacher, TreeAdversary, WitnessAdversary
 from eqlearn.thicket import ThicketGraph, deficient_cycle_search, estimate_expected_queries
 
-from conftest import random_class_only, random_instance
+from conftest import enumerate_dfas, random_class_only, random_instance
 
 
 def _report(number, name, ok, detail=""):

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqlearn.automata import (
     Dfa,
@@ -17,6 +19,8 @@ from eqlearn.automata import (
 )
 from eqlearn.core import ClassFormatError, ExplicitHypotheses
 from eqlearn.dimensions import consistency_dim, ldim_subset
+
+from conftest import dfa_language_oracle, enumerate_dfas
 
 
 def parity_dfa():
@@ -60,6 +64,44 @@ def test_dfa_file_roundtrip():
         parse_dfa("accept: 0\n")
     with pytest.raises(ClassFormatError, match="line 5: repeated transition for \\(0, 0\\)"):
         parse_dfa("states: 2\naccept: 0\n0 0 1\n0 1 0\n0 0 0\n1 0 0\n1 1 1\n")
+    # every field is an integer in range, refused with its line number
+    body = "0 0 1\n0 1 0\n1 0 0\n1 1 1\n"
+    for text, line in (
+        ("states: x\naccept: 0\n" + body, 1),
+        ("states: 0\naccept:\n", 1),
+        ("states: 2\naccept: a\n" + body, 2),
+        ("states: 2\naccept: 2\n" + body, 2),
+        ("states: 2\naccept: 0\n0 0 x\n" + body[6:], 3),
+        ("states: 2\naccept: 0\nx 0 1\n" + body, 3),
+        ("states: 2\naccept: 0\n" + body + "5 0 0\n", 7),
+        ("states: 2\naccept: 0\n" + body + "1 0 -1\n", 7),
+    ):
+        with pytest.raises(ClassFormatError, match=f"^line {line}: "):
+            parse_dfa(text)
+
+
+def test_enumerate_matches_string_by_string_runs():
+    # the first-seen distinct languages of the DFA list, each string run on
+    # its own, for every (n, m) the size guard admits
+    for n in range(1, 4):
+        dfas = list(enumerate_dfas(n))
+        for m in range(5):
+            expected = list(dict.fromkeys(dfa_language_oracle(dfa, m) for dfa in dfas))
+            assert enumerate_dfa_class(n, m).member_bits() == expected, (n, m)
+
+
+@st.composite
+def dfas(draw):
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    transitions = draw(st.lists(st.tuples(state, state), min_size=n, max_size=n))
+    return Dfa(n, transitions, draw(st.sets(state)))
+
+
+@given(dfa=dfas(), m=st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_dfa_language_matches_string_by_string_run(dfa, m):
+    assert dfa_language(dfa, m).bits == dfa_language_oracle(dfa, m)
 
 
 def test_enumerate_one_state():
@@ -168,8 +210,6 @@ def test_learn_dfa_all_targets_within_bound():
     d = ldim_subset(cls, cls.full_version)
     bound = max(1, c - 1) * d + 1
     # sweep every distinct language, realized by a fresh enumeration DFA
-    from eqlearn.automata import enumerate_dfas
-
     seen = set()
     targets = []
     for dfa in enumerate_dfas(2):

@@ -275,6 +275,10 @@ def test_meaningless_sizes_are_input_errors(sing4_file, tmp_path):
     argv = ["dfa", "--states", "2", "--maxlen", "2", "--learn", "--target", str(target)]
     code, text = execute(argv)
     assert code == 2 and "repeated transition" in text, text
+    # a transition out of a state the header does not declare is refused too
+    target.write_text("states: 2\naccept: 0\n0 0 1\n0 1 0\n1 0 0\n1 1 1\n5 0 0\n")
+    code, text = execute(argv)
+    assert code == 2 and "line 7: state '5' is not an integer in 0..1" in text, text
 
 
 def test_learn_transcript(sing4_file):

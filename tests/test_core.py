@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqlearn import fixtures
+from eqlearn.automata import parse_dfa
 from eqlearn.core import (
     AllTotals,
     ClassFormatError,
@@ -21,11 +22,17 @@ from eqlearn.core import (
     parse_class,
     parse_distribution,
     parse_partial,
+    smallest_unextendable_restriction,
 )
 from eqlearn.dimensions import hypothesis_hm
 from eqlearn.rng import SplitMix64, mix64
 
-from conftest import all_partials, concept_classes, random_class_only
+from conftest import (
+    all_partials,
+    concept_classes,
+    random_class_only,
+    unextendable_restriction_oracle,
+)
 
 
 def test_parse_class_basic():
@@ -151,6 +158,21 @@ def test_n_consistency_against_its_definition(cls, n, data):
     # by monotonicity the one size decides what every size up to n does
     every_size = extendable(y for k in range(1, n + 1) for y in combinations(dom, k))
     assert is_n_consistent(partial, cls, n) == expected == every_size, (literal, n)
+
+
+@given(cls=concept_classes(max_x=7, max_c=12), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_unextendable_restriction_matches_its_definition(cls, data):
+    n = cls.universe.size
+    mask = data.draw(st.integers(0, (1 << n) - 1), label="mask")
+    bits = data.draw(st.integers(0, (1 << n) - 1), label="labels") & mask
+    version = data.draw(
+        st.one_of(st.none(), st.integers(0, cls.full_version)), label="version"
+    )
+    max_size = data.draw(st.integers(0, n + 1), label="max_size")
+    min_size = data.draw(st.integers(0, max_size), label="min_size")
+    args = (cls, mask, bits, max_size, version, min_size)
+    assert smallest_unextendable_restriction(*args) == unextendable_restriction_oracle(*args)
 
 
 def test_total_full_consistency_is_membership(sing4):
@@ -316,3 +338,46 @@ def test_below_above_2_64_in_range(n):
     draws = [rng.below(n) for _ in range(20)]
     assert all(0 <= u < n for u in draws)
     assert max(draws) >= n // 2  # the candidates span the whole range
+
+
+_VALID_TEXTS = {
+    "class": "# fixture\nelements: a b c\n100\n010\n001\n",
+    "partial": "1*0",
+    "distribution": "a 1/2\nb 1/4\nc 1/4\n",
+    "dfa": "states: 3\naccept: 0 1\n0 0 1\n0 1 0\n1 0 2\n1 1 2\n2 0 0\n2 1 2\n",
+}
+
+_FUZZ_TOKENS = st.sampled_from(
+    list("01*-/ :#\nabcx9") + ["elements:", "states:", "accept:", "5", "-1", "1/0", "\u0663"]
+)
+
+
+@st.composite
+def _mutated(draw, text):
+    """A valid file with a few spans deleted, replaced or inserted."""
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 6)))
+        tokens = st.lists(_FUZZ_TOKENS, max_size=3).map("".join)
+        insert = draw(st.one_of(st.text(max_size=3), tokens))
+        text = text[:i] + insert + text[j:]
+    return text
+
+
+@given(parser=st.sampled_from(sorted(_VALID_TEXTS)), data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_text_parsers_return_or_raise_class_format_error(parser, data):
+    text = data.draw(
+        st.one_of(st.text(max_size=80), _mutated(_VALID_TEXTS[parser])), label="text"
+    )
+    universe = Universe(["a", "b", "c"])
+    parse = {
+        "class": parse_class,
+        "partial": lambda t: parse_partial(universe, t),
+        "distribution": lambda t: parse_distribution(universe, t),
+        "dfa": parse_dfa,
+    }[parser]
+    try:
+        parse(text)
+    except ClassFormatError:
+        pass

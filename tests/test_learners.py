@@ -527,7 +527,8 @@ def test_last_point_of_unextendable_restriction_is_implied(cls, data):
     # the totals outside the version whose S has two or more points
     candidates = []
     for bits in range(1 << n):
-        if cls.first_member((1 << n) - 1, bits, version) is None:
+        index = cls.bits_index.get(bits)
+        if index is None or not (version >> index) & 1:
             points = _unextendable_restriction(cls, version, bits, n)
             if len(points) >= 2:
                 candidates.append((bits, points))
