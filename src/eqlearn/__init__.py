@@ -13,7 +13,6 @@ from .core import (
     Concept,
     ConceptClass,
     Distribution,
-    ExplicitHypotheses,
     InvariantViolation,
     PartialConcept,
     Universe,

@@ -14,7 +14,6 @@ from .core import (
     ClassFormatError,
     Concept,
     ConceptClass,
-    ExplicitHypotheses,
     InvariantViolation,
     PartialConcept,
     Universe,
@@ -227,13 +226,12 @@ def learn_dfa(n, m, target, mode):
         raise ValueError("target automaton exceeds the state bound")
     summary = dfa_class_summary(n, m)
     cls, _, c, _ = summary
-    hyp = ExplicitHypotheses(cls)
     target_index = cls.bits_index[dfa_language(target, m).bits]
     teacher = HonestTeacher(cls, target_index)
     if mode == "eqmq":
-        learner = EqMqLearner(cls, hyp, _consistency=c)
+        learner = EqMqLearner(cls, cls, _consistency=c)
     else:
-        learner = CdimEqLearner(cls, hyp, _consistency=c)
+        learner = CdimEqLearner(cls, cls, _consistency=c)
     transcript = run_session(learner, teacher, learner.certified_budget)
     if not transcript.success:
         raise InvariantViolation("DFA learner exhausted its certified budget")
@@ -252,5 +250,5 @@ def dfa_class_summary(n, m):
     cls = enumerate_dfa_class(n, m)
     d = ldim_subset(cls, cls.full_version)
     if cls.universe.size <= _MAX_SCAN_SIZE:
-        return cls, d, consistency_dim(cls, ExplicitHypotheses(cls)), True
+        return cls, d, consistency_dim(cls, cls), True
     return cls, d, n * (n + 1), False

@@ -18,7 +18,6 @@ from .core import (
     AllTotals,
     ClassFormatError,
     Distribution,
-    ExplicitHypotheses,
     InvariantViolation,
     parse_class,
     parse_distribution,
@@ -113,7 +112,7 @@ def _spec_int(text, what, spec, form):
 
 def _load_hypotheses(spec, cls):
     if spec == "self":
-        return ExplicitHypotheses(cls)
+        return cls
     if spec == "powerset":
         return AllTotals(cls.universe)
     if spec.startswith("m:"):
@@ -121,7 +120,7 @@ def _load_hypotheses(spec, cls):
     hyp_class = _load_class(spec)
     if hyp_class.universe != cls.universe:
         raise ClassFormatError("hypothesis class universe differs from the class")
-    return ExplicitHypotheses(hyp_class)
+    return hyp_class
 
 
 @functools.cache

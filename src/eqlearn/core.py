@@ -136,7 +136,7 @@ class PartialConcept:
 
     @property
     def size(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def domain(self):
         return tuple(i for i in range(self.universe.size) if (self.mask >> i) & 1)
@@ -354,45 +354,32 @@ def is_n_consistent(partial, concept_class, n):
 # hypothesis classes
 
 
-class ExplicitHypotheses:
-    """A hypothesis class given as an explicit concept class."""
-
-    def __init__(self, concept_class):
-        self.concept_class = concept_class
-        self.universe = concept_class.universe
-
-    def contains(self, concept):
-        return self.concept_class.contains_bits(concept.bits)
-
-    def enumerate_bits(self):
-        return self.concept_class.member_bits()
-
-    def find_extension(self, partial):
-        """First member (in class order) extending the partial, or None."""
-        return self.concept_class.first_member(partial.mask, partial.bits)
-
-
 class AllTotals:
-    """The powerset hypothesis class: every total labeling is allowed."""
+    """The powerset hypothesis class: every total labeling is allowed.  It
+    answers the hypothesis-class questions a `ConceptClass` answers, without
+    listing its 2^|X| members until asked to."""
 
     def __init__(self, universe):
         self.universe = universe
 
-    def contains(self, concept):
-        return concept.universe == self.universe
+    def contains_bits(self, bits):
+        return 0 <= bits < 1 << self.universe.size
 
-    def enumerate_bits(self):
+    def member_bits(self):
         return list(range(1 << self.universe.size))
 
-    def find_extension(self, partial):
+    def first_member(self, mask, bits):
         # fill unspecified points with 0
-        return Concept(self.universe, partial.bits)
+        return Concept(self.universe, bits)
 
 
 def check_subclass(concept_class, hypotheses):
-    """Every concept must be a member of the hypothesis class."""
+    """The hypothesis class (a `ConceptClass` or `AllTotals`) shares the
+    class universe and holds every concept."""
+    if hypotheses.universe != concept_class.universe:
+        raise ValueError("the hypothesis class universe differs from the class universe")
     for c in concept_class.concepts:
-        if not hypotheses.contains(c):
+        if not hypotheses.contains_bits(c.bits):
             raise ValueError(
                 f"concept {c.bitstring()} is outside the hypothesis class"
             )

@@ -26,7 +26,6 @@ from .core import (
     AllTotals,
     Concept,
     ConceptClass,
-    ExplicitHypotheses,
     PartialConcept,
     check_subclass,
 )
@@ -262,7 +261,7 @@ def vc_dim(concept_class):
 def _hypothesis_bits(hypotheses):
     import numpy as np
 
-    return np.array(hypotheses.enumerate_bits(), dtype=np.int64)
+    return np.array(hypotheses.member_bits(), dtype=np.int64)
 
 
 def consistency_levels(concept_class):
@@ -320,7 +319,7 @@ def consistency_dim(concept_class, hypotheses):
 def consistency_threshold(concept_class):
     """Least n at which n-consistency of totals already implies membership
     (the finite reading of finite consistency)."""
-    return consistency_dim(concept_class, ExplicitHypotheses(concept_class))
+    return consistency_dim(concept_class, concept_class)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +396,9 @@ def strong_consistency_dim(concept_class, hypotheses):
 
 def hypothesis_hm(concept_class, m):
     """The minimal hypothesis class with consistency dimension at most m: every
-    total m-consistent with the class, ordered by (label of element 0, label
-    of element 1, ...), so `find_extension` returns the least extension in
-    that order."""
+    total m-consistent with the class, as a `ConceptClass` ordered by (label
+    of element 0, label of element 1, ...), so `first_member` returns the
+    least extension in that order."""
     if m < 1:
         raise ValueError("m must be positive")
     universe = concept_class.universe
@@ -407,5 +406,5 @@ def hypothesis_hm(concept_class, m):
         m_consistent_totals(concept_class, m),
         key=lambda bits: format(bits, f"0{universe.size}b")[::-1],
     )
-    return ExplicitHypotheses(ConceptClass(universe, [Concept(universe, b) for b in members]))
+    return ConceptClass(universe, [Concept(universe, b) for b in members])
 

@@ -51,7 +51,7 @@ class _Oracle:
         self.elements = [
             (1 << x, ones) for x, ones in enumerate(concept_class.element_ones)
         ]
-        self.hyp_bits = sorted(set(hypotheses.enumerate_bits()))
+        self.hyp_bits = sorted(set(hypotheses.member_bits()))
         self.allow_mq = allow_mq
         self.memo = {1 << k: 1 for k in range(len(concept_class))}
         self.nodes = 0

@@ -19,7 +19,6 @@ from .core import (
     AllTotals,
     Concept,
     InvariantViolation,
-    PartialConcept,
     smallest_unextendable_restriction,
 )
 from .dimensions import (
@@ -169,17 +168,16 @@ class HalvingEqLearner(_VersionLearner):
         c = self.c
         if c < 2:
             return EqQuery(_majority_total(self.cls, self.version))
-        total = bin(self.version).count("1")
+        total = self.version.bit_count()
         mask = bits = 0
         for x in range(self.cls.universe.size):
-            count = bin(self.version & self.cls.element_ones[x]).count("1")
+            count = (self.version & self.cls.element_ones[x]).bit_count()
             if count * c > (c - 1) * total:
                 mask |= 1 << x
                 bits |= 1 << x
             elif count * c < total:
                 mask |= 1 << x
-        partial = PartialConcept(self.cls.universe, mask, bits)
-        hyp = self.hyp.find_extension(partial)
+        hyp = self.hyp.first_member(mask, bits)
         if hyp is None:
             raise InvariantViolation(
                 "threshold partial has no extension despite being c-consistent"
@@ -268,7 +266,8 @@ class CdimEqLearner(_VersionLearner):
         if self.c == 1:
             return EqQuery(_majority_total(self.cls, version))
         if self.c == 2:
-            hyp = self.hyp.find_extension(full_ldim_partial(self.cls, version))
+            full = full_ldim_partial(self.cls, version)
+            hyp = self.hyp.first_member(full.mask, full.bits)
             if hyp is None:
                 raise InvariantViolation(
                     "full-dimension partial has no extension despite SC <= 2"
@@ -277,7 +276,7 @@ class CdimEqLearner(_VersionLearner):
         x, total = _split_or_total(self.cls, version)
         if total is None:
             versions = [self.cls.restrict_version(version, x, label) for label in (0, 1)]
-        elif self.hyp.contains(total):
+        elif self.hyp.contains_bits(total.bits):
             return EqQuery(total)
         else:
             points = _unextendable_restriction(self.cls, version, total.bits, self.c)
@@ -376,7 +375,7 @@ class EqMqLearner(_VersionLearner):
             x, total = _split_or_total(self.cls, self.version)
             if total is None:
                 self._plan = [(x, None)]
-            elif self.hyp.contains(total):
+            elif self.hyp.contains_bits(total.bits):
                 return EqQuery(total)
             else:
                 points = _unextendable_restriction(self.cls, self.version, total.bits, self.c)

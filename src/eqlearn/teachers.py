@@ -149,7 +149,10 @@ class WitnessAdversary(_Adversary):
             raise ValueError("n must be positive")
         if not is_n_consistent(partial, concept_class, n):
             raise ValueError("the defended partial is not n-consistent with the class")
-        if hypothesis_class is not None and hypothesis_class.find_extension(partial):
+        if (
+            hypothesis_class is not None
+            and hypothesis_class.first_member(partial.mask, partial.bits) is not None
+        ):
             raise ValueError("the defended partial extends into the hypothesis class")
         super().__init__(concept_class)
         self.partial = partial

@@ -28,7 +28,6 @@ from eqlearn.automata import Dfa, bounded_strings
 from eqlearn.core import (
     Concept,
     ConceptClass,
-    ExplicitHypotheses,
     InvariantViolation,
     PartialConcept,
     Universe,
@@ -205,7 +204,7 @@ def cdim_oracle(cls, hyp):
     for n in range(1, cls.universe.size + 1):
         ok = True
         for total in all_totals(cls.universe):
-            if n_consistent_oracle(total.as_partial(), cls, n) and not hyp.contains(total):
+            if n_consistent_oracle(total.as_partial(), cls, n) and not hyp.contains_bits(total.bits):
                 ok = False
                 break
         if ok:
@@ -218,7 +217,7 @@ def scdim_oracle(cls, hyp):
     for n in range(1, cls.universe.size + 1):
         ok = True
         for partial in all_partials(cls.universe):
-            if n_consistent_oracle(partial, cls, n) and hyp.find_extension(partial) is None:
+            if n_consistent_oracle(partial, cls, n) and hyp.first_member(partial.mask, partial.bits) is None:
                 ok = False
                 break
         if ok:
@@ -228,7 +227,7 @@ def scdim_oracle(cls, hyp):
 
 def lc_reference(cls, hyp, allow_mq):
     """Plain unmemoized minimax recursion (small instances only)."""
-    hyp_bits = sorted(set(hyp.enumerate_bits()))
+    hyp_bits = sorted(set(hyp.member_bits()))
     size = cls.universe.size
 
     def value(version):
@@ -274,7 +273,7 @@ def lc_reference(cls, hyp, allow_mq):
 def lc_memo_oracle(cls, hyp, allow_mq):
     """Memoized minimax recursion over every hypothesis and element at every
     version, with no cutoffs (mid-size instances)."""
-    hyp_bits = sorted(set(hyp.enumerate_bits()))
+    hyp_bits = sorted(set(hyp.member_bits()))
     size = cls.universe.size
     memo = {}
 
@@ -478,7 +477,7 @@ def random_instance(seed, max_x=6, max_c=8, max_extra=4):
     hyp_cls = ConceptClass(
         cls.universe, [Concept(cls.universe, b) for b in hyp_bits]
     )
-    return cls, ExplicitHypotheses(hyp_cls)
+    return cls, hyp_cls
 
 
 def random_class_only(seed, max_x=7, max_c=10):

@@ -21,7 +21,7 @@ from eqlearn.automata import (
     nerode_witness,
 )
 from eqlearn.compression import CompressionScheme, compress
-from eqlearn.core import Distribution, ExplicitHypotheses, parse_partial
+from eqlearn.core import Distribution, parse_partial
 from eqlearn.dimensions import (
     consistency_dim,
     hypothesis_hm,
@@ -59,18 +59,18 @@ def _fixture_pairs():
     five = fixtures.five_class()
     pow3 = fixtures.powerset_class(3)
     return [
-        (sing4, ExplicitHypotheses(sing4)),
-        (sing4, ExplicitHypotheses(singe4)),
-        (tree32, ExplicitHypotheses(tree32)),
-        (five, ExplicitHypotheses(five)),
-        (pow3, ExplicitHypotheses(pow3)),
+        (sing4, sing4),
+        (sing4, singe4),
+        (tree32, tree32),
+        (five, five),
+        (pow3, pow3),
     ]
 
 
 def test_criterion_1_tree32_exact_values():
     start = time.time()
     tree32 = fixtures.tree_class(3, 2)
-    hyp = ExplicitHypotheses(tree32)
+    hyp = tree32
     values = (
         ldim(tree32)[0],
         consistency_dim(tree32, hyp),
@@ -188,7 +188,7 @@ def test_criterion_5_adversarial_lower_bounds():
         if not transcript.success or transcript.eq_count != d + 1:
             ok = False
     sing4 = fixtures.singletons(4)
-    hyp = ExplicitHypotheses(sing4)
+    hyp = sing4
     allzero = parse_partial(sing4.universe, "0000")
     exact = lc_eq_exact(sing4, hyp)
     for factory in (
@@ -285,7 +285,7 @@ def test_criterion_8_compression_roundtrip():
 
 def test_criterion_9_dfa_suite():
     cls = enumerate_dfa_class(2, 3)
-    hyp = ExplicitHypotheses(cls)
+    hyp = cls
     c = consistency_dim(cls, hyp)
     d = ldim_subset(cls, cls.full_version)
     ok = c <= 6 and len(cls) <= 64
@@ -325,8 +325,7 @@ def test_criterion_10_hm_theorem():
     for cls in classes:
         d = ldim(cls)[0]
         hm = hypothesis_hm(cls, d + 1)
-        as_class = hm.concept_class
-        if ldim(as_class)[0] != d:
+        if ldim(hm)[0] != d:
             violations += 1
         if consistency_dim(cls, hm) > d + 1:
             violations += 1

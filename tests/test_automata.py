@@ -17,7 +17,7 @@ from eqlearn.automata import (
     parse_dfa,
     string_universe,
 )
-from eqlearn.core import ClassFormatError, ExplicitHypotheses
+from eqlearn.core import ClassFormatError
 from eqlearn.dimensions import consistency_dim, ldim_subset
 
 from conftest import dfa_language_oracle, enumerate_dfas
@@ -131,7 +131,7 @@ def test_enumerate_size_guard():
 
 def test_consistency_dim_within_nerode_cap():
     cls = enumerate_dfa_class(2, 3)
-    c = consistency_dim(cls, ExplicitHypotheses(cls))
+    c = consistency_dim(cls, cls)
     assert c <= 6  # 2 * C(n+1, 2) at n = 2
     assert c == 4
 
@@ -180,7 +180,7 @@ def test_learn_dfa_eqmq_parity():
     transcript, summary = learn_dfa(2, 3, parity_dfa(), "eqmq")
     assert transcript.success
     cls = enumerate_dfa_class(2, 3)
-    c = consistency_dim(cls, ExplicitHypotheses(cls))
+    c = consistency_dim(cls, cls)
     d = ldim_subset(cls, cls.full_version)
     assert summary[1:] == (d, c, True)
     assert summary[0].member_bits() == cls.member_bits()
@@ -205,7 +205,7 @@ def test_learn_dfa_eq_mode():
 
 def test_learn_dfa_all_targets_within_bound():
     cls = enumerate_dfa_class(2, 3)
-    hyp = ExplicitHypotheses(cls)
+    hyp = cls
     c = consistency_dim(cls, hyp)
     d = ldim_subset(cls, cls.full_version)
     bound = max(1, c - 1) * d + 1

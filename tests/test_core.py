@@ -14,7 +14,6 @@ from eqlearn.core import (
     ClassFormatError,
     Concept,
     Distribution,
-    ExplicitHypotheses,
     PartialConcept,
     Universe,
     format_class,
@@ -236,37 +235,59 @@ def test_partial_literal_roundtrip():
 
 
 def test_explicit_hypotheses(sing4, singe4):
-    hyp = ExplicitHypotheses(singe4)
-    assert hyp.contains(Concept(sing4.universe, 0))
-    assert not hyp.contains(Concept(sing4.universe, 0b11))
-    assert sorted(hyp.enumerate_bits()) == [0, 1, 2, 4, 8]
-    found = hyp.find_extension(parse_partial(sing4.universe, "0***"))
+    hyp = singe4
+    assert hyp.contains_bits(Concept(sing4.universe, 0).bits)
+    assert not hyp.contains_bits(Concept(sing4.universe, 0b11).bits)
+    assert sorted(hyp.member_bits()) == [0, 1, 2, 4, 8]
+    partial = parse_partial(sing4.universe, "0***")
+    found = hyp.first_member(partial.mask, partial.bits)
     assert found.bitstring() == "0100"  # first member in class order
 
 
 def test_all_totals(sing4):
     hyp = AllTotals(sing4.universe)
-    assert hyp.contains(Concept(sing4.universe, 0b1111))
-    assert len(hyp.enumerate_bits()) == 16
-    assert hyp.find_extension(parse_partial(sing4.universe, "1**1")).bitstring() == "1001"
+    assert hyp.contains_bits(Concept(sing4.universe, 0b1111).bits)
+    assert len(hyp.member_bits()) == 16
+    partial = parse_partial(sing4.universe, "1**1")
+    assert hyp.first_member(partial.mask, partial.bits).bitstring() == "1001"
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_all_totals_matches_the_explicit_powerset(k):
+    explicit = fixtures.powerset_class(k)
+    lazy = AllTotals(explicit.universe)
+    assert lazy.member_bits() == explicit.member_bits()
+    # every total, and one value out of range on each side
+    for bits in range(-1, (1 << k) + 1):
+        assert lazy.contains_bits(bits) == explicit.contains_bits(bits)
+    # the explicit powerset lists the totals ascending, so its first
+    # extension is the zero-fill
+    for mask in range(1 << k):
+        for bits in range(1 << k):
+            if bits & ~mask:
+                continue
+            found = explicit.first_member(mask, bits)
+            assert lazy.first_member(mask, bits).bits == found.bits == bits
 
 
 def test_m_consistent_membership_and_enumeration(sing4):
     hyp = hypothesis_hm(sing4, 2)
     # 2-consistent totals over singletons: the singletons and the empty set
-    members = sorted(hyp.enumerate_bits())
+    members = sorted(hyp.member_bits())
     assert members == [0, 1, 2, 4, 8]
     for bits in range(16):
         concept = Concept(sing4.universe, bits)
-        assert hyp.contains(concept) == (bits in members)
+        assert hyp.contains_bits(concept.bits) == (bits in members)
 
 
 def test_m_consistent_find_extension(sing4):
     hyp = hypothesis_hm(sing4, 2)
     # all-zero partial on three points extends to the empty set
-    ext = hyp.find_extension(parse_partial(sing4.universe, "000*"))
+    partial = parse_partial(sing4.universe, "000*")
+    ext = hyp.first_member(partial.mask, partial.bits)
     assert ext.bitstring() == "0000"
-    assert hyp.find_extension(parse_partial(sing4.universe, "11**")) is None
+    partial = parse_partial(sing4.universe, "11**")
+    assert hyp.first_member(partial.mask, partial.bits) is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from eqlearn.core import (
     AllTotals,
     Concept,
     ConceptClass,
-    ExplicitHypotheses,
     Universe,
+    check_subclass,
     is_n_consistent,
 )
 from eqlearn.dimensions import (
@@ -174,22 +174,33 @@ def test_vc_at_most_ldim(seed):
 
 
 def test_cdim_fixture_values(sing4, singe4, tree32, five):
-    assert consistency_dim(tree32, ExplicitHypotheses(tree32)) == 4  # c + 1
-    assert consistency_dim(five, ExplicitHypotheses(five)) == 3
-    assert consistency_dim(sing4, ExplicitHypotheses(singe4)) == 2
+    assert consistency_dim(tree32, tree32) == 4  # c + 1
+    assert consistency_dim(five, five) == 3
+    assert consistency_dim(sing4, singe4) == 2
 
 
 def test_cdim_requires_subclass(sing4):
     smaller = fixtures.singletons(4)
-    hyp = ExplicitHypotheses(
-        fixtures.powerset_class(4)
-    )  # fine: contains everything
+    hyp = fixtures.powerset_class(4)  # fine: contains everything
     assert consistency_dim(smaller, hyp) == 1
-    not_super = ExplicitHypotheses(
-        fixtures.random_class(4, 2, seed=5)
-    )
+    not_super = fixtures.random_class(4, 2, seed=5)
     with pytest.raises(ValueError, match="outside the hypothesis class"):
         consistency_dim(sing4, not_super)
+
+
+def test_hypotheses_over_another_universe_are_refused(sing4):
+    # same size and the same member bits, but other element names
+    other = Universe(["y0", "y1", "y2", "y3"])
+    explicit = ConceptClass(other, [Concept(other, c.bits) for c in sing4])
+    for hyp in (explicit, AllTotals(other)):
+        with pytest.raises(ValueError, match="universe differs"):
+            check_subclass(sing4, hyp)
+        with pytest.raises(ValueError, match="universe differs"):
+            consistency_dim(sing4, hyp)
+        with pytest.raises(ValueError, match="universe differs"):
+            strong_consistency_dim(sing4, hyp)
+    check_subclass(sing4, sing4)
+    check_subclass(sing4, AllTotals(sing4.universe))
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -212,13 +223,11 @@ def test_cdim_matches_oracle_for_self_hm_and_supersets(cls, extra, hm_first):
     else:
         threshold = consistency_threshold(cls)
         hms = [hypothesis_hm(cls, m) for m in (1, 2, 3)]
-    self_hyp = ExplicitHypotheses(cls)
+    self_hyp = cls
     assert threshold == cdim_oracle(cls, self_hyp)
     universe = cls.universe
     superset = set(cls.bits_index) | {b & ((1 << universe.size) - 1) for b in extra}
-    bigger = ExplicitHypotheses(
-        ConceptClass(universe, [Concept(universe, b) for b in sorted(superset)])
-    )
+    bigger = ConceptClass(universe, [Concept(universe, b) for b in sorted(superset)])
     for hyp in [self_hyp, *hms, bigger]:
         assert consistency_dim(cls, hyp) == cdim_oracle(cls, hyp)
 
@@ -228,10 +237,10 @@ def test_cdim_matches_oracle_for_self_hm_and_supersets(cls, extra, hm_first):
 
 
 def test_scdim_fixture_values(tree32, five):
-    assert strong_consistency_dim(tree32, ExplicitHypotheses(tree32)) == 9  # c^d
-    sc_five = strong_consistency_dim(five, ExplicitHypotheses(five))
+    assert strong_consistency_dim(tree32, tree32) == 9  # c^d
+    sc_five = strong_consistency_dim(five, five)
     assert sc_five >= 4  # the four-ones partial with e unspecified is 3-consistent
-    assert sc_five == scdim_oracle(five, ExplicitHypotheses(five)) == 4
+    assert sc_five == scdim_oracle(five, five) == 4
 
 
 def test_scdim_all_totals(sing4):
@@ -241,16 +250,16 @@ def test_scdim_all_totals(sing4):
 def test_scdim_explicit_powerset(sing4, tree32):
     for cls in (sing4, tree32):
         totals = [Concept(cls.universe, b) for b in range(1 << cls.universe.size)]
-        hyp = ExplicitHypotheses(ConceptClass(cls.universe, totals))
+        hyp = ConceptClass(cls.universe, totals)
         assert strong_consistency_dim(cls, hyp) == 1
 
 
 def test_scdim_single_element():
     universe = Universe(["a"])
-    powerset = ExplicitHypotheses(ConceptClass(universe, [Concept(universe, b) for b in (1, 0)]))
+    powerset = ConceptClass(universe, [Concept(universe, b) for b in (1, 0)])
     for bits in ([0], [1], [0, 1]):
         cls = ConceptClass(universe, [Concept(universe, b) for b in bits])
-        for hyp in (ExplicitHypotheses(cls), AllTotals(universe), powerset):
+        for hyp in (cls, AllTotals(universe), powerset):
             assert strong_consistency_dim(cls, hyp) == 1
 
 
@@ -322,7 +331,7 @@ def test_threshold_equivalences(sing4):
 
 def test_hm_sing4_enumeration(sing4):
     hm = hypothesis_hm(sing4, 2)
-    assert sorted(hm.enumerate_bits()) == [0, 1, 2, 4, 8]
+    assert sorted(hm.member_bits()) == [0, 1, 2, 4, 8]
 
 
 def test_hm_at_universe_size_is_class(sing4, tree32, five):
@@ -330,21 +339,20 @@ def test_hm_at_universe_size_is_class(sing4, tree32, five):
         size = cls.universe.size
         for m in (size, size + 1, size + 5, 99):
             hm = hypothesis_hm(cls, m)
-            assert sorted(hm.enumerate_bits()) == sorted(cls.bits_index), m
+            assert sorted(hm.member_bits()) == sorted(cls.bits_index), m
 
 
 def test_hm_tree32_contains_chain_root(tree32):
     hm = hypothesis_hm(tree32, 3)
     a0_total = Concept(tree32.universe, 1)  # {a0} alone, c-consistent
-    assert hm.contains(a0_total)
-    assert a0_total.bits in hm.enumerate_bits()
+    assert hm.contains_bits(a0_total.bits)
+    assert a0_total.bits in hm.member_bits()
 
 
 def fixed_ldim_check(cls):
     d = ldim_subset(cls, cls.full_version)
     hm = hypothesis_hm(cls, d + 1)
-    as_class = hm.concept_class
-    assert ldim(as_class)[0] == d
+    assert ldim(hm)[0] == d
     assert consistency_dim(cls, hm) <= d + 1
 
 
@@ -363,7 +371,7 @@ def test_fixed_ldim_random(seed):
 
 
 def test_dimension_report(tree32):
-    hyp = ExplicitHypotheses(tree32)
+    hyp = tree32
     ldim_value = ldim_subset(tree32, tree32.full_version)
     vcdim = vc_dim(tree32)
     cdim = consistency_dim(tree32, hyp)
@@ -409,5 +417,5 @@ def test_levels_are_scanned_once_to_the_end(monkeypatch, threshold_first):
     hm = hypothesis_hm(cls, 2)
     assert consistency_dim(cls, hm) == 2
     assert consistency_threshold(cls) == 4
-    assert sorted(hypothesis_hm(cls, 6).enumerate_bits()) == sorted(cls.bits_index)
+    assert sorted(hypothesis_hm(cls, 6).member_bits()) == sorted(cls.bits_index)
     assert scanned == [1, 2, 3, 4]

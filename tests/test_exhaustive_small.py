@@ -14,9 +14,9 @@ import pytest
 from eqlearn import fixtures
 from eqlearn.compression import check_roundtrip
 from eqlearn.core import (
+    AllTotals,
     Concept,
     ConceptClass,
-    ExplicitHypotheses,
     Universe,
     is_n_consistent,
     parse_partial,
@@ -36,7 +36,13 @@ from eqlearn.teachers import (
     YesAnswer,
 )
 
-from conftest import all_partials, cdim_oracle, lc_reference, scdim_oracle
+from conftest import (
+    all_partials,
+    cdim_oracle,
+    lc_reference,
+    random_class_only,
+    scdim_oracle,
+)
 
 
 def _all_classes(nx):
@@ -51,11 +57,9 @@ def _supersets(cls):
     rest = [b for b in range(1 << cls.universe.size) if b not in cls.bits_index]
     for extra_size in range(len(rest) + 1):
         for extra in combinations(rest, extra_size):
-            yield ExplicitHypotheses(
-                ConceptClass(
-                    cls.universe,
-                    list(cls.concepts) + [Concept(cls.universe, b) for b in extra],
-                )
+            yield ConceptClass(
+                cls.universe,
+                list(cls.concepts) + [Concept(cls.universe, b) for b in extra],
             )
 
 
@@ -177,15 +181,13 @@ def test_witness_adversary_forces_any_learner():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_m_consistent_extension_matches_bruteforce(seed):
-    from conftest import random_class_only
-
     cls = random_class_only(seed + 15_000, max_x=4, max_c=5)
     size = cls.universe.size
     for m in range(1, size + 2):
         hyp = hypothesis_hm(cls, m)
-        member_bits = set(hyp.enumerate_bits())
+        member_bits = set(hyp.member_bits())
         for partial in all_partials(cls.universe):
-            found = hyp.find_extension(partial)
+            found = hyp.first_member(partial.mask, partial.bits)
             extensions = [
                 bits for bits in member_bits if (bits & partial.mask) == partial.bits
             ]
@@ -198,3 +200,12 @@ def test_m_consistent_extension_matches_bruteforce(seed):
                 # least in the order (label of element 0, label of element 1, ...)
                 least = min(extensions, key=lambda b: Concept(cls.universe, b).bitstring())
                 assert found.bits == least
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lazy_and_explicit_powerset_give_the_same_values(seed):
+    cls = random_class_only(seed + 17_000, max_x=4, max_c=6)
+    lazy = AllTotals(cls.universe)
+    explicit = fixtures.powerset_class(cls.universe.size)
+    for measure in (consistency_dim, strong_consistency_dim, lc_eq_exact, lc_eqmq_exact):
+        assert measure(cls, lazy) == measure(cls, explicit), measure.__name__

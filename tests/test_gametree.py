@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqlearn import fixtures
-from eqlearn.core import AllTotals, ExplicitHypotheses
+from eqlearn.core import AllTotals
 from eqlearn.dimensions import (
     consistency_dim,
     hypothesis_hm,
@@ -25,17 +25,17 @@ from conftest import (
 
 
 def test_lc_eq_fixture_values(sing4, singe4, tree32):
-    assert lc_eq_exact(sing4, ExplicitHypotheses(sing4)) == 4
-    assert lc_eq_exact(sing4, ExplicitHypotheses(singe4)) == 2
-    assert lc_eq_exact(tree32, ExplicitHypotheses(tree32)) == 9
+    assert lc_eq_exact(sing4, sing4) == 4
+    assert lc_eq_exact(sing4, singe4) == 2
+    assert lc_eq_exact(tree32, tree32) == 9
 
 
 def test_lc_eqmq_fixture_values(sing4, singe4):
-    assert lc_eqmq_exact(sing4, ExplicitHypotheses(sing4)) == 4
-    assert lc_eqmq_exact(sing4, ExplicitHypotheses(singe4)) == 2
+    assert lc_eqmq_exact(sing4, sing4) == 4
+    assert lc_eqmq_exact(sing4, singe4) == 2
     single = fixtures.random_class(3, 1, seed=1)
-    assert lc_eqmq_exact(single, ExplicitHypotheses(single)) == 1
-    assert lc_eq_exact(single, ExplicitHypotheses(single)) == 1
+    assert lc_eqmq_exact(single, single) == 1
+    assert lc_eq_exact(single, single) == 1
 
 
 def test_all_totals_guard():
@@ -74,7 +74,7 @@ def test_enumerated_hm_hypotheses(sing4):
 
 
 def test_node_count_reported(sing4):
-    value, nodes = lc_exact_with_stats(sing4, ExplicitHypotheses(sing4), "eq")
+    value, nodes = lc_exact_with_stats(sing4, sing4, "eq")
     assert value == 4 and nodes >= 1
 
 
@@ -92,7 +92,7 @@ def test_oracle_matches_memo_oracle(seed):
     recursion in both modes, for H = self, H_1..H_3, a random superset and
     (on small universes) the powerset."""
     cls, superset = random_instance(seed, max_x=8, max_c=16, max_extra=6)
-    hyps = [ExplicitHypotheses(cls), superset]
+    hyps = [cls, superset]
     hyps += [hypothesis_hm(cls, m) for m in (1, 2, 3)]
     if cls.universe.size <= 4:
         hyps.append(AllTotals(cls.universe))
@@ -103,11 +103,11 @@ def test_oracle_matches_memo_oracle(seed):
 
 def test_nodes_count_versions_of_two_or_more_concepts(sing4):
     # SING(4) with itself: every subset of two or more singletons is expanded
-    assert lc_exact_with_stats(sing4, ExplicitHypotheses(sing4), "eq") == (4, 11)
+    assert lc_exact_with_stats(sing4, sing4, "eq") == (4, 11)
     for n_concepts, expected in ((2, (2, 1)), (1, (1, 0))):
         cls = fixtures.random_class(3, n_concepts, seed=1)
         for mode in ("eq", "eqmq"):
-            assert lc_exact_with_stats(cls, ExplicitHypotheses(cls), mode) == expected
+            assert lc_exact_with_stats(cls, cls, mode) == expected
 
 
 def test_recursion_guard_admits_only_what_fits():
@@ -115,7 +115,7 @@ def test_recursion_guard_admits_only_what_fits():
     refused and then gives the value; no RecursionError ever comes from
     inside it.  The first line of play on SING(10) goes the full depth."""
     cls = fixtures.singletons(10)
-    hyp = ExplicitHypotheses(cls)
+    hyp = cls
 
     def attempt():
         assert lc_exact_with_stats(cls, hyp, "eq")[0] == 10
@@ -157,11 +157,11 @@ def sandwich_eqmq(cls, hyp, lc_eq):
 
 def test_sandwich_fixtures(sing4, singe4, tree32, five, pow3):
     pairs = [
-        (sing4, ExplicitHypotheses(sing4)),
-        (sing4, ExplicitHypotheses(singe4)),
-        (tree32, ExplicitHypotheses(tree32)),
-        (five, ExplicitHypotheses(five)),
-        (pow3, ExplicitHypotheses(pow3)),
+        (sing4, sing4),
+        (sing4, singe4),
+        (tree32, tree32),
+        (five, five),
+        (pow3, pow3),
     ]
     for cls, hyp in pairs:
         lc = sandwich_eq(cls, hyp)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqlearn import fixtures
-from eqlearn.core import AllTotals, Distribution, ExplicitHypotheses, parse_partial
+from eqlearn.core import AllTotals, Distribution, parse_partial
 from eqlearn.dimensions import (
     consistency_dim,
     full_ldim_partial,
@@ -59,7 +59,7 @@ def test_run_session_examples(sing4, tree32):
     transcript = run_session(OptimalEqLearner(sing4), TreeAdversary(sing4), 1)
     assert transcript.outcome == "budget_exhausted" and not transcript.success
 
-    hyp = ExplicitHypotheses(tree32)
+    hyp = tree32
     learner = CdimEqLearner(tree32, hyp)
     transcript = run_session(learner, HonestTeacher(tree32, 0), 16)
     assert transcript.success and transcript.eq_count <= 16
@@ -127,7 +127,7 @@ def test_optimal_monotone_ldim_decrease(sing4, tree32, pow3):
 
 
 def test_cdim_tree32_all_targets(tree32):
-    hyp = ExplicitHypotheses(tree32)
+    hyp = tree32
     budget = CdimEqLearner(tree32, hyp).certified_budget
     assert budget == 16  # c^d = 4^2
     for target in range(len(tree32)):
@@ -137,7 +137,7 @@ def test_cdim_tree32_all_targets(tree32):
 
 
 def test_cdim_delegates_small_dimensions(sing4, singe4):
-    hyp = ExplicitHypotheses(singe4)
+    hyp = singe4
     learner = CdimEqLearner(sing4, hyp)  # c = 2 delegates to the sc2 strategy
     assert learner.certified_budget == 2  # min(c^d, d+1)
     for target in range(len(sing4)):
@@ -149,7 +149,7 @@ def test_cdim_delegates_small_dimensions(sing4, singe4):
 
 def test_cdim_singleton_class():
     cls = fixtures.random_class(3, 1, seed=9)
-    learner = CdimEqLearner(cls, ExplicitHypotheses(cls))
+    learner = CdimEqLearner(cls, cls)
     transcript = run_session(learner, HonestTeacher(cls, 0), 5)
     assert transcript.success and transcript.eq_count == 1
 
@@ -217,11 +217,11 @@ def test_compose_budget_is_sum():
 
 def test_sc2_requires_small_dimension(sing4):
     with pytest.raises(ValueError, match="consistency dimension"):
-        Sc2EqLearner(sing4, ExplicitHypotheses(sing4))  # c = 4 there
+        Sc2EqLearner(sing4, sing4)  # c = 4 there
 
 
 def test_sc2_sing4_all_targets_all_teachers(sing4, singe4):
-    hyp = ExplicitHypotheses(singe4)
+    hyp = singe4
     mu = Distribution.uniform(sing4.universe)
     witness_partial = parse_partial(sing4.universe, "11**")
     teachers = [
@@ -239,7 +239,7 @@ def test_sc2_sing4_all_targets_all_teachers(sing4, singe4):
 
 def test_sc2_sing6(sing4):
     cls = fixtures.singletons(6)
-    hyp = ExplicitHypotheses(fixtures.singletons_with_empty(6))
+    hyp = fixtures.singletons_with_empty(6)
     for target in range(6):
         transcript = run_session(Sc2EqLearner(cls, hyp), HonestTeacher(cls, target), 10)
         assert transcript.success and transcript.eq_count <= 2
@@ -257,7 +257,7 @@ def test_sc2_keeps_its_move_at_consistency_dimension_1(pow2):
 
 def test_sc2_singleton_class():
     cls = fixtures.random_class(3, 1, seed=11)
-    learner = Sc2EqLearner(cls, ExplicitHypotheses(cls))
+    learner = Sc2EqLearner(cls, cls)
     transcript = run_session(learner, HonestTeacher(cls, 0), 5)
     assert transcript.success and transcript.eq_count == 1
 
@@ -267,12 +267,12 @@ def test_sc2_singleton_class():
 
 
 def test_halving_budgets(sing4, singe4, tree32):
-    assert HalvingEqLearner(tree32, ExplicitHypotheses(tree32)).certified_budget == 20
-    assert HalvingEqLearner(sing4, ExplicitHypotheses(singe4)).certified_budget == 3
+    assert HalvingEqLearner(tree32, tree32).certified_budget == 20
+    assert HalvingEqLearner(sing4, singe4).certified_budget == 3
 
 
 def test_halving_tree32_all_targets(tree32):
-    hyp = ExplicitHypotheses(tree32)
+    hyp = tree32
     for target in range(len(tree32)):
         learner = HalvingEqLearner(tree32, hyp)
         transcript = run_session(learner, HonestTeacher(tree32, target), 20)
@@ -280,7 +280,7 @@ def test_halving_tree32_all_targets(tree32):
 
 
 def test_halving_sing4(sing4, singe4):
-    hyp = ExplicitHypotheses(singe4)
+    hyp = singe4
     for target in range(len(sing4)):
         transcript = run_session(
             HalvingEqLearner(sing4, hyp), HonestTeacher(sing4, target), 10
@@ -290,7 +290,7 @@ def test_halving_sing4(sing4, singe4):
 
 def test_halving_singleton_class():
     cls = fixtures.random_class(3, 1, seed=13)
-    learner = HalvingEqLearner(cls, ExplicitHypotheses(cls))
+    learner = HalvingEqLearner(cls, cls)
     transcript = run_session(learner, HonestTeacher(cls, 0), 5)
     assert transcript.success and transcript.eq_count == 1
 
@@ -300,7 +300,7 @@ def test_halving_singleton_class():
 
 
 def test_eqmq_tree32_all_targets(tree32):
-    hyp = ExplicitHypotheses(tree32)
+    hyp = tree32
     learner = EqMqLearner(tree32, hyp)
     assert learner.certified_budget == 7  # (c-1) d + 1 with c = 4, d = 2
     for target in range(len(tree32)):
@@ -310,7 +310,7 @@ def test_eqmq_tree32_all_targets(tree32):
 
 
 def test_eqmq_sing4(sing4, singe4):
-    hyp = ExplicitHypotheses(singe4)
+    hyp = singe4
     learner = EqMqLearner(sing4, hyp)
     assert learner.certified_budget == 2  # c = 2 gives c' = 1, d = 1
     for target in range(len(sing4)):
@@ -322,13 +322,13 @@ def test_eqmq_sing4(sing4, singe4):
 
 def test_eqmq_singleton_class():
     cls = fixtures.random_class(3, 1, seed=15)
-    learner = EqMqLearner(cls, ExplicitHypotheses(cls))
+    learner = EqMqLearner(cls, cls)
     transcript = run_session(learner, HonestTeacher(cls, 0), 5)
     assert transcript.success and transcript.total_queries == 1
 
 
 def test_eqmq_vs_tree_adversary(tree32):
-    hyp = ExplicitHypotheses(tree32)
+    hyp = tree32
     learner = EqMqLearner(tree32, hyp)
     transcript = run_session(learner, TreeAdversary(tree32), 7)
     assert transcript.success and transcript.total_queries <= 7
@@ -438,7 +438,7 @@ def _version_sound_learners(cls, hyp):
 @pytest.mark.parametrize("seed", range(8))
 def test_version_space_never_drops_target(seed):
     cls = random_class_only(seed + 700, max_x=5, max_c=6)
-    hyp = ExplicitHypotheses(cls)
+    hyp = cls
     for factory in _version_sound_learners(cls, hyp):
         for target in range(len(cls)):
             learner = factory()
@@ -451,7 +451,7 @@ def test_version_space_never_drops_target(seed):
 
 
 def test_never_repeats_refuted_hypothesis(tree32):
-    hyp = ExplicitHypotheses(tree32)
+    hyp = tree32
     for target in range(len(tree32)):
         for factory in (
             lambda: OptimalEqLearner(tree32),
@@ -474,7 +474,7 @@ def test_learner_bounds_random_suite():
     violations = []
     for seed in range(30):
         cls = random_class_only(seed + 4000, max_x=6, max_c=8)
-        hyp = ExplicitHypotheses(cls)
+        hyp = cls
         d = ldim(cls)[0]
         c = consistency_dim(cls, hyp)
         sc = strong_consistency_dim(cls, hyp)
@@ -562,7 +562,7 @@ def test_cdim_at_small_dimensions_moves_as_optimal_and_sc2(cls):
     # at c = 1 the c^d learner makes the Littlestone-majority move and at
     # c = 2 the partial-extension move, turn by turn
     for hyp in (
-        ExplicitHypotheses(cls),
+        cls,
         hypothesis_hm(cls, 1),
         hypothesis_hm(cls, 2),
         AllTotals(cls.universe),

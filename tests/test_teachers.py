@@ -3,7 +3,7 @@
 import pytest
 
 from eqlearn import fixtures
-from eqlearn.core import Concept, Distribution, ExplicitHypotheses, parse_partial
+from eqlearn.core import Concept, Distribution, parse_partial
 from eqlearn.dimensions import ldim
 from eqlearn.learners import (
     CdimEqLearner,
@@ -77,7 +77,7 @@ def test_tree_adversary_forces_optimal(sing4, pow3, tree32):
 
 def test_tree_adversary_forces_all_eq_learners(sing4, singe4):
     d = ldim(sing4)[0]
-    hyp = ExplicitHypotheses(singe4)
+    hyp = singe4
     for factory in (
         lambda: OptimalEqLearner(sing4),
         lambda: CdimEqLearner(sing4, hyp),
@@ -94,10 +94,10 @@ def test_tree_adversary_forces_every_eq_learner_on_fixtures(
     from eqlearn.learners import Sc2EqLearner
 
     configs = [
-        (sing4, ExplicitHypotheses(singe4)),
-        (tree32, ExplicitHypotheses(tree32)),
-        (five, ExplicitHypotheses(five)),
-        (pow3, ExplicitHypotheses(pow3)),
+        (sing4, singe4),
+        (tree32, tree32),
+        (five, five),
+        (pow3, pow3),
     ]
     for cls, hyp in configs:
         d = ldim(cls)[0]
@@ -146,14 +146,14 @@ def test_witness_adversary_preconditions(sing4):
     extendable = parse_partial(sing4.universe, "1***")
     with pytest.raises(ValueError, match="extends into"):
         WitnessAdversary(
-            sing4, extendable, 1, hypothesis_class=ExplicitHypotheses(sing4)
+            sing4, extendable, 1, hypothesis_class=sing4
         )
 
 
 def test_witness_adversary_forces_sing4(sing4):
     # the all-zero total is 3-consistent but outside H = SING(4)
     allzero = parse_partial(sing4.universe, "0000")
-    hyp = ExplicitHypotheses(sing4)
+    hyp = sing4
     for factory in (
         lambda: CdimEqLearner(sing4, hyp),
         lambda: HalvingEqLearner(sing4, hyp),
@@ -170,7 +170,7 @@ def test_witness_adversary_forces_tree32(tree32):
     # no extension inside the class
     literal = "***" + "0" * 9
     partial = parse_partial(tree32.universe, literal)
-    hyp = ExplicitHypotheses(tree32)
+    hyp = tree32
     for factory in (
         lambda: CdimEqLearner(tree32, hyp),
         lambda: HalvingEqLearner(tree32, hyp),
@@ -187,7 +187,7 @@ def test_witness_adversary_forces_combined_queries(sing4):
     from eqlearn.learners import EqMqLearner
 
     allzero = parse_partial(sing4.universe, "0000")
-    hyp = ExplicitHypotheses(sing4)
+    hyp = sing4
     learner = EqMqLearner(sing4, hyp)
     teacher = WitnessAdversary(sing4, allzero, 3, hypothesis_class=hyp)
     transcript = run_session(learner, teacher, learner.certified_budget)
