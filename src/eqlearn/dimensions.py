@@ -391,7 +391,7 @@ def strong_consistency_dim(concept_class, hypotheses):
 
 
 # ---------------------------------------------------------------------------
-# H_m construction and the summary report
+# H_m construction
 
 
 def hypothesis_hm(concept_class, m):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import (
     AllTotals,
@@ -423,28 +422,14 @@ class ThicketMaxMinLearner(_VersionLearner):
         return EqQuery(self.cls.concepts[self._policy[version]])
 
 
-def edge_weight_in(concept_class, mu, version, concept_a, concept_b):
-    """Thicket edge weight within a version: the expected drop in the
-    version's Littlestone dimension when the teacher samples a point of the
-    symmetric difference of the two concepts from `mu` and reveals
-    concept_b's label there."""
-    d = ldim_subset(concept_class, version)
-    delta = concept_a.bits ^ concept_b.bits
-    num = Fraction(0)
-    mass = Fraction(0)
-    for x in range(concept_class.universe.size):
-        if not (delta >> x) & 1:
-            continue
-        w = mu.weight(x)
-        mass += w
-        sub = concept_class.restrict_version(version, x, (concept_b.bits >> x) & 1)
-        num += w * (d - ldim_subset(concept_class, sub))
-    return num / mass
-
-
 class ThicketGraph:
     """Weighted directed query graph over a version's concepts (the whole
-    class by default); weights and query ranks are taken within the version."""
+    class by default); weights and query ranks are taken within the version.
+
+    The weight of i -> j is the expected drop in the version's Littlestone
+    dimension when the teacher samples a point where i and j differ from
+    `mu` and reveals j's label there.  Only the points depend on the pair,
+    so each element's mu-weighted drop for either label is tabled once."""
 
     def __init__(self, concept_class, mu, version=None):
         if mu.universe != concept_class.universe:
@@ -453,14 +438,26 @@ class ThicketGraph:
         self.mu = mu
         self.version = concept_class.full_version if version is None else version
         self.indices = concept_class.version_indices(self.version)
+        d = ldim_subset(concept_class, self.version)
+        # _drops[x][label]: mu(x) times the drop when x is revealed as label
+        self._drops = [
+            [
+                mu.weight(x) * (d - ldim_subset(concept_class, self.version & side))
+                for side in (~ones, ones)
+            ]
+            for x, ones in enumerate(concept_class.element_ones)
+        ]
         self._weights = {}
 
     def weight(self, i, j):
         if i == j:
             raise ValueError("no self-edges in the query graph")
         if (i, j) not in self._weights:
-            a, b = self.cls.concepts[i], self.cls.concepts[j]
-            self._weights[i, j] = edge_weight_in(self.cls, self.mu, self.version, a, b)
+            b = self.cls.concepts[j].bits
+            delta = self.cls.concepts[i].bits ^ b
+            points = [x for x in range(self.cls.universe.size) if (delta >> x) & 1]
+            drop = sum(self._drops[x][(b >> x) & 1] for x in points)
+            self._weights[i, j] = drop / sum(self.mu.weight(x) for x in points)
         return self._weights[i, j]
 
     def query_rank(self, i):

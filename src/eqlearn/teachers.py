@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Concept, InvariantViolation, is_n_consistent
+from .core import Concept, InvariantViolation, check_subclass, is_n_consistent
 from .dimensions import ldim, ldim_subset
 from .rng import SplitMix64
 
@@ -108,7 +108,7 @@ class TreeAdversary(_Adversary):
 
     def __init__(self, concept_class):
         super().__init__(concept_class)
-        self.depth, self.node = ldim(concept_class)
+        _, self.node = ldim(concept_class)
 
     def respond(self, move):
         if self.committed is not None:
@@ -149,11 +149,10 @@ class WitnessAdversary(_Adversary):
             raise ValueError("n must be positive")
         if not is_n_consistent(partial, concept_class, n):
             raise ValueError("the defended partial is not n-consistent with the class")
-        if (
-            hypothesis_class is not None
-            and hypothesis_class.first_member(partial.mask, partial.bits) is not None
-        ):
-            raise ValueError("the defended partial extends into the hypothesis class")
+        if hypothesis_class is not None:
+            check_subclass(concept_class, hypothesis_class)
+            if hypothesis_class.first_member(partial.mask, partial.bits) is not None:
+                raise ValueError("the defended partial extends into the hypothesis class")
         super().__init__(concept_class)
         self.partial = partial
         self.n = n

@@ -22,6 +22,8 @@ _HALF = Fraction(1, 2)
 
 def query_rank(concept_class, mu, concept):
     """Minimum outgoing edge weight of the concept (over all other members)."""
+    if concept.universe != concept_class.universe:
+        raise ValueError("concept universe differs from the class universe")
     i = concept_class.bits_index.get(concept.bits)
     if i is None:
         raise ValueError("concept is not a member of the class")

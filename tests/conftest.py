@@ -1,16 +1,17 @@
 """Shared fixtures, independent oracles, and instance generators.
 
-The oracles here deliberately avoid the library's fast paths: the Littlestone
-oracle searches for explicit proper trees, the Littlestone memo oracle is the
-splitting recursion with no pruning, the VC oracle packs each member's
-pattern on a subset bit by bit, the dimension oracles scan with a
+The oracles here deliberately avoid the library's fast paths: the
+Littlestone oracle searches for explicit proper trees, the Littlestone memo
+oracle is the splitting recursion with no pruning, the VC oracle packs each
+member's pattern on a subset bit by bit, the dimension oracles scan with a
 definitional consistency predicate that tests every restriction against
 every concept of the version, the DFA oracles run each automaton string by
-string, the game oracles are a
-plain unmemoized recursion and a memoized one that tries every hypothesis
-and element at every version, the splitting-element, exceptional-partial and
-compression oracles test each point's constraint with its own dimension
-call, and the deficient-cycle oracle tries every tuple of distinct nodes.
+string, the game oracles are a plain unmemoized recursion and a memoized one
+that tries every hypothesis and element at every version, the
+splitting-element, exceptional-partial and compression oracles test each
+point's constraint with its own dimension call, the thicket edge-weight
+oracle sums the drop point by point within the pair's symmetric difference,
+and the deficient-cycle oracle tries every tuple of distinct nodes.
 They exist so the optimized implementations are checked against a second,
 slower route.
 """
@@ -432,6 +433,21 @@ def enumerate_dfas(n):
             for acc_bits in range(1 << k):
                 accepting = [s for s in range(k) if (acc_bits >> s) & 1]
                 yield Dfa(k, transitions, accepting)
+
+
+def edge_weight_oracle(cls, mu, version, a, b):
+    """The thicket weight a -> b by its defining sum: over the points where
+    concepts a and b differ, the mu-weighted drop in the version's
+    Littlestone dimension when b's label is revealed, divided by their mass."""
+    ca, cb = cls.concepts[a], cls.concepts[b]
+    d = ldim_subset(cls, version)
+    delta = [x for x in range(cls.universe.size) if ca.label(x) != cb.label(x)]
+    drop = sum(
+        mu.weight(x)
+        * (d - ldim_subset(cls, cls.restrict_version(version, x, cb.label(x))))
+        for x in delta
+    )
+    return drop / sum(mu.weight(x) for x in delta)
 
 
 def deficient_cycle_oracle(weight, n, max_len):

@@ -41,6 +41,7 @@ from eqlearn.teachers import (
 
 from conftest import (
     concept_classes,
+    edge_weight_oracle,
     enumerate_playouts,
     random_class_only,
     splitting_element_oracle,
@@ -370,19 +371,10 @@ def _maxmin_by_definition(cls, mu, version):
     the version's other concepts, of the defining expected-drop sum, with
     each concept's rank."""
     members = [k for k in range(len(cls)) if (version >> k) & 1]
-    d = ldim_subset(cls, version)
-
-    def weight(a, b):
-        ca, cb = cls.concepts[a], cls.concepts[b]
-        delta = [x for x in range(cls.universe.size) if ca.label(x) != cb.label(x)]
-        drop = sum(
-            mu.weight(x)
-            * (d - ldim_subset(cls, cls.restrict_version(version, x, cb.label(x))))
-            for x in delta
-        )
-        return drop / sum(mu.weight(x) for x in delta)
-
-    ranks = {a: min(weight(a, b) for b in members if b != a) for a in members}
+    ranks = {
+        a: min(edge_weight_oracle(cls, mu, version, a, b) for b in members if b != a)
+        for a in members
+    }
     best = max(ranks.values())
     return next(a for a in members if ranks[a] == best), ranks
 

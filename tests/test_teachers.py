@@ -3,7 +3,7 @@
 import pytest
 
 from eqlearn import fixtures
-from eqlearn.core import Concept, Distribution, parse_partial
+from eqlearn.core import Concept, ConceptClass, Distribution, Universe, parse_partial
 from eqlearn.dimensions import ldim
 from eqlearn.learners import (
     CdimEqLearner,
@@ -148,6 +148,18 @@ def test_witness_adversary_preconditions(sing4):
         WitnessAdversary(
             sing4, extendable, 1, hypothesis_class=sing4
         )
+
+
+def test_witness_adversary_refuses_a_hypothesis_class_not_over_the_class(sing4, singe4):
+    # the all-zero total is 3-consistent and outside each H below, so only
+    # the subclass check can refuse them
+    allzero = parse_partial(sing4.universe, "0000")
+    other = Universe([f"y{i}" for i in range(4)])
+    renamed = ConceptClass(other, [Concept(other, c.bits) for c in sing4.concepts])
+    with pytest.raises(ValueError, match="universe differs"):
+        WitnessAdversary(sing4, allzero, 3, hypothesis_class=renamed)
+    with pytest.raises(ValueError, match="outside the hypothesis class"):
+        WitnessAdversary(singe4, allzero, 3, hypothesis_class=sing4)
 
 
 def test_witness_adversary_forces_sing4(sing4):

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqlearn import fixtures
-from eqlearn.core import Concept, Distribution, parse_class
+from eqlearn.core import Concept, Distribution, Universe, parse_class
 from eqlearn.dimensions import ldim_subset
-from eqlearn.learners import edge_weight_in
 from eqlearn.thicket import (
     ThicketGraph,
     deficient_cycle_search,
@@ -19,7 +18,12 @@ from eqlearn.thicket import (
     shortest_deficient_cycle,
 )
 
-from conftest import deficient_cycle_oracle, random_class_only
+from conftest import (
+    concept_classes,
+    deficient_cycle_oracle,
+    edge_weight_oracle,
+    random_class_only,
+)
 
 HALF = Fraction(1, 2)
 
@@ -51,13 +55,21 @@ def test_query_rank_requires_membership(sing4):
         query_rank(sing4, mu, Concept(sing4.universe, 0b1111))
 
 
+def test_query_rank_refuses_a_concept_over_another_universe(sing4):
+    # both concepts carry the bits of SING(4)'s first member
+    mu = Distribution.uniform(sing4.universe)
+    other = Universe([f"y{i}" for i in range(4)])
+    for concept in (Concept(other, 1), fixtures.singletons(5).concepts[0]):
+        assert concept.bits == sing4.concepts[0].bits
+        with pytest.raises(ValueError, match="universe differs"):
+            query_rank(sing4, mu, concept)
+
+
 def test_edge_weight_examples(sing4, pair_class):
     mu = Distribution.uniform(sing4.universe)
-    a, b = sing4.concepts[:2]
-    assert edge_weight_in(sing4, mu, sing4.full_version, a, b) == HALF
+    assert ThicketGraph(sing4, mu, sing4.full_version).weight(0, 1) == HALF
     mu1 = Distribution.uniform(pair_class.universe)
-    a, b = pair_class.concepts
-    assert edge_weight_in(pair_class, mu1, pair_class.full_version, a, b) == 1
+    assert ThicketGraph(pair_class, mu1, pair_class.full_version).weight(0, 1) == 1
 
 
 def _tree32_version(tree32, name):
@@ -89,7 +101,7 @@ def test_edge_weight_tree32_against_direct_sum(tree32, version_name):
         v = tree32.restrict_version(version, x, b.label(x))
         total += Fraction(1, 12) * (d - ldim_subset(tree32, v))
     expected = total / Fraction(len(delta), 12)
-    assert edge_weight_in(tree32, mu, version, a, b) == expected
+    assert ThicketGraph(tree32, mu, version).weight(0, 4) == expected
     if version_name == "full":
         assert ThicketGraph(tree32, mu).weight(0, 4) == expected
         # four delta points; revealing b's labels drops 0, 0 (chain points of a),
@@ -98,6 +110,23 @@ def test_edge_weight_tree32_against_direct_sum(tree32, version_name):
     if version_name == "pair":
         # every revealed label of b pins b
         assert expected == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    concept_classes(max_x=6, max_c=8).filter(lambda cls: len(cls) >= 2),
+    st.integers(0, 2**64 - 1),
+    st.data(),
+)
+def test_every_edge_weight_matches_the_defining_sum(cls, seed, data):
+    members = st.lists(st.sampled_from(range(len(cls))), min_size=2, unique=True)
+    version = sum(1 << k for k in data.draw(members))
+    mu = fixtures.random_distribution(cls.universe, seed)
+    graph = ThicketGraph(cls, mu, version)
+    for a in graph.indices:
+        for b in graph.indices:
+            if a != b:
+                assert graph.weight(a, b) == edge_weight_oracle(cls, mu, version, a, b)
 
 
 def test_edge_weight_rejects_equal(sing4):
