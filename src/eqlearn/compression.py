@@ -8,7 +8,10 @@ i reads the first i picks as positive and the other k - i as negative.  No
 single decoder needs to disambiguate every tuple: the round-trip guarantee
 is existential over the family.  Few distinct tuples occur, so a scheme
 decodes each one once with all d + 1 functions and checks every sample that
-encodes to it against those totals.
+encodes to it against those totals.  The exhaustive check walks the samples
+as (mask, bits) pairs through the one encoder `compress` also uses, tests
+them against the totals' bits, and builds a PartialConcept only for a
+sample that fails.
 """
 
 from __future__ import annotations
@@ -45,6 +48,13 @@ def compress(concept_class, sample):
         return ()
     if sample.mask == 0:
         raise ValueError("cannot encode an empty-domain sample when ldim >= 1")
+    return _encode(concept_class, d, sample.mask, sample.bits)
+
+
+def _encode(concept_class, d, mask, bits):
+    """The greedy walk of `compress` on a realizable sample given as its
+    domain `mask` and labels `bits`, for d = ldim(C) >= 1 and mask != 0."""
+    element_ones = concept_class.element_ones
     version = concept_class.full_version
     positives = []
     negatives = []
@@ -52,15 +62,19 @@ def compress(concept_class, sample):
         full = full_ldim_partial(concept_class, version)
         # a sample point drops the dimension when `full` leaves it
         # unspecified or labels it otherwise
-        drops = sample.mask & ~(full.mask & ~(full.bits ^ sample.bits))
-        picks = (drops & sample.bits) or drops
-        if not picks:
+        drops = mask & ~(full.mask & ~(full.bits ^ bits))
+        if not drops:
             break
-        x = (picks & -picks).bit_length() - 1
-        label = (sample.bits >> x) & 1
-        (positives if label else negatives).append(x)
-        version = concept_class.restrict_version(version, x, label)
-    tup = positives + negatives or [min(sample.domain())]
+        picks = drops & bits
+        if picks:
+            x = (picks & -picks).bit_length() - 1
+            positives.append(x)
+            version &= element_ones[x]
+        else:
+            x = (drops & -drops).bit_length() - 1
+            negatives.append(x)
+            version &= ~element_ones[x]
+    tup = positives + negatives or [(mask & -mask).bit_length() - 1]
     return tuple(tup + tup[:1] * (d - len(tup)))
 
 
@@ -125,40 +139,57 @@ class CompressionScheme:
     def __init__(self, concept_class):
         self.cls = concept_class
         self.dimension = ldim_subset(concept_class, concept_class.full_version)
-        self._decoded = {}  # tuple -> the non-None totals of its decoders
+        self._decoded = {}  # tuple -> the bits of its decoders' non-None totals
 
     @property
     def reconstruction_count(self):
         return self.dimension + 1
 
     def roundtrip_ok(self, sample):
-        tup = compress(self.cls, sample)
+        compress(self.cls, sample)  # refuses a sample the class cannot encode
+        return self._roundtrip_ok(sample.mask, sample.bits)
+
+    def _roundtrip_ok(self, mask, bits):
+        """Some decoder of the realizable sample's tuple reads back a total
+        that agrees with `bits` on `mask`."""
+        d = self.dimension
+        tup = _encode(self.cls, d, mask, bits) if d else ()
         totals = self._decoded.get(tup)
         if totals is None:
-            decoded = (decompress(self.cls, i, tup) for i in range(self.dimension + 1))
-            totals = self._decoded[tup] = [t for t in decoded if t is not None]
-        return any(sample.extended_by(t) for t in totals)
+            decoded = (decompress(self.cls, i, tup) for i in range(d + 1))
+            totals = self._decoded[tup] = [t.bits for t in decoded if t is not None]
+        for t in totals:
+            if t & mask == bits:
+                return True
+        return False
 
-    def enumerate_samples(self):
-        """All distinct nonempty-domain restrictions of members (the sample
-        space of the round-trip theorem)."""
-        universe = self.cls.universe
+    def sample_bits(self):
+        """(mask, bits) of every distinct nonempty-domain restriction of a
+        member (the sample space of the round-trip theorem): masks descend
+        from the full domain, and members keep class order within a mask."""
         member_bits = self.cls.member_bits()
-        full = (1 << universe.size) - 1
+        full = (1 << self.cls.universe.size) - 1
         mask = full
         while mask:
             for bits in dict.fromkeys(b & mask for b in member_bits):
-                yield PartialConcept(universe, mask, bits)
+                yield mask, bits
             mask = (mask - 1) & full
+
+    def enumerate_samples(self):
+        """The samples of `sample_bits` as partial concepts."""
+        universe = self.cls.universe
+        return (PartialConcept(universe, m, b) for m, b in self.sample_bits())
 
 
 def check_roundtrip(concept_class):
-    """Exhaustive round-trip check; returns (sample count, failing samples)."""
+    """Exhaustive round-trip check; returns (sample count, failing samples)
+    with the failures in `enumerate_samples` order."""
     scheme = CompressionScheme(concept_class)
+    universe = concept_class.universe
     failures = []
     count = 0
-    for sample in scheme.enumerate_samples():
+    for mask, bits in scheme.sample_bits():
         count += 1
-        if not scheme.roundtrip_ok(sample):
-            failures.append(sample)
+        if not scheme._roundtrip_ok(mask, bits):
+            failures.append(PartialConcept(universe, mask, bits))
     return count, failures

@@ -424,7 +424,8 @@ class ThicketMaxMinLearner(_VersionLearner):
 
 class ThicketGraph:
     """Weighted directed query graph over a version's concepts (the whole
-    class by default); weights and query ranks are taken within the version.
+    class by default); weights and query ranks are taken within the version,
+    and an edge with an endpoint outside it is refused.
 
     The weight of i -> j is the expected drop in the version's Littlestone
     dimension when the teacher samples a point where i and j differ from
@@ -453,6 +454,8 @@ class ThicketGraph:
         if i == j:
             raise ValueError("no self-edges in the query graph")
         if (i, j) not in self._weights:
+            if not (self.version >> i) & (self.version >> j) & 1:
+                raise ValueError(f"edge {i} -> {j} leaves the graph's version")
             b = self.cls.concepts[j].bits
             delta = self.cls.concepts[i].bits ^ b
             points = [x for x in range(self.cls.universe.size) if (delta >> x) & 1]

@@ -9,9 +9,10 @@ every concept of the version, the DFA oracles run each automaton string by
 string, the game oracles are a plain unmemoized recursion and a memoized one
 that tries every hypothesis and element at every version, the
 splitting-element, exceptional-partial and compression oracles test each
-point's constraint with its own dimension call, the thicket edge-weight
-oracle sums the drop point by point within the pair's symmetric difference,
-and the deficient-cycle oracle tries every tuple of distinct nodes.
+point's constraint with its own dimension call, the round-trip oracle
+decodes every sample afresh, the thicket edge-weight oracle sums the drop
+point by point within the pair's symmetric difference, and the
+deficient-cycle oracle tries every tuple of distinct nodes.
 They exist so the optimized implementations are checked against a second,
 slower route.
 """
@@ -408,6 +409,32 @@ def compress_oracle(concept_class, sample):
             raise InvariantViolation("non-exceptional sample with no dropping point")
     tup = positives + negatives or [min(sample.domain())]
     return tuple(tup + tup[:1] * (d - len(tup)))
+
+
+def roundtrip_failures_oracle(concept_class, decode):
+    """The exhaustive round trip with no decode cache: every nonempty domain
+    in descending mask order, each member's distinct restriction to it in
+    member order, encoded by `compress_oracle` and read back by
+    `decode(concept_class, i, tup)` for every i in 0..d.  Returns (sample
+    count, the failing samples in that order)."""
+    universe = concept_class.universe
+    d = ldim_subset(concept_class, concept_class.full_version)
+    count = 0
+    failures = []
+    for mask in range((1 << universe.size) - 1, 0, -1):
+        seen = set()
+        for concept in concept_class.concepts:
+            bits = concept.bits & mask
+            if bits in seen:
+                continue
+            seen.add(bits)
+            count += 1
+            sample = PartialConcept(universe, mask, bits)
+            tup = compress_oracle(concept_class, sample)
+            totals = [decode(concept_class, i, tup) for i in range(d + 1)]
+            if not any(t is not None and sample.extended_by(t) for t in totals):
+                failures.append(sample)
+    return count, failures
 
 
 def dfa_accepts(dfa, string):

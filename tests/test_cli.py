@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqlearn import cli, dimensions
+from eqlearn import cli, compression, dimensions
 from eqlearn.automata import Dfa, format_dfa
 from eqlearn.cli import execute
 from eqlearn.core import parse_class
+
+from conftest import compress_oracle
 
 
 @pytest.fixture()
@@ -419,6 +421,25 @@ def test_compress_command(sing4_file, tree32_file):
     assert code == 0
     assert text.strip().endswith("roundtrip=ok")
     assert "d=1 rhos=2 samples=" in text
+
+
+def test_compress_check_all_reports_the_first_failing_sample(
+    tree32, tree32_file, monkeypatch
+):
+    # refuse every decode of TREE(3,2)'s most common tuple, (0, 0); the
+    # first sample encoded to it is 100*00000000
+    samples = list(compression.CompressionScheme(tree32).enumerate_samples())
+    tuples = [compress_oracle(tree32, s) for s in samples]
+    refused = max(sorted(set(tuples)), key=tuples.count)
+    decode = compression.decompress
+
+    def broken(concept_class, index, tup):
+        return None if tup == refused else decode(concept_class, index, tup)
+
+    monkeypatch.setattr(compression, "decompress", broken)
+    code, text = execute(["compress", "--class", tree32_file, "--check-all"])
+    assert code == 0
+    assert text == "d=2 rhos=3 samples=27174 roundtrip=FAIL(100*00000000)\n"
 
 
 def test_dfa_command(tmp_path):

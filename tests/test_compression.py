@@ -21,6 +21,7 @@ from conftest import (
     full_ldim_partial_oracle,
     is_exceptional_oracle,
     random_class_only,
+    roundtrip_failures_oracle,
 )
 
 
@@ -246,6 +247,27 @@ def test_decode_cache_reports_every_sample_of_a_failing_tuple(name, request, mon
     expected = {(s.mask, s.bits) for s, t in zip(samples, tuples) if t == chosen}
     assert count == len(samples) and len(expected) > 1
     assert sorted((s.mask, s.bits) for s in failures) == sorted(expected)
+
+
+@given(cls=concept_classes(max_x=6, max_c=10), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_roundtrip_failures_match_the_oracle_in_order(cls, data):
+    # the CLI prints failures[0], so the failing samples and their order
+    # are both part of the output
+    scheme = CompressionScheme(cls)
+    tuples = sorted({compress_oracle(cls, s) for s in scheme.enumerate_samples()})
+    refused = data.draw(st.sampled_from(tuples), label="refused")
+    decode = compression.decompress
+
+    def broken(concept_class, index, tup):
+        return None if tup == refused else decode(concept_class, index, tup)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compression, "decompress", broken)
+        count, failures = check_roundtrip(cls)
+    expected_count, expected = roundtrip_failures_oracle(cls, broken)
+    assert count == expected_count and expected
+    assert [(s.mask, s.bits) for s in failures] == [(s.mask, s.bits) for s in expected]
 
 
 def test_roundtrip_requires_existential_decoder(tree32):

@@ -135,6 +135,19 @@ def test_edge_weight_rejects_equal(sing4):
         ThicketGraph(sing4, mu).weight(0, 0)
 
 
+def test_edge_weight_and_query_rank_refuse_concepts_outside_the_version(sing4):
+    # concepts 2 and 3 are outside the version {0, 1}, so no edge there has a weight
+    mu = Distribution.uniform(sing4.universe)
+    graph = ThicketGraph(sing4, mu, 0b11)
+    assert graph.weight(0, 1) == 1
+    for i, j in ((2, 3), (0, 3)):
+        with pytest.raises(ValueError, match="leaves the graph's version"):
+            graph.weight(i, j)
+    with pytest.raises(ValueError, match="leaves the graph's version"):
+        graph.query_rank(3)
+    assert graph.query_rank(0) == 1
+
+
 def test_query_rank_examples(sing4, pair_class):
     mu = Distribution.uniform(sing4.universe)
     for concept in sing4.concepts:
