@@ -26,6 +26,7 @@ from .core import (
 )
 from .compression import CompressionScheme, check_roundtrip
 from .dimensions import (
+    check_partials_size,
     check_recursion_depth,
     consistency_dim,
     consistency_threshold,
@@ -187,8 +188,11 @@ def _cmd_dims(args):
     if args.strong and not args.hyp:
         raise UsageError("--strong needs --hyp")
     cls = _load_class(args.class_file)
+    # the refusals come before any exhaustive work (H_m is built by a scan);
+    # the strong dimension against the powerset needs no 3^|X| array
+    if args.strong and args.hyp != "powerset":
+        check_partials_size(cls.universe)
     hyp = _load_hypotheses(args.hyp, cls) if args.hyp else None
-    # the two refusals come before any exhaustive work
     check_recursion_depth(cls, len(cls), "the Littlestone recursion")
     threshold = consistency_threshold(cls)
     lines = [f"ldim={ldim_subset(cls, cls.full_version)}", f"vcdim={vc_dim(cls)}"]

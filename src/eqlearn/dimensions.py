@@ -11,9 +11,10 @@ compression scheme, the thicket code and the full-dimension partials).
 Consistency dimension, the consistency threshold and H_m read one array of
 consistency levels over all 2^|X| totals, filled once per class.
 Strong consistency dimension works on arrays with one cell per partial
-labeling (3^|X| cells in base-3 order), updated in place by one numpy pass
-per element.  numpy is imported by the kernels that build these arrays,
-on first use, so a command that never scans does not load it.
+labeling (3^|X| cells in base-3 order), updated by one numpy pass per
+element, each over long contiguous runs (`_digit_passes`).  numpy is
+imported by the kernels that build these arrays, on first use, so a command
+that never scans does not load it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from .core import (
 
 # Exhaustive arrays are refused above these universe sizes rather than
 # allocated.  Measured as peak-memory growth: the level scan takes about 20
-# bytes per total (2^24 totals: about 340 MB), and the strong-consistency
-# arrays about 2.4 bytes per partial labeling (3^17 cells: about 310 MB).
+# bytes per total (2^24 totals: about 340 MB), and `strong_consistency_dim`
+# about 2.2 bytes per partial labeling (tracemalloc peak at |X| = 14: 2.14
+# with H the class, 2.17 with H_2; 3^17 cells: about 280 MB).
 _MAX_SCAN_SIZE = 24
 _MAX_PARTIALS_SIZE = 17
 
@@ -327,12 +329,60 @@ def consistency_threshold(concept_class):
 
 # the int8 maximum (the arrays' dtype), above every restriction size
 _INF = 127
+# rows of the (high digits, low digits) table `_digit_passes` transposes at once
+_SLAB_ROWS = 243
+
+
+def check_partials_size(universe):
+    """Refuse a universe too large for the 3^|X| strong-consistency arrays."""
+    _check_size(universe.size, _MAX_PARTIALS_SIZE, "the array over all 3^|X| partial labelings")
+
+
+def _digit_passes(flat, size, op):
+    """Run `op` once per element over `flat`, a cell array in base-3 order
+    (digit i of a cell is 0 when element i is unspecified and 1 + its label
+    otherwise).  `op(cells)` updates a `(rest, 3, run)` view in place, whose
+    middle axis is the element's digit; the passes of different elements
+    commute, so they may run in any order.
+
+    Seen as a table of rows (the high half of the digits) by columns (the
+    low half), a high digit's pass runs in place over runs of at least one
+    row.  A low digit's run would be only 3^i cells long, so the low digits
+    run instead on a transposed copy of `_SLAB_ROWS` rows at a time, where
+    a digit's run is 3^i times the slab's rows long."""
+    import numpy as np
+
+    low = size // 2
+    for i in range(low, size):
+        op(flat.reshape(3 ** (size - 1 - i), 3, 3**i))
+    if low == 0:
+        return
+    rows = flat.reshape(-1, 3**low)
+    buffer = np.empty(min(_SLAB_ROWS, len(rows)) * 3**low, dtype=flat.dtype)
+    for start in range(0, len(rows), _SLAB_ROWS):
+        slab = rows[start : start + _SLAB_ROWS]
+        width = len(slab)
+        columns = buffer[: width * 3**low].reshape(3**low, width)
+        np.copyto(columns, slab.T)
+        for i in range(low):
+            op(columns.reshape(3 ** (low - 1 - i), 3, 3**i * width))
+        np.copyto(slab, columns.T)
+
+
+def _or_into_unspecified(cells):
+    cells[:, 0] |= cells[:, 1]
+    cells[:, 0] |= cells[:, 2]
+
+
+def _min_into_specified(cells):
+    import numpy as np
+
+    np.minimum(cells[:, 1:], cells[:, :1], out=cells[:, 1:])
 
 
 def _extendable(bits, size):
-    """Per partial labeling, in base-3 cell order (digit i of a cell is 0
-    when element i is unspecified and 1 + its label otherwise): whether one
-    of the totals `bits` extends it."""
+    """Per partial labeling, in base-3 cell order (as in `_digit_passes`):
+    whether one of the totals `bits` extends it."""
     import numpy as np
 
     place = np.zeros(1 << size, dtype=np.int64)  # place[mask] = sum of 3^i over i in mask
@@ -340,28 +390,28 @@ def _extendable(bits, size):
         place[1 << i : 2 << i] = place[: 1 << i] + 3**i
     out = np.zeros(3**size, dtype=bool)
     out[place[-1] + place[bits]] = True
-    for i in range(size):
-        cells = out.reshape(3 ** (size - 1 - i), 3, 3**i)
-        cells[:, 0] |= cells[:, 1] | cells[:, 2]
+    _digit_passes(out, size, _or_into_unspecified)
     return out
 
 
 def _smallest_unextendable(concept_class):
-    """Per partial labeling (base-3 cells as in `_extendable`): the size of
+    """Per partial labeling (base-3 cells as in `_digit_passes`): the size of
     its smallest restriction with no extension in the class, or `_INF` when
     the class extends it."""
-    size = concept_class.universe.size
-    _check_size(size, _MAX_PARTIALS_SIZE, "the array over all 3^|X| partial labelings")
+    check_partials_size(concept_class.universe)
     import numpy as np
 
+    size = concept_class.universe.size
+    member = np.array(concept_class.member_bits(), dtype=np.int64)
+    extendable = _extendable(member, size)
+    # each partial's size: the cells with digit i specified are the cells
+    # below 3^i, one larger, concatenated twice
     smallest = np.zeros(3**size, dtype=np.int8)
     for i in range(size):
-        smallest.reshape(3 ** (size - 1 - i), 3, 3**i)[:, 1:] += 1
-    member = np.array(concept_class.member_bits(), dtype=np.int64)
-    np.copyto(smallest, _INF, where=_extendable(member, size))
-    for i in range(size):
-        cells = smallest.reshape(3 ** (size - 1 - i), 3, 3**i)
-        np.minimum(cells[:, 1:], cells[:, :1], out=cells[:, 1:])
+        np.add(smallest[: 3**i], 1, out=smallest[3**i : 3 ** (i + 1)].reshape(2, 3**i))
+    np.copyto(smallest, _INF, where=extendable)
+    del extendable  # freed before the min-closure allocates its slab buffer
+    _digit_passes(smallest, size, _min_into_specified)
     return smallest
 
 
@@ -373,21 +423,27 @@ def strong_consistency_dim(concept_class, hypotheses):
     order). Each cell starts at the partial's size, or `_INF` when the class
     extends it; one pass per element then lowers every cell that specifies
     the element to the cell that leaves it unspecified, so each cell ends at
-    the size of its smallest restriction with no extension in the class.
-    The answer is the largest such size over the partials H does not extend
-    (`_extendable`), and at least 1.
+    the size of its smallest restriction with no extension in the class, and
+    at `_INF` exactly where the class extends it.  The answer is the largest
+    such size over the partials H does not extend, and at least 1: H holds
+    the class, so those are the cells below `_INF` that no total of H outside
+    the class extends (`_extendable`).
     """
     check_subclass(concept_class, hypotheses)
     if isinstance(hypotheses, AllTotals):
         return 1
-    size = concept_class.universe.size
+    import numpy as np
+
     smallest = _smallest_unextendable(concept_class)
     # partials H extends do not count
-    smallest[_extendable(_hypothesis_bits(hypotheses), size)] = 0
-    worst = int(smallest.max(initial=1))
-    if worst == _INF:
-        raise AssertionError("partial consistent with the class but unextendable in a superclass")
-    return worst
+    smallest[smallest == _INF] = 0
+    outside = np.array(
+        [bits for bits in hypotheses.member_bits() if not concept_class.contains_bits(bits)],
+        dtype=np.int64,
+    )
+    if outside.size:
+        smallest[_extendable(outside, concept_class.universe.size)] = 0
+    return int(smallest.max(initial=1))
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +457,13 @@ def hypothesis_hm(concept_class, m):
     least extension in that order."""
     if m < 1:
         raise ValueError("m must be positive")
+    import numpy as np
+
     universe = concept_class.universe
-    members = sorted(
-        m_consistent_totals(concept_class, m),
-        key=lambda bits: format(bits, f"0{universe.size}b")[::-1],
-    )
+    totals = np.array(m_consistent_totals(concept_class, m), dtype=np.int64)
+    reversed_bits = np.zeros_like(totals)  # element 0's label most significant
+    for i in range(universe.size):
+        reversed_bits |= ((totals >> i) & 1) << (universe.size - 1 - i)
+    members = totals[reversed_bits.argsort()].tolist()
     return ConceptClass(universe, [Concept(universe, b) for b in members])
 

@@ -11,8 +11,9 @@ that tries every hypothesis and element at every version, the
 splitting-element, exceptional-partial and compression oracles test each
 point's constraint with its own dimension call, the round-trip oracle
 decodes every sample afresh, the thicket edge-weight oracle sums the drop
-point by point within the pair's symmetric difference, and the
-deficient-cycle oracle tries every tuple of distinct nodes.
+point by point within the pair's symmetric difference, the
+deficient-cycle oracle tries every tuple of distinct nodes, and the 3^|X|
+array oracles make one in-place numpy pass per element.
 They exist so the optimized implementations are checked against a second,
 slower route.
 """
@@ -25,7 +26,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import strategies as st
 
-from eqlearn import fixtures
+from eqlearn import dimensions, fixtures
 from eqlearn.automata import Dfa, bounded_strings
 from eqlearn.core import (
     Concept,
@@ -225,6 +226,41 @@ def scdim_oracle(cls, hyp):
         if ok:
             return n
     raise AssertionError("unreachable")
+
+
+def extendable_oracle(bits, size):
+    """`dimensions._extendable` as one in-place numpy pass per element over a
+    `(3^(size-1-i), 3, 3^i)` view: the unspecified digit ORs in its two
+    labels."""
+    import numpy as np
+
+    place = np.zeros(1 << size, dtype=np.int64)  # place[mask] = sum of 3^i over i in mask
+    for i in range(size):
+        place[1 << i : 2 << i] = place[: 1 << i] + 3**i
+    out = np.zeros(3**size, dtype=bool)
+    out[place[-1] + place[bits]] = True
+    for i in range(size):
+        cells = out.reshape(3 ** (size - 1 - i), 3, 3**i)
+        cells[:, 0] |= cells[:, 1] | cells[:, 2]
+    return out
+
+
+def smallest_unextendable_oracle(concept_class):
+    """`dimensions._smallest_unextendable` as in-place numpy passes per
+    element: one adding 1 to the specified digits for the size, one lowering
+    the specified digits to the unspecified one."""
+    import numpy as np
+
+    size = concept_class.universe.size
+    smallest = np.zeros(3**size, dtype=np.int8)
+    for i in range(size):
+        smallest.reshape(3 ** (size - 1 - i), 3, 3**i)[:, 1:] += 1
+    member = np.array(concept_class.member_bits(), dtype=np.int64)
+    np.copyto(smallest, dimensions._INF, where=extendable_oracle(member, size))
+    for i in range(size):
+        cells = smallest.reshape(3 ** (size - 1 - i), 3, 3**i)
+        np.minimum(cells[:, 1:], cells[:, :1], out=cells[:, 1:])
+    return smallest
 
 
 def lc_reference(cls, hyp, allow_mq):

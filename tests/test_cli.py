@@ -144,6 +144,22 @@ def test_dims_refuses_a_wide_universe_before_any_dimension(tmp_path, monkeypatch
     assert f"limited to |X| <= {dimensions._MAX_SCAN_SIZE}" in text
 
 
+def test_dims_refuses_the_strong_arrays_before_any_scan(tmp_path, monkeypatch):
+    def fail(*args):
+        raise AssertionError("dims scanned the totals before refusing the 3^|X| arrays")
+
+    monkeypatch.setattr(dimensions, "consistency_levels", fail)
+    wide = _wide_class(tmp_path, dimensions._MAX_PARTIALS_SIZE + 1)
+    for hyp in ("self", "m:2", wide):
+        code, text = execute(["dims", "--class", wide, "--hyp", hyp, "--strong"])
+        assert code == 2 and text.startswith("input error: "), (hyp, text)
+        assert f"limited to |X| <= {dimensions._MAX_PARTIALS_SIZE}" in text
+    # the strong dimension against the powerset builds no array
+    monkeypatch.undo()
+    code, text = execute(["dims", "--class", wide, "--hyp", "powerset", "--strong"])
+    assert code == 0 and "scdim=1" in text, text
+
+
 def test_missing_file_is_input_error(sing4_file):
     code, text = execute(["dims", "--class", "no-such-file.cls"])
     assert code == 2 and "input error" in text

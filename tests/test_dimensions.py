@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,15 +29,18 @@ from eqlearn.dimensions import (
     strong_consistency_dim,
     vc_dim,
 )
+from eqlearn.rng import SplitMix64
 
 from conftest import (
     cdim_oracle,
     concept_classes,
+    extendable_oracle,
     ldim_memo_oracle,
     ldim_oracle,
     random_class_only,
     random_instance,
     scdim_oracle,
+    smallest_unextendable_oracle,
     steps_under_raising_limit,
     vc_oracle,
 )
@@ -278,6 +282,53 @@ def test_smallest_unextendable_totals_are_consistency_levels(cls):
             assert value == levels[bits] <= size
 
 
+def _array_classes(size):
+    """A random class, SING(n) and, at 12 elements, TREE(3,2)."""
+    yield fixtures.random_class(size, min(1 << size, size + 6), size)
+    yield fixtures.singletons(size)
+    if size == 12:
+        yield fixtures.tree_class(3, 2)
+
+
+def test_array_sizes_run_the_slab_loop_once_and_many_times():
+    # rows of the (high digits, low digits) table, over the slab height
+    slabs = [-(-(3 ** (size - size // 2)) // dimensions._SLAB_ROWS) for size in range(2, 14)]
+    assert slabs[0] == 1 and slabs[-1] >= 9
+
+
+@pytest.mark.parametrize("slab_rows", [dimensions._SLAB_ROWS, 1, 5])
+@pytest.mark.parametrize("size", range(1, 14))
+def test_digit_pass_arrays_match_the_per_element_oracle(monkeypatch, size, slab_rows):
+    # heights 1 and 5 run the slab loop many times at every size, 5 with a
+    # shorter last slab
+    monkeypatch.setattr(dimensions, "_SLAB_ROWS", slab_rows)
+    rng = SplitMix64(size)
+    for cls in _array_classes(size):
+        member = np.array(cls.member_bits(), dtype=np.int64)
+        others = np.array([rng.below(1 << size) for _ in range(5)], dtype=np.int64)
+        for bits in (member, others):
+            assert np.array_equal(dimensions._extendable(bits, size), extendable_oracle(bits, size))
+        smallest = dimensions._smallest_unextendable(cls)
+        assert smallest.dtype == np.int8
+        assert np.array_equal(smallest, smallest_unextendable_oracle(cls))
+
+
+@pytest.mark.parametrize("size", [12, 13, 14])
+def test_scdim_matches_the_oracle_arrays(size):
+    cls = fixtures.random_class(size, 2 * size, size)
+    rng = SplitMix64(size)
+    extra = {rng.below(1 << size) for _ in range(3)} - set(cls.bits_index)
+    superset = ConceptClass(
+        cls.universe, list(cls.concepts) + [Concept(cls.universe, b) for b in sorted(extra)]
+    )
+    oracle = smallest_unextendable_oracle(cls)
+    for hyp in (cls, hypothesis_hm(cls, 2), superset):
+        expected = oracle.copy()
+        hyp_bits = np.array(hyp.member_bits(), dtype=np.int64)
+        expected[extendable_oracle(hyp_bits, size)] = 0
+        assert strong_consistency_dim(cls, hyp) == int(expected.max(initial=1))
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_scdim_matches_oracle(seed):
     cls, hyp = random_instance(seed + 600, max_x=5, max_c=6, max_extra=3)
@@ -340,6 +391,16 @@ def test_hm_at_universe_size_is_class(sing4, tree32, five):
         for m in (size, size + 1, size + 5, 99):
             hm = hypothesis_hm(cls, m)
             assert sorted(hm.member_bits()) == sorted(cls.bits_index), m
+
+
+@given(cls=concept_classes(max_x=7, max_c=12), m=st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_hm_orders_members_by_labels_from_element_0(cls, m):
+    size = cls.universe.size
+    expected = sorted(
+        m_consistent_totals(cls, m), key=lambda bits: format(bits, f"0{size}b")[::-1]
+    )
+    assert hypothesis_hm(cls, m).member_bits() == expected
 
 
 def test_hm_tree32_contains_chain_root(tree32):
