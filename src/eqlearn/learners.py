@@ -2,11 +2,13 @@
 
 Every learner is a single-session stateful object exposing next_move() and
 observe().  A learner's version space is the bitset of concept indices
-consistent with what it has observed.  The c^d learner's sub-learners each
-start from the version their split made, not from the one that earlier
-counterexamples narrowed, so a sub-learner may submit a hypothesis that an
-earlier counterexample already refuted.  Each learner carries
-`certified_budget`, the query bound its construction guarantees.
+consistent with what it has observed.  A composed learner runs on a stack
+of frames (version, equivalence queries left): a split replaces the top
+frame with one frame per part.  Each frame starts from the version its
+split made, not from the one that earlier counterexamples narrowed, so the
+c^d learner may submit a hypothesis that an earlier counterexample already
+refuted.  Each learner carries `certified_budget`, the query bound its
+construction guarantees.
 """
 
 from __future__ import annotations
@@ -112,9 +114,9 @@ def run_session(learner, teacher, budget):
 class _VersionLearner(Learner):
     """Common bookkeeping: a version bitset narrowed by counterexamples."""
 
-    def __init__(self, concept_class, version=None):
+    def __init__(self, concept_class):
         self.cls = concept_class
-        self.version = concept_class.full_version if version is None else version
+        self.version = concept_class.full_version
 
     @property
     def exhausted(self):
@@ -184,84 +186,76 @@ class HalvingEqLearner(_VersionLearner):
         return EqQuery(hyp)
 
 
-class ComposeLearner(Learner):
-    """Runs sub-learners in order, each until success or until it has spent
-    its certified equivalence-query budget; responses reach only the active
-    sub-learner."""
+class ComposeLearner(_VersionLearner):
+    """Runs a stack of frames (version, equivalence queries left), top last.
 
-    def __init__(self, subs):
-        self.subs = [(learner, budget) for learner, budget in subs]
-        self.active = 0
-        self.spent = 0
-        self._responding = None
-        self.certified_budget = sum(b for _, b in self.subs)
+    The top frame is dropped once its version is empty or its queries are
+    spent.  Otherwise `_move` on its version gives either an equivalence
+    query, which uses up one of the frame's queries, or a list of child
+    versions, which replace the frame, the first child on top, each nonempty
+    one with `_budget(child)` queries.  Every answer narrows `version`; a
+    counterexample also narrows the top frame's version, and no other, so a
+    later frame starts from the version its split made.  Subclasses give
+    `_budget` and `_move`."""
 
-    def _next_active(self):
-        i, spent = self.active, self.spent
-        while i < len(self.subs):
-            learner, budget = self.subs[i]
-            if learner.exhausted or spent >= budget:
-                i += 1
-                spent = 0
-            else:
-                break
-        return i, spent
+    def __init__(self, concept_class):
+        super().__init__(concept_class)
+        self.certified_budget = self._budget(self.version)
+        self.frames = ((self.version, self.certified_budget),)
+
+    def _budget(self, version):
+        raise NotImplementedError
+
+    def _move(self, version):
+        raise NotImplementedError
 
     @property
     def exhausted(self):
-        i, _ = self._next_active()
-        return i >= len(self.subs)
+        return not any(version and left for version, left in self.frames)
 
     def next_move(self):
-        self.active, self.spent = self._next_active()
-        if self.active >= len(self.subs):
-            raise InvariantViolation("all composed learners are exhausted")
-        learner = self.subs[self.active][0]
-        move = learner.next_move()
-        if isinstance(move, EqQuery):
-            self.spent += 1
-        self._responding = learner
-        return move
+        frames = self.frames
+        while frames:
+            (version, left), frames = frames[-1], frames[:-1]
+            if not version or not left:
+                continue
+            move = self._move(version)
+            if isinstance(move, EqQuery):
+                self.frames = frames + ((version, left - 1),)
+                return move
+            frames += tuple((v, self._budget(v)) for v in reversed(move) if v)
+        raise InvariantViolation("every frame is exhausted")
 
     def observe(self, response):
-        if isinstance(response, YesAnswer):
-            self.done = True
-        if self._responding is None:
-            raise InvariantViolation("response without a pending move")
-        self._responding.observe(response)
-        self._responding = None
+        super().observe(response)
+        if isinstance(response, Counterexample):
+            version, left = self.frames[-1]
+            version = self.cls.restrict_version(version, response.point, response.label)
+            self.frames = self.frames[:-1] + ((version, left),)
 
 
-class CdimEqLearner(_VersionLearner):
+class CdimEqLearner(ComposeLearner):
     """The c^d recursion: split on an element when both halves drop the
     dimension, otherwise submit the full-dimension total when it is in H, and
     otherwise locate a small restriction of it with no extension in the
-    version space and compose learners over the subclasses it induces.  At
-    consistency dimension 1 it submits the Littlestone-majority total and at
-    2 the first extension of the full-dimension partial (ldim + 1 queries)."""
+    version space and split into the subclasses it induces.  At consistency
+    dimension 1 it submits the Littlestone-majority total and at 2 the first
+    extension of the full-dimension partial (ldim + 1 queries)."""
 
-    def __init__(self, concept_class, hypotheses, _consistency=None, _version=None):
-        super().__init__(concept_class, _version)
+    def __init__(self, concept_class, hypotheses, _consistency=None):
         self.hyp = hypotheses
         self.c = (
             _consistency
             if _consistency is not None
             else consistency_dim(concept_class, hypotheses)
         )
-        d = ldim_subset(concept_class, self.version)
-        self.certified_budget = d + 1 if self.c <= 2 else self.c**d
-        self._sub = None
+        super().__init__(concept_class)
 
-    @property
-    def exhausted(self):
-        if self._sub is not None:
-            return self._sub.exhausted
-        return self.version == 0
+    def _budget(self, version):
+        d = ldim_subset(self.cls, version)
+        return d + 1 if self.c <= 2 else self.c**d
 
-    def next_move(self):
-        if self._sub is not None:
-            return self._sub.next_move()
-        version = self.version
+    def _move(self, version):
         if self.c == 1:
             return EqQuery(_majority_total(self.cls, version))
         if self.c == 2:
@@ -274,28 +268,11 @@ class CdimEqLearner(_VersionLearner):
             return EqQuery(hyp)
         x, total = _split_or_total(self.cls, version)
         if total is None:
-            versions = [self.cls.restrict_version(version, x, label) for label in (0, 1)]
-        elif self.hyp.contains_bits(total.bits):
+            return [self.cls.restrict_version(version, x, label) for label in (0, 1)]
+        if self.hyp.contains_bits(total.bits):
             return EqQuery(total)
-        else:
-            points = _unextendable_restriction(self.cls, version, total.bits, self.c)
-            versions = [
-                self.cls.restrict_version(version, x, 1 - total.label(x)) for x in points
-            ]
-        subs = [
-            CdimEqLearner(self.cls, self.hyp, _consistency=self.c, _version=v)
-            for v in versions
-        ]
-        self._sub = ComposeLearner([(sub, sub.certified_budget) for sub in subs])
-        return self._sub.next_move()
-
-    def observe(self, response):
-        if self._sub is None:
-            super().observe(response)
-            return
-        if isinstance(response, YesAnswer):
-            self.done = True
-        self._sub.observe(response)
+        points = _unextendable_restriction(self.cls, version, total.bits, self.c)
+        return [self.cls.restrict_version(version, x, 1 - total.label(x)) for x in points]
 
 
 class OptimalEqLearner(CdimEqLearner):
@@ -367,13 +344,13 @@ class EqMqLearner(_VersionLearner):
         self.certified_budget = self.cprime * d + 1
         # pending membership queries: (point, the total's label there, or
         # None at a splitting element)
-        self._plan = []
+        self._plan = ()
 
     def next_move(self):
         if not self._plan:
             x, total = _split_or_total(self.cls, self.version)
             if total is None:
-                self._plan = [(x, None)]
+                self._plan = ((x, None),)
             elif self.hyp.contains_bits(total.bits):
                 return EqQuery(total)
             else:
@@ -382,7 +359,7 @@ class EqMqLearner(_VersionLearner):
                     raise InvariantViolation(
                         "unextendable restriction of size < 2 contradicts the hypothesis choice"
                     )
-                self._plan = [(x, total.label(x)) for x in points[:-1]]
+                self._plan = tuple((x, total.label(x)) for x in points[:-1])
         return MqQuery(self._plan[0][0])
 
     def observe(self, response):
@@ -391,11 +368,11 @@ class EqMqLearner(_VersionLearner):
             return
         if not self._plan:
             raise InvariantViolation("membership answer without a pending query")
-        point, expected = self._plan.pop(0)
+        (point, expected), self._plan = self._plan[0], self._plan[1:]
         self._constrain(point, response.label)
         if response.label != expected:
             # a split is resolved, or the target left the total here
-            self._plan = []
+            self._plan = ()
 
 
 class ThicketMaxMinLearner(_VersionLearner):

@@ -12,8 +12,9 @@ splitting-element, exceptional-partial and compression oracles test each
 point's constraint with its own dimension call, the round-trip oracle
 decodes every sample afresh, the thicket edge-weight oracle sums the drop
 point by point within the pair's symmetric difference, the
-deficient-cycle oracle tries every tuple of distinct nodes, and the 3^|X|
-array oracles make one in-place numpy pass per element.
+deficient-cycle oracle tries every tuple of distinct nodes, the 3^|X|
+array oracles make one in-place numpy pass per element, and the c^d
+learner oracle builds a tree of sub-learner objects at every split.
 They exist so the optimized implementations are checked against a second,
 slower route.
 """
@@ -35,8 +36,16 @@ from eqlearn.core import (
     PartialConcept,
     Universe,
 )
-from eqlearn.dimensions import ldim_subset
+from eqlearn.dimensions import consistency_dim, full_ldim_partial, ldim_subset
+from eqlearn.learners import (
+    Learner,
+    _majority_total,
+    _split_or_total,
+    _unextendable_restriction,
+    _VersionLearner,
+)
 from eqlearn.rng import SplitMix64
+from eqlearn.teachers import EqQuery, YesAnswer
 
 
 @st.composite
@@ -653,3 +662,121 @@ def enumerate_playouts(learner_factory, cls, max_depth):
 
     walk([])
     return results
+
+
+# ---------------------------------------------------------------------------
+# the c^d learner as a tree of learner objects
+
+
+class ListComposeLearner(Learner):
+    """Runs sub-learners in order, each until success or until it has spent
+    its certified equivalence-query budget; responses reach only the active
+    sub-learner."""
+
+    def __init__(self, subs):
+        self.subs = [(learner, budget) for learner, budget in subs]
+        self.active = 0
+        self.spent = 0
+        self._responding = None
+        self.certified_budget = sum(b for _, b in self.subs)
+
+    def _next_active(self):
+        i, spent = self.active, self.spent
+        while i < len(self.subs):
+            learner, budget = self.subs[i]
+            if learner.exhausted or spent >= budget:
+                i += 1
+                spent = 0
+            else:
+                break
+        return i, spent
+
+    @property
+    def exhausted(self):
+        i, _ = self._next_active()
+        return i >= len(self.subs)
+
+    def next_move(self):
+        self.active, self.spent = self._next_active()
+        if self.active >= len(self.subs):
+            raise InvariantViolation("all composed learners are exhausted")
+        learner = self.subs[self.active][0]
+        move = learner.next_move()
+        if isinstance(move, EqQuery):
+            self.spent += 1
+        self._responding = learner
+        return move
+
+    def observe(self, response):
+        if isinstance(response, YesAnswer):
+            self.done = True
+        if self._responding is None:
+            raise InvariantViolation("response without a pending move")
+        self._responding.observe(response)
+        self._responding = None
+
+
+class TreeCdimEqLearner(_VersionLearner):
+    """The c^d recursion with a new learner object for every part of a
+    split, composed by `ListComposeLearner`; moves and answers pass down the
+    `_sub` chain, and the root's version stops narrowing at its first
+    split."""
+
+    def __init__(self, concept_class, hypotheses, _consistency=None, _version=None):
+        super().__init__(concept_class)
+        if _version is not None:
+            self.version = _version
+        self.hyp = hypotheses
+        self.c = (
+            _consistency
+            if _consistency is not None
+            else consistency_dim(concept_class, hypotheses)
+        )
+        d = ldim_subset(concept_class, self.version)
+        self.certified_budget = d + 1 if self.c <= 2 else self.c**d
+        self._sub = None
+
+    @property
+    def exhausted(self):
+        if self._sub is not None:
+            return self._sub.exhausted
+        return self.version == 0
+
+    def next_move(self):
+        if self._sub is not None:
+            return self._sub.next_move()
+        version = self.version
+        if self.c == 1:
+            return EqQuery(_majority_total(self.cls, version))
+        if self.c == 2:
+            full = full_ldim_partial(self.cls, version)
+            hyp = self.hyp.first_member(full.mask, full.bits)
+            if hyp is None:
+                raise InvariantViolation(
+                    "full-dimension partial has no extension despite SC <= 2"
+                )
+            return EqQuery(hyp)
+        x, total = _split_or_total(self.cls, version)
+        if total is None:
+            versions = [self.cls.restrict_version(version, x, label) for label in (0, 1)]
+        elif self.hyp.contains_bits(total.bits):
+            return EqQuery(total)
+        else:
+            points = _unextendable_restriction(self.cls, version, total.bits, self.c)
+            versions = [
+                self.cls.restrict_version(version, x, 1 - total.label(x)) for x in points
+            ]
+        subs = [
+            TreeCdimEqLearner(self.cls, self.hyp, _consistency=self.c, _version=v)
+            for v in versions
+        ]
+        self._sub = ListComposeLearner([(sub, sub.certified_budget) for sub in subs])
+        return self._sub.next_move()
+
+    def observe(self, response):
+        if self._sub is None:
+            super().observe(response)
+            return
+        if isinstance(response, YesAnswer):
+            self.done = True
+        self._sub.observe(response)

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqlearn import fixtures
-from eqlearn.core import AllTotals, Distribution, parse_partial
+from eqlearn.automata import enumerate_dfa_class
+from eqlearn.core import AllTotals, Concept, ConceptClass, Distribution, parse_partial
 from eqlearn.dimensions import (
     consistency_dim,
     full_ldim_partial,
@@ -31,8 +32,10 @@ from eqlearn.learners import (
 )
 from eqlearn.rng import SplitMix64
 from eqlearn.teachers import (
+    Counterexample,
     EqQuery,
     HonestTeacher,
+    MqAnswer,
     RandomTeacher,
     TreeAdversary,
     WitnessAdversary,
@@ -40,6 +43,7 @@ from eqlearn.teachers import (
 )
 
 from conftest import (
+    TreeCdimEqLearner,
     concept_classes,
     edge_weight_oracle,
     enumerate_playouts,
@@ -159,36 +163,23 @@ def test_cdim_singleton_class():
 # composition
 
 
-def _singleton_learner(cls, index):
-    sub = fixtures.random_class(cls.universe.size, 1, seed=0)  # placeholder
+class _OneFramePerConcept(ComposeLearner):
+    """Splits the class into one frame per concept, each submitting its
+    concept once."""
 
-    class _One:
-        done = False
-        exhausted = False
-        certified_budget = 1
+    def _budget(self, version):
+        return version.bit_count()
 
-        def __init__(self):
-            self.sent = False
-
-        def next_move(self):
-            self.sent = True
-            return EqQuery(cls.concepts[index])
-
-        def observe(self, response):
-            if isinstance(response, YesAnswer):
-                self.done = True
-            else:
-                self.exhausted = True
-
-    return _One()
+    def _move(self, version):
+        if version & (version - 1):
+            return [1 << k for k in self.cls.version_indices(version)]
+        return EqQuery(self.cls.concepts[self.cls.lowest_index(version)])
 
 
 def test_compose_two_singletons():
     cls = fixtures.singletons(2)
     for target in range(2):
-        composed = ComposeLearner(
-            [(_singleton_learner(cls, 0), 1), (_singleton_learner(cls, 1), 1)]
-        )
+        composed = _OneFramePerConcept(cls)
         transcript = run_session(composed, HonestTeacher(cls, target), 10)
         assert transcript.success and transcript.eq_count <= 2
 
@@ -196,9 +187,7 @@ def test_compose_two_singletons():
 def test_compose_tree31_by_first_coordinate():
     cls = fixtures.tree_class(3, 1)  # three singleton chains
     for target in range(3):
-        composed = ComposeLearner(
-            [(_singleton_learner(cls, k), 1) for k in range(3)]
-        )
+        composed = _OneFramePerConcept(cls)
         transcript = run_session(composed, HonestTeacher(cls, target), 10)
         assert transcript.success and transcript.eq_count <= 3
         assert transcript.eq_count <= composed.certified_budget
@@ -206,9 +195,7 @@ def test_compose_tree31_by_first_coordinate():
 
 def test_compose_budget_is_sum():
     cls = fixtures.singletons(2)
-    composed = ComposeLearner(
-        [(_singleton_learner(cls, 0), 1), (_singleton_learner(cls, 1), 1)]
-    )
+    composed = _OneFramePerConcept(cls)
     assert composed.certified_budget == 2
 
 
@@ -421,6 +408,7 @@ def test_maxmin_pick_on_restricted_versions(seed):
 def _version_sound_learners(cls, hyp):
     return [
         lambda: OptimalEqLearner(cls),
+        lambda: CdimEqLearner(cls, hyp),
         lambda: HalvingEqLearner(cls, hyp),
         lambda: EqMqLearner(cls, hyp),
         lambda: ThicketMaxMinLearner(cls, Distribution.uniform(cls.universe)),
@@ -440,6 +428,28 @@ def test_version_space_never_drops_target(seed):
                 learner.observe(teacher.respond(move))
                 if not learner.done:
                     assert (learner.version >> target) & 1, "target eliminated"
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)])
+def test_version_is_what_every_answer_allows(seed, tree32):
+    # after every turn `version` is exactly the concepts consistent with all
+    # answers so far, including after the c^d learner's splits
+    cls = tree32 if seed is None else random_class_only(seed + 900, max_x=6, max_c=10)
+    teachers = [lambda t=t: HonestTeacher(cls, t) for t in range(len(cls))]
+    for factory in _version_sound_learners(cls, cls):
+        for make_teacher in teachers + [lambda: TreeAdversary(cls)]:
+            learner = factory()
+            teacher = make_teacher()
+            version = cls.full_version
+            while not learner.done:
+                move = learner.next_move()
+                response = teacher.respond(move)
+                learner.observe(response)
+                if isinstance(response, Counterexample):
+                    version = cls.restrict_version(version, response.point, response.label)
+                elif isinstance(response, MqAnswer):
+                    version = cls.restrict_version(version, move.point, response.label)
+                assert learner.version == version
 
 
 def test_never_repeats_refuted_hypothesis(tree32):
@@ -568,3 +578,58 @@ def test_cdim_at_small_dimensions_moves_as_optimal_and_sc2(cls):
         teachers = [lambda t=t: HonestTeacher(cls, t) for t in range(len(cls))]
         for make_teacher in teachers + [lambda: TreeAdversary(cls)]:
             _same_moves(CdimEqLearner(cls, hyp), reference(), make_teacher())
+
+
+def _with_totals(cls, extra_bits):
+    """The class followed by the given totals that are not members."""
+    extra = [b for b in dict.fromkeys(extra_bits) if not cls.contains_bits(b)]
+    return ConceptClass(
+        cls.universe, list(cls.concepts) + [Concept(cls.universe, b) for b in extra]
+    )
+
+
+def _frames_move_as_tree_oracle(cls, extra_bits, seed):
+    # the c^d learner on frames against the object-tree learner it replaced,
+    # turn by turn, with every honest target, the tree adversary and a
+    # seeded random teacher
+    mu = Distribution.uniform(cls.universe)
+    teachers = [lambda t=t: HonestTeacher(cls, t) for t in range(len(cls))]
+    teachers += [
+        lambda: TreeAdversary(cls),
+        lambda: RandomTeacher(cls, seed % len(cls), mu, seed),
+    ]
+    for hyp in (cls, hypothesis_hm(cls, 2), _with_totals(cls, extra_bits)):
+        c = consistency_dim(cls, hyp)
+        for make_teacher in teachers:
+            _same_moves(
+                CdimEqLearner(cls, hyp, _consistency=c),
+                TreeCdimEqLearner(cls, hyp, _consistency=c),
+                make_teacher(),
+            )
+
+
+@given(
+    cls=concept_classes(max_x=7, max_c=12),
+    extra=st.lists(st.integers(min_value=0), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_cdim_frames_move_as_tree_oracle(cls, extra, seed):
+    full = (1 << cls.universe.size) - 1
+    _frames_move_as_tree_oracle(cls, [b & full for b in extra], seed)
+
+
+@pytest.mark.parametrize(
+    "make_class",
+    [
+        lambda: fixtures.tree_class(3, 2),
+        fixtures.five_class,
+        lambda: enumerate_dfa_class(2, 3),
+    ],
+    ids=["tree32", "five", "dfa23"],
+)
+def test_cdim_frames_move_as_tree_oracle_on_fixtures(make_class):
+    cls = make_class()
+    rng = SplitMix64(21)
+    extra = [rng.below(1 << cls.universe.size) for _ in range(3)]
+    _frames_move_as_tree_oracle(cls, extra, rng.next_u64())
