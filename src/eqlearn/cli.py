@@ -26,7 +26,7 @@ from .core import (
 )
 from .compression import CompressionScheme, check_roundtrip
 from .dimensions import (
-    check_partials_size,
+    _smallest_unextendable,
     check_recursion_depth,
     consistency_dim,
     consistency_threshold,
@@ -188,10 +188,12 @@ def _cmd_dims(args):
     if args.strong and not args.hyp:
         raise UsageError("--strong needs --hyp")
     cls = _load_class(args.class_file)
-    # the refusals come before any exhaustive work (H_m is built by a scan);
-    # the strong dimension against the powerset needs no 3^|X| array
+    # the strong dimension against the powerset needs no 3^|X| array; any
+    # other builds it first, refusing a universe too large for it before any
+    # other work, and the array then also holds every total's consistency
+    # level, so H_m, cdim and the threshold read it rather than scan
     if args.strong and args.hyp != "powerset":
-        check_partials_size(cls.universe)
+        _smallest_unextendable(cls)
     hyp = _load_hypotheses(args.hyp, cls) if args.hyp else None
     check_recursion_depth(cls, len(cls), "the Littlestone recursion")
     threshold = consistency_threshold(cls)

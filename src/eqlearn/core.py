@@ -210,9 +210,11 @@ class ConceptClass:
     subclasses of this class (keyed by the bitset of surviving concept
     indices), the full-dimension partial of each version asked for (see
     `dimensions.full_ldim_partial`; every nonempty version in it is also a
-    key of the Littlestone memo, so it never outgrows that table) and the
-    consistency levels of all totals once they have been scanned (see
-    `dimensions.consistency_levels`).
+    key of the Littlestone memo, so it never outgrows that table), the
+    3^|X| strong-consistency array once it has been built (see
+    `dimensions._smallest_unextendable`) and the consistency levels of all
+    totals, scanned or read off that array (see
+    `dimensions.consistency_levels`).  Both arrays are read-only.
     """
 
     def __init__(self, universe, concepts):
@@ -239,6 +241,7 @@ class ConceptClass:
         self.element_ones = tuple(int("".join(col), 2) for col in zip(*rows))[::-1]
         self._ldim_memo = {}
         self._full_partial_memo = {}
+        self._smallest_unextendable = None
         self._consistency_levels = None
 
     def __len__(self):

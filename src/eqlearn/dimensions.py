@@ -12,7 +12,11 @@ Consistency dimension, the consistency threshold and H_m read one array of
 consistency levels over all 2^|X| totals, filled once per class.
 Strong consistency dimension works on arrays with one cell per partial
 labeling (3^|X| cells in base-3 order), updated by one numpy pass per
-element, each over long contiguous runs (`_digit_passes`).  numpy is
+element, each over long contiguous runs (`_digit_passes`).  The class's
+array of smallest unextendable restrictions is built at most once and kept
+on the class; a total's level is its cell there, so when that array is
+built before the levels (as `dims --strong` does), the levels are gathered
+from it and the 2^|X| scan never runs.  numpy is
 imported by the kernels that build these arrays, on first use, so a command
 that never scans does not load it.
 """
@@ -34,8 +38,9 @@ from .core import (
 # Exhaustive arrays are refused above these universe sizes rather than
 # allocated.  Measured as peak-memory growth: the level scan takes about 20
 # bytes per total (2^24 totals: about 340 MB), and `strong_consistency_dim`
-# about 2.2 bytes per partial labeling (tracemalloc peak at |X| = 14: 2.14
-# with H the class, 2.17 with H_2; 3^17 cells: about 280 MB).
+# about 2.2 bytes per partial labeling, the class's kept array included
+# (tracemalloc peak at |X| = 14 on a class with no array yet: 2.00 with H
+# the class, 2.14 with H_2; 3^17 cells: about 280 MB).
 _MAX_SCAN_SIZE = 24
 _MAX_PARTIALS_SIZE = 17
 
@@ -270,34 +275,41 @@ def consistency_levels(concept_class):
     """Per total (indexed by its bits): the size of its smallest restriction
     with no extension in the class, and |X|+1 for members.
 
-    Filled once per class, one restriction size at a time, until only members
-    survive: for each subset of that size, the members' restrictions to it
-    are marked in a boolean table, and every surviving total whose
-    restriction is unmarked gets the size.
+    Read-only and kept on the class: filled by `_scan_levels`, or read off
+    the 3^|X| array when `_smallest_unextendable` has built it first.
     """
     levels = concept_class._consistency_levels
     if levels is None:
-        size = concept_class.universe.size
-        _check_size(size, _MAX_SCAN_SIZE, "the scan over all 2^|X| totals")
-        import numpy as np
-
-        levels = np.full(1 << size, size + 1, dtype=np.int8)
-        member = np.array(concept_class.member_bits(), dtype=np.int64)
-        alive = np.arange(1 << size, dtype=np.int64)
-        seen = np.zeros(1 << size, dtype=bool)
-        for k in range(1, size + 1):
-            if alive.size == member.size:
-                break
-            for subset in combinations(range(size), k):
-                mask = sum(1 << x for x in subset)
-                marks = member & mask
-                seen[marks] = True
-                keep = seen[alive & mask]
-                seen[marks] = False
-                levels[alive[~keep]] = k
-                alive = alive[keep]
+        levels = _scan_levels(concept_class)
         levels.flags.writeable = False
         concept_class._consistency_levels = levels
+    return levels
+
+
+def _scan_levels(concept_class):
+    """The levels of `consistency_levels`, one restriction size at a time
+    until only members survive: for each subset of that size, the members'
+    restrictions to it are marked in a boolean table, and every surviving
+    total whose restriction is unmarked gets the size."""
+    size = concept_class.universe.size
+    _check_size(size, _MAX_SCAN_SIZE, "the scan over all 2^|X| totals")
+    import numpy as np
+
+    levels = np.full(1 << size, size + 1, dtype=np.int8)
+    member = np.array(concept_class.member_bits(), dtype=np.int64)
+    alive = np.arange(1 << size, dtype=np.int64)
+    seen = np.zeros(1 << size, dtype=bool)
+    for k in range(1, size + 1):
+        if alive.size == member.size:
+            break
+        for subset in combinations(range(size), k):
+            mask = sum(1 << x for x in subset)
+            marks = member & mask
+            seen[marks] = True
+            keep = seen[alive & mask]
+            seen[marks] = False
+            levels[alive[~keep]] = k
+            alive = alive[keep]
     return levels
 
 
@@ -331,11 +343,6 @@ def consistency_threshold(concept_class):
 _INF = 127
 # rows of the (high digits, low digits) table `_digit_passes` transposes at once
 _SLAB_ROWS = 243
-
-
-def check_partials_size(universe):
-    """Refuse a universe too large for the 3^|X| strong-consistency arrays."""
-    _check_size(universe.size, _MAX_PARTIALS_SIZE, "the array over all 3^|X| partial labelings")
 
 
 def _digit_passes(flat, size, op):
@@ -380,16 +387,25 @@ def _min_into_specified(cells):
     np.minimum(cells[:, 1:], cells[:, :1], out=cells[:, 1:])
 
 
-def _extendable(bits, size):
-    """Per partial labeling, in base-3 cell order (as in `_digit_passes`):
-    whether one of the totals `bits` extends it."""
+def _total_cells(size):
+    """Per total (indexed by its bits): its cell in base-3 order, every digit
+    specified at 1 + its label."""
     import numpy as np
 
     place = np.zeros(1 << size, dtype=np.int64)  # place[mask] = sum of 3^i over i in mask
     for i in range(size):
         place[1 << i : 2 << i] = place[: 1 << i] + 3**i
+    place += place[-1]
+    return place
+
+
+def _extendable(bits, size):
+    """Per partial labeling, in base-3 cell order (as in `_digit_passes`):
+    whether one of the totals `bits` extends it."""
+    import numpy as np
+
     out = np.zeros(3**size, dtype=bool)
-    out[place[-1] + place[bits]] = True
+    out[_total_cells(size)[bits]] = True
     _digit_passes(out, size, _or_into_unspecified)
     return out
 
@@ -397,11 +413,18 @@ def _extendable(bits, size):
 def _smallest_unextendable(concept_class):
     """Per partial labeling (base-3 cells as in `_digit_passes`): the size of
     its smallest restriction with no extension in the class, or `_INF` when
-    the class extends it."""
-    check_partials_size(concept_class.universe)
+    the class extends it.
+
+    Built once per class and kept on it read-only.  A total's consistency
+    level is its cell here, so when the class has no levels yet they are
+    gathered from the total cells rather than scanned."""
+    smallest = concept_class._smallest_unextendable
+    if smallest is not None:
+        return smallest
+    size = concept_class.universe.size
+    _check_size(size, _MAX_PARTIALS_SIZE, "the array over all 3^|X| partial labelings")
     import numpy as np
 
-    size = concept_class.universe.size
     member = np.array(concept_class.member_bits(), dtype=np.int64)
     extendable = _extendable(member, size)
     # each partial's size: the cells with digit i specified are the cells
@@ -412,6 +435,13 @@ def _smallest_unextendable(concept_class):
     np.copyto(smallest, _INF, where=extendable)
     del extendable  # freed before the min-closure allocates its slab buffer
     _digit_passes(smallest, size, _min_into_specified)
+    smallest.flags.writeable = False
+    concept_class._smallest_unextendable = smallest
+    if concept_class._consistency_levels is None:
+        levels = smallest[_total_cells(size)]
+        levels[levels == _INF] = size + 1
+        levels.flags.writeable = False
+        concept_class._consistency_levels = levels
     return smallest
 
 
@@ -425,9 +455,10 @@ def strong_consistency_dim(concept_class, hypotheses):
     the element to the cell that leaves it unspecified, so each cell ends at
     the size of its smallest restriction with no extension in the class, and
     at `_INF` exactly where the class extends it.  The answer is the largest
-    such size over the partials H does not extend, and at least 1: H holds
-    the class, so those are the cells below `_INF` that no total of H outside
-    the class extends (`_extendable`).
+    such size over the partials H does not extend, and at least 1.  H holds
+    the class, so when it has no other total those are the cells below
+    `_INF`; otherwise they are the cells no total of H extends
+    (`_extendable`).  The array is the class's shared one, and is only read.
     """
     check_subclass(concept_class, hypotheses)
     if isinstance(hypotheses, AllTotals):
@@ -435,15 +466,12 @@ def strong_consistency_dim(concept_class, hypotheses):
     import numpy as np
 
     smallest = _smallest_unextendable(concept_class)
-    # partials H extends do not count
-    smallest[smallest == _INF] = 0
-    outside = np.array(
-        [bits for bits in hypotheses.member_bits() if not concept_class.contains_bits(bits)],
-        dtype=np.int64,
-    )
-    if outside.size:
-        smallest[_extendable(outside, concept_class.universe.size)] = 0
-    return int(smallest.max(initial=1))
+    if len(hypotheses) == len(concept_class):
+        unextended = smallest != _INF
+    else:
+        unextended = _extendable(_hypothesis_bits(hypotheses), concept_class.universe.size)
+        np.logical_not(unextended, out=unextended)
+    return int(smallest.max(initial=1, where=unextended))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from eqlearn import cli, compression, dimensions
 from eqlearn.automata import Dfa, format_dfa
 from eqlearn.cli import execute
-from eqlearn.core import parse_class
+from eqlearn.core import format_class, parse_class
+from eqlearn.dimensions import hypothesis_hm
 
-from conftest import compress_oracle
+from conftest import cdim_oracle, compress_oracle, random_instance, scdim_oracle
 
 
 @pytest.fixture()
@@ -158,6 +159,36 @@ def test_dims_refuses_the_strong_arrays_before_any_scan(tmp_path, monkeypatch):
     monkeypatch.undo()
     code, text = execute(["dims", "--class", wide, "--hyp", "powerset", "--strong"])
     assert code == 0 and "scdim=1" in text, text
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dims_strong_reads_every_level_off_the_array(tmp_path, monkeypatch, seed):
+    cls, superset = random_instance(seed + 1300, max_x=5, max_c=6, max_extra=3)
+    path = tmp_path / "c.cls"
+    path.write_text(format_class(cls))
+    hyp_path = tmp_path / "h.cls"
+    hyp_path.write_text(format_class(superset))
+    hyps = {
+        "self": cls,
+        "m:2": hypothesis_hm(cls, 2),
+        "m:3": hypothesis_hm(cls, 3),
+        str(hyp_path): superset,
+    }
+    code, text = execute(["dims", "--class", str(path)])
+    assert code == 0, text
+    threshold = dict(line.split("=") for line in text.split())["threshold"]
+
+    def fail(*args):
+        raise AssertionError("dims --strong scanned the totals")
+
+    monkeypatch.setattr(dimensions, "_scan_levels", fail)
+    for spec, hyp in hyps.items():
+        code, text = execute(["dims", "--class", str(path), "--hyp", spec, "--strong"])
+        assert code == 0, (spec, text)
+        values = dict(line.split("=") for line in text.split())
+        assert int(values["cdim"]) == cdim_oracle(cls, hyp), spec
+        assert int(values["scdim"]) == scdim_oracle(cls, hyp), spec
+        assert values["threshold"] == threshold, spec
 
 
 def test_missing_file_is_input_error(sing4_file):

@@ -272,7 +272,8 @@ def test_scdim_single_element():
 def test_smallest_unextendable_totals_are_consistency_levels(cls):
     size = cls.universe.size
     smallest = dimensions._smallest_unextendable(cls)
-    levels = consistency_levels(cls)
+    # scanned on a fresh object, which has no array to gather them from
+    levels = consistency_levels(ConceptClass(cls.universe, cls.concepts))
     for bits in range(1 << size):
         cell = sum(3**i * (1 + ((bits >> i) & 1)) for i in range(size))
         value = int(smallest[cell])
@@ -280,6 +281,63 @@ def test_smallest_unextendable_totals_are_consistency_levels(cls):
             assert value == dimensions._INF and levels[bits] == size + 1
         else:
             assert value == levels[bits] <= size
+    # the levels gathered from the array are the scanned ones
+    assert np.array_equal(consistency_levels(cls), levels)
+
+
+def test_the_kept_arrays_are_read_only():
+    cls = fixtures.random_class(6, 10, 3)
+    smallest = dimensions._smallest_unextendable(cls)
+    assert dimensions._smallest_unextendable(cls) is smallest
+    gathered = consistency_levels(cls)
+    scanned = consistency_levels(fixtures.random_class(6, 10, 3))
+    for array in (smallest, gathered, scanned):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("size", [5, 8, 11])
+def test_scdim_on_one_class_object_matches_fresh_objects(size):
+    rng = SplitMix64(size)
+    extra = sorted({rng.below(1 << size) for _ in range(3)})
+
+    def new_class():
+        return fixtures.random_class(size, 2 * size, size + 70)
+
+    def hypotheses(cls):
+        others = [b for b in extra if not cls.contains_bits(b)]
+        assert others
+        superset = list(cls.concepts) + [Concept(cls.universe, b) for b in others]
+        return [cls, hypothesis_hm(cls, 2), ConceptClass(cls.universe, superset)]
+
+    expected = []
+    for k in range(3):
+        fresh = new_class()
+        expected.append(strong_consistency_dim(fresh, hypotheses(fresh)[k]))
+    assert len(set(expected)) > 1, expected  # the H do not all give one value
+    cls = new_class()
+    hyps = hypotheses(cls)
+    kept = dimensions._smallest_unextendable(cls).copy()
+    for order in (range(3), reversed(range(3))):
+        assert {k: strong_consistency_dim(cls, hyps[k]) for k in order} == dict(enumerate(expected))
+    assert np.array_equal(dimensions._smallest_unextendable(cls), kept)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_hm_is_the_same_from_the_scan_and_from_the_array(monkeypatch, seed):
+    cls = random_class_only(seed + 1500, max_x=8, max_c=12)
+    scanned = ConceptClass(cls.universe, cls.concepts)
+    from_scan = [hypothesis_hm(scanned, m).member_bits() for m in range(1, cls.universe.size + 2)]
+
+    def fail(*args):
+        raise AssertionError("the levels were scanned, not gathered from the array")
+
+    monkeypatch.setattr(dimensions, "_scan_levels", fail)
+    gathered = ConceptClass(cls.universe, cls.concepts)
+    dimensions._smallest_unextendable(gathered)
+    from_array = [hypothesis_hm(gathered, m).member_bits() for m in range(1, cls.universe.size + 2)]
+    assert from_array == from_scan
 
 
 def _array_classes(size):
