@@ -50,8 +50,6 @@ from .rng import check_seed
 from .teachers import HonestTeacher, RandomTeacher, TreeAdversary, WitnessAdversary
 from .thicket import ThicketGraph, deficient_cycle_search, estimate_expected_queries
 
-UNIVERSE_SOFT_CAP = 16
-CLASS_SOFT_CAP = 64
 # label cells (see _gen_cells) of the largest class `gen` builds
 GEN_CELL_LIMIT = 1 << 22
 
@@ -88,19 +86,7 @@ def _load_distribution(path, universe):
 
 
 def _load_class(path):
-    cls = parse_class(_read_text(path))
-    if cls.universe.size > UNIVERSE_SOFT_CAP:
-        print(
-            f"warning: universe size {cls.universe.size} exceeds the soft cap "
-            f"{UNIVERSE_SOFT_CAP}; exhaustive scans grow exponentially",
-            file=sys.stderr,
-        )
-    if len(cls) > CLASS_SOFT_CAP:
-        print(
-            f"warning: class size {len(cls)} exceeds the soft cap {CLASS_SOFT_CAP}",
-            file=sys.stderr,
-        )
-    return cls
+    return parse_class(_read_text(path))
 
 
 def _spec_int(text, what, spec, form):
@@ -191,7 +177,8 @@ def _cmd_dims(args):
     # the strong dimension against the powerset needs no 3^|X| array; any
     # other builds it first, refusing a universe too large for it before any
     # other work, and the array then also holds every total's consistency
-    # level, so H_m, cdim and the threshold read it rather than scan
+    # level, so the levels H_m, cdim and the threshold read are gathered
+    # from it rather than scanned
     if args.strong and args.hyp != "powerset":
         _smallest_unextendable(cls)
     hyp = _load_hypotheses(args.hyp, cls) if args.hyp else None

@@ -213,8 +213,9 @@ class ConceptClass:
     key of the Littlestone memo, so it never outgrows that table), the
     3^|X| strong-consistency array once it has been built (see
     `dimensions._smallest_unextendable`) and the consistency levels of all
-    totals, scanned or read off that array (see
-    `dimensions.consistency_levels`).  Both arrays are read-only.
+    totals, filled only by `dimensions.consistency_levels` (gathered from
+    the 3^|X| array when the class has it on their first read, scanned
+    otherwise).  Both arrays are read-only.
     """
 
     def __init__(self, universe, concepts):

@@ -14,9 +14,9 @@ Strong consistency dimension works on arrays with one cell per partial
 labeling (3^|X| cells in base-3 order), updated by one numpy pass per
 element, each over long contiguous runs (`_digit_passes`).  The class's
 array of smallest unextendable restrictions is built at most once and kept
-on the class; a total's level is its cell there, so when that array is
-built before the levels (as `dims --strong` does), the levels are gathered
-from it and the 2^|X| scan never runs.  numpy is
+on the class; a total's level is its cell there, so when the class already
+has that array on the levels' first read (as `dims --strong` arranges), the
+levels are gathered from it and the 2^|X| scan never runs.  numpy is
 imported by the kernels that build these arrays, on first use, so a command
 that never scans does not load it.
 """
@@ -275,12 +275,20 @@ def consistency_levels(concept_class):
     """Per total (indexed by its bits): the size of its smallest restriction
     with no extension in the class, and |X|+1 for members.
 
-    Read-only and kept on the class: filled by `_scan_levels`, or read off
-    the 3^|X| array when `_smallest_unextendable` has built it first.
+    Read-only and kept on the class.  A total's level is its cell in the
+    3^|X| array of `_smallest_unextendable`, so when the class already has
+    that array the levels are gathered from its total cells; otherwise they
+    are filled by `_scan_levels`.
     """
     levels = concept_class._consistency_levels
     if levels is None:
-        levels = _scan_levels(concept_class)
+        smallest = concept_class._smallest_unextendable
+        if smallest is None:
+            levels = _scan_levels(concept_class)
+        else:
+            size = concept_class.universe.size
+            levels = smallest[_total_cells(size)]
+            levels[levels == _INF] = size + 1
         levels.flags.writeable = False
         concept_class._consistency_levels = levels
     return levels
@@ -415,9 +423,7 @@ def _smallest_unextendable(concept_class):
     its smallest restriction with no extension in the class, or `_INF` when
     the class extends it.
 
-    Built once per class and kept on it read-only.  A total's consistency
-    level is its cell here, so when the class has no levels yet they are
-    gathered from the total cells rather than scanned."""
+    Built once per class and kept on it read-only."""
     smallest = concept_class._smallest_unextendable
     if smallest is not None:
         return smallest
@@ -437,11 +443,6 @@ def _smallest_unextendable(concept_class):
     _digit_passes(smallest, size, _min_into_specified)
     smallest.flags.writeable = False
     concept_class._smallest_unextendable = smallest
-    if concept_class._consistency_levels is None:
-        levels = smallest[_total_cells(size)]
-        levels[levels == _INF] = size + 1
-        levels.flags.writeable = False
-        concept_class._consistency_levels = levels
     return smallest
 
 

@@ -1,5 +1,7 @@
-"""Command-line interface: outputs, exit codes, determinism, warnings."""
+"""Command-line interface: outputs, exit codes, determinism, silent streams."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -594,16 +596,26 @@ def test_gen_at_the_cell_limit():
     assert len(lines) == 2049 and lines[1] == "1" + "0" * 2047
 
 
-def test_soft_cap_warning(tmp_path, capsys):
-    lines = ["elements: " + " ".join(f"x{i}" for i in range(17))]
-    lines.append("0" * 17)
-    lines.append("1" * 17)
-    path = tmp_path / "wide.cls"
-    path.write_text("\n".join(lines))
-    code, text = execute(["dims", "--class", str(path)])
-    err = capsys.readouterr().err
-    assert code == 0
-    assert "soft cap" in err
+@pytest.mark.parametrize(
+    "gen, argv, expected",
+    [
+        (["--random", "17", "65", "--seed", "1"], ["compress"], "d=6 rhos=7\n"),
+        (
+            ["--random", "8", "65", "--seed", "3"],
+            ["exact", "--mode", "eq", "--hyp", "self"],
+            "lc=7 nodes=1060\n",
+        ),
+    ],
+    ids=["compress-17x65", "exact-8x65"],
+)
+def test_execute_writes_nothing_to_a_stream(tmp_path, capsys, gen, argv, expected):
+    code, text = execute(["gen"] + gen)
+    assert code == 0, text
+    path = tmp_path / "c.cls"
+    path.write_text(text)
+    capsys.readouterr()
+    assert execute(argv + ["--class", str(path)]) == (0, expected)
+    assert capsys.readouterr() == ("", "")
 
 
 _SUBCOMMANDS = ("dims", "exact", "learn", "thicket", "compress", "dfa", "gen")
@@ -793,6 +805,9 @@ def _argvs(draw, paths):
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_paths, data):
     argv = data.draw(_argvs(fuzz_paths))
-    code, text = execute(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code, text = execute(argv)
     assert code in (0, 1, 2, 3) and isinstance(text, str)
+    assert out.getvalue() == err.getvalue() == ""
     assert _execute_fresh(argv) == (code, text)

@@ -29,7 +29,9 @@ from eqlearn.dimensions import (
     strong_consistency_dim,
     vc_dim,
 )
+from eqlearn.learners import HalvingEqLearner, run_session
 from eqlearn.rng import SplitMix64
+from eqlearn.teachers import TreeAdversary
 
 from conftest import (
     cdim_oracle,
@@ -295,6 +297,32 @@ def test_the_kept_arrays_are_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_the_levels_are_filled_only_by_consistency_levels(monkeypatch):
+    # building the 3^|X| array does not fill the levels
+    cls = fixtures.tree_class(3, 2)
+    strong_consistency_dim(cls, cls)
+    assert cls._consistency_levels is None
+    cls = fixtures.tree_class(3, 2)
+    assert run_session(HalvingEqLearner(cls, cls), TreeAdversary(cls), 60).success
+    assert cls._smallest_unextendable is not None and cls._consistency_levels is None
+    # their first read gathers them from the array
+    scanned = consistency_levels(fixtures.tree_class(3, 2))
+
+    def fail(*args):
+        raise AssertionError("the levels were scanned, not gathered from the array")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dimensions, "_scan_levels", fail)
+        gathered = consistency_levels(cls)
+    assert not gathered.flags.writeable
+    assert np.array_equal(gathered, scanned)
+    # levels read before the array is built stay the scanned object
+    cls = fixtures.tree_class(3, 2)
+    scanned = consistency_levels(cls)
+    dimensions._smallest_unextendable(cls)
+    assert consistency_levels(cls) is scanned
 
 
 @pytest.mark.parametrize("size", [5, 8, 11])
