@@ -77,6 +77,7 @@ from .compression import (
 )
 from .automata import (
     Dfa,
+    dfa_class_summary,
     dfa_language,
     enumerate_dfa_class,
     learn_dfa,

@@ -214,30 +214,28 @@ def nerode_witness(concept, n):
     return PartialConcept(universe, mask, concept.bits & mask)
 
 
-def learn_dfa(n, m, target, mode):
-    """Learn the target's language inside the enumerated class via the generic
-    query algorithms against the honest least-index teacher; raises if the
-    certified bound is breached.  Returns the transcript and the class
-    summary (see `dfa_class_summary`) the learner ran on.
-    """
+def learn_dfa(summary, target, mode):
+    """Learn the target's language in the class of `summary`, a
+    `dfa_class_summary(n, m)` held by the caller, with the `mode` learner
+    certified by the summary's consistency value (exact, or the n(n+1) cap)
+    against the honest least-index teacher.  Refuses a target whose bounded
+    language is outside the class, and raises if the certified budget runs
+    out.  Returns the transcript."""
     if mode not in ("eq", "eqmq"):
         raise ValueError("mode must be 'eq' or 'eqmq'")
-    if target.n_states > n:
-        raise ValueError("target automaton exceeds the state bound")
-    summary = dfa_class_summary(n, m)
     cls, _, c, _ = summary
-    target_index = cls.bits_index[dfa_language(target, m).bits]
-    teacher = HonestTeacher(cls, target_index)
-    if mode == "eqmq":
-        learner = EqMqLearner(cls, cls, _consistency=c)
-    else:
-        learner = CdimEqLearner(cls, cls, _consistency=c)
-    transcript = run_session(learner, teacher, learner.certified_budget)
+    m = bound_of_universe(cls.universe)
+    target_index = cls.bits_index.get(dfa_language(target, m).bits)
+    if target_index is None:
+        raise ValueError(
+            f"the target's language on strings of length <= {m} is not one of the "
+            f"class's {len(cls)}: no DFA within its state bound has it"
+        )
+    learner = (EqMqLearner if mode == "eqmq" else CdimEqLearner)(cls, cls, _consistency=c)
+    transcript = run_session(learner, HonestTeacher(cls, target_index), learner.certified_budget)
     if not transcript.success:
         raise InvariantViolation("DFA learner exhausted its certified budget")
-    if transcript.total_queries > learner.certified_budget:
-        raise InvariantViolation("DFA learner exceeded its certified bound")
-    return transcript, summary
+    return transcript
 
 
 def dfa_class_summary(n, m):

@@ -31,6 +31,7 @@ from .dimensions import (
     consistency_dim,
     consistency_threshold,
     hypothesis_hm,
+    ldim_recursion_depth,
     ldim_subset,
     strong_consistency_dim,
     vc_dim,
@@ -182,7 +183,7 @@ def _cmd_dims(args):
     if args.strong and args.hyp != "powerset":
         _smallest_unextendable(cls)
     hyp = _load_hypotheses(args.hyp, cls) if args.hyp else None
-    check_recursion_depth(cls, len(cls), "the Littlestone recursion")
+    check_recursion_depth(ldim_recursion_depth(cls, len(cls)), "the Littlestone recursion")
     threshold = consistency_threshold(cls)
     lines = [f"ldim={ldim_subset(cls, cls.full_version)}", f"vcdim={vc_dim(cls)}"]
     if hyp is not None:
@@ -305,14 +306,14 @@ def _cmd_dfa(args):
         if not args.target:
             raise UsageError("--learn needs --target FILE")
         target = parse_dfa(_read_text(args.target))
-        mode = args.mode or "eqmq"
-        transcript, (cls, d, c, exact) = learn_dfa(args.states, args.maxlen, target, mode)
-        lines = transcript_lines(transcript, cls.universe)
+    elif args.target or args.mode:
+        raise UsageError("--target and --mode apply only with --learn")
+    # the one enumeration and scan of the class; both reports read it
+    summary = cls, d, c, exact = dfa_class_summary(args.states, args.maxlen)
+    if args.learn:
+        lines = transcript_lines(learn_dfa(summary, target, args.mode or "eqmq"), cls.universe)
         lines.append(f"bound={'exact' if exact else 'cap'} c={c} d={d}")
         return lines
-    if args.target or args.mode:
-        raise UsageError("--target and --mode apply only with --learn")
-    cls, d, c, exact = dfa_class_summary(args.states, args.maxlen)
     return [
         f"concepts={len(cls)}",
         f"elements={cls.universe.size}",

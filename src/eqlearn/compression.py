@@ -48,13 +48,14 @@ def compress(concept_class, sample):
         return ()
     if sample.mask == 0:
         raise ValueError("cannot encode an empty-domain sample when ldim >= 1")
-    return _encode(concept_class, d, sample.mask, sample.bits)
+    return _encode(concept_class, concept_class.element_ones, d, sample.mask, sample.bits)
 
 
-def _encode(concept_class, d, mask, bits):
+def _encode(concept_class, element_ones, d, mask, bits):
     """The greedy walk of `compress` on a realizable sample given as its
-    domain `mask` and labels `bits`, for d = ldim(C) >= 1 and mask != 0."""
-    element_ones = concept_class.element_ones
+    domain `mask` and labels `bits`, for d = ldim(C) >= 1 and mask != 0.
+    `element_ones` is the class's `element_ones`, which the round trip reads
+    once per scheme rather than once per sample."""
     version = concept_class.full_version
     positives = []
     negatives = []
@@ -139,6 +140,7 @@ class CompressionScheme:
     def __init__(self, concept_class):
         self.cls = concept_class
         self.dimension = ldim_subset(concept_class, concept_class.full_version)
+        self._element_ones = concept_class.element_ones
         self._decoded = {}  # tuple -> the bits of its decoders' non-None totals
 
     @property
@@ -153,7 +155,7 @@ class CompressionScheme:
         """Some decoder of the realizable sample's tuple reads back a total
         that agrees with `bits` on `mask`."""
         d = self.dimension
-        tup = _encode(self.cls, d, mask, bits) if d else ()
+        tup = _encode(self.cls, self._element_ones, d, mask, bits) if d else ()
         totals = self._decoded.get(tup)
         if totals is None:
             decoded = (decompress(self.cls, i, tup) for i in range(d + 1))

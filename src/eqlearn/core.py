@@ -215,7 +215,12 @@ class ConceptClass:
     `dimensions._smallest_unextendable`) and the consistency levels of all
     totals, filled only by `dimensions.consistency_levels` (gathered from
     the 3^|X| array when the class has it on their first read, scanned
-    otherwise).  Both arrays are read-only.
+    otherwise).  Both arrays are read-only.  The per-element label columns
+    `element_ones` are built on first read, so a hypothesis class, which is
+    only asked `contains_bits`, `member_bits` and `first_member`, never
+    builds them.  All of this lasts as long as the caller holds the class:
+    every command holds the class it parsed, and `dfa` the class of its
+    `dfa_class_summary`.
     """
 
     def __init__(self, universe, concepts):
@@ -235,15 +240,25 @@ class ConceptClass:
         self.concepts = concepts
         self.bits_index = seen
         self.full_version = (1 << len(concepts)) - 1
-        # per element: bitset of concept indices labeling it 1, read off the
-        # columns of the bit matrix (rows: concepts, last first; columns:
-        # elements, last first)
-        rows = [format(c.bits, f"0{universe.size}b") for c in reversed(concepts)]
-        self.element_ones = tuple(int("".join(col), 2) for col in zip(*rows))[::-1]
+        self._element_ones = None
         self._ldim_memo = {}
         self._full_partial_memo = {}
         self._smallest_unextendable = None
         self._consistency_levels = None
+
+    @property
+    def element_ones(self):
+        """Per element: the bitset of concept indices labeling it 1, read off
+        the columns of the bit matrix (rows: concepts, last first; columns:
+        elements, last first).  Built on first read into an attribute that
+        `__init__` sets.  Not a `functools.cached_property`: it stores through
+        the instance `__dict__`, and once that is read, CPython 3.11 loads
+        every attribute of the instance about twice as slowly."""
+        ones = self._element_ones
+        if ones is None:
+            rows = [format(c.bits, f"0{self.universe.size}b") for c in reversed(self.concepts)]
+            ones = self._element_ones = tuple(int("".join(col), 2) for col in zip(*rows))[::-1]
+        return ones
 
     def __len__(self):
         return len(self.concepts)

@@ -61,20 +61,30 @@ def _fits(frames):
         return False
 
 
-def check_recursion_depth(concept_class, n_concepts, what):
-    """Refuse a recursion that would not fit under Python's recursion limit.
-
-    `what` constrains a new element and shrinks a version of `n_concepts`
-    concepts at each step, so it goes at most depth = min(|X|, n_concepts -
-    1) + 1 calls deep, and its deepest call may make one more (a
+def check_recursion_depth(depth, what):
+    """Refuse a recursion `depth` calls deep that would not fit under
+    Python's recursion limit.  Its deepest call may make one more (a
     comprehension or `max`); the check itself probes depth + 2 frames deep
     from the caller, which covers that."""
-    depth = min(concept_class.universe.size, n_concepts - 1) + 1
     if not _fits(depth):
         raise ValueError(
             f"{what} would go {depth} calls deep on this class, "
             f"past Python's recursion limit of {sys.getrecursionlimit()}"
         )
+
+
+def ldim_recursion_depth(concept_class, n_concepts):
+    """How many calls deep `_ldim` goes at most on a version of `n_concepts`
+    concepts: min(|X| + 1, ceil(n / 4) + 2).
+
+    Each nested call fixes one more element, hence |X| + 1.  A call enters
+    the smaller side of a split, of at most n / 2 concepts, and the larger
+    side only when the smaller has dimension >= 2, hence at least 4
+    concepts, leaving at most n - 4; so D(n) <= 1 + max(D(n // 2), D(n - 4)),
+    with D(n) <= 2 below 4 concepts, which solves to ceil(n / 4) + 2.  The
+    bound is reached: k disjoint POW(2) blocks, each with its own indicator
+    element first, go k + 2 calls deep."""
+    return min(concept_class.universe.size + 1, -(-n_concepts // 4) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +104,8 @@ def ldim_subset(concept_class, version):
     cached = concept_class._ldim_memo.get(version)
     if cached is not None:
         return cached
-    check_recursion_depth(concept_class, version.bit_count(), "the Littlestone recursion")
+    depth = ldim_recursion_depth(concept_class, version.bit_count())
+    check_recursion_depth(depth, "the Littlestone recursion")
     return _ldim(concept_class, version)
 
 

@@ -47,7 +47,8 @@ class _Oracle:
         check_subclass(concept_class, hypotheses)
         if isinstance(hypotheses, AllTotals) and concept_class.universe.size > 5:
             raise ValueError("AllTotals hypothesis oracle is limited to |X| <= 5")
-        check_recursion_depth(concept_class, len(concept_class), "the oracle")
+        depth = min(concept_class.universe.size, len(concept_class) - 1) + 1
+        check_recursion_depth(depth, "the oracle")
         self.elements = [
             (1 << x, ones) for x, ones in enumerate(concept_class.element_ones)
         ]

@@ -575,6 +575,41 @@ def random_class_only(seed, max_x=7, max_c=10):
     return fixtures.random_class(nx, nc, rng.next_u64())
 
 
+def indicator_blocks(k):
+    """k disjoint copies of POW(2), each with its own indicator element listed
+    before its two free elements: 4k concepts over 3k elements, the class on
+    which the Littlestone recursion goes the deepest its guard allows."""
+    universe = Universe([f"{e}{b}" for b in range(k) for e in "iab"])
+    return ConceptClass(
+        universe,
+        [Concept(universe, (1 | free << 1) << 3 * b) for b in range(k) for free in range(4)],
+    )
+
+
+def ldim_nesting(cls):
+    """The Littlestone dimension of `cls` and the deepest nesting of
+    `dimensions._ldim` calls that computing it from an empty memo reached."""
+    inner = dimensions._ldim
+    depth = deepest = 0
+
+    def counting(concept_class, version):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return inner(concept_class, version)
+        finally:
+            depth -= 1
+
+    cls._ldim_memo = {}
+    dimensions._ldim = counting
+    try:
+        d = ldim_subset(cls, cls.full_version)
+    finally:
+        dimensions._ldim = inner
+    return d, deepest
+
+
 def steps_under_raising_limit(attempt, inner):
     """Call `attempt` under Python's recursion limit raised one step at a
     time from the current depth until it returns, and list what each step

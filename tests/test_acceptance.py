@@ -15,8 +15,8 @@ import pytest
 from eqlearn import fixtures
 from eqlearn.automata import (
     Dfa,
+    dfa_class_summary,
     dfa_language,
-    enumerate_dfa_class,
     learn_dfa,
     nerode_witness,
 )
@@ -284,7 +284,8 @@ def test_criterion_8_compression_roundtrip():
 
 
 def test_criterion_9_dfa_suite():
-    cls = enumerate_dfa_class(2, 3)
+    summary = dfa_class_summary(2, 3)
+    cls = summary[0]
     hyp = cls
     c = consistency_dim(cls, hyp)
     d = ldim_subset(cls, cls.full_version)
@@ -296,7 +297,7 @@ def test_criterion_9_dfa_suite():
         if bits in seen:
             continue
         seen.add(bits)
-        transcript, _ = learn_dfa(2, 3, dfa, "eqmq")
+        transcript = learn_dfa(summary, dfa, "eqmq")
         if not transcript.success or transcript.total_queries > bound:
             ok = False
     one_one = dfa_language(Dfa(3, [(0, 1), (1, 2), (2, 2)], [1]), 3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from eqlearn.automata import (
     Dfa,
     bounded_strings,
+    dfa_class_summary,
     dfa_language,
     enumerate_dfa_class,
     format_dfa,
@@ -19,6 +20,7 @@ from eqlearn.automata import (
 )
 from eqlearn.core import ClassFormatError
 from eqlearn.dimensions import consistency_dim, ldim_subset
+from eqlearn.learners import transcript_lines
 
 from conftest import dfa_language_oracle, enumerate_dfas
 
@@ -177,7 +179,8 @@ def test_nerode_witnesses_for_all_non_members():
 
 
 def test_learn_dfa_eqmq_parity():
-    transcript, summary = learn_dfa(2, 3, parity_dfa(), "eqmq")
+    summary = dfa_class_summary(2, 3)
+    transcript = learn_dfa(summary, parity_dfa(), "eqmq")
     assert transcript.success
     cls = enumerate_dfa_class(2, 3)
     c = consistency_dim(cls, cls)
@@ -189,48 +192,94 @@ def test_learn_dfa_eqmq_parity():
 
 def test_learn_dfa_one_state():
     target = Dfa(1, [(0, 0)], [0])
-    transcript, _ = learn_dfa(1, 2, target, "eqmq")
+    transcript = learn_dfa(dfa_class_summary(1, 2), target, "eqmq")
     assert transcript.success and transcript.total_queries <= 2
 
 
 def test_learn_dfa_rejects_oversized_target():
-    with pytest.raises(ValueError, match="state bound"):
-        learn_dfa(2, 3, one_one_dfa(), "eqmq")
+    with pytest.raises(ValueError, match="length <= 3 is not one of the class's 26: no DFA"):
+        learn_dfa(dfa_class_summary(2, 3), one_one_dfa(), "eqmq")
+
+
+def test_learn_dfa_takes_a_larger_automaton_of_a_class_language():
+    """Membership is by bounded language, not by state count: three
+    self-looping states with state 0 accepting accept every string, which a
+    one-state DFA does too."""
+    summary = dfa_class_summary(2, 3)
+    cls = summary[0]
+    everything = Dfa(3, [(0, 0), (1, 1), (2, 2)], [0])
+    all_ones = (1 << cls.universe.size) - 1
+    assert cls.contains_bits(all_ones)
+    for mode in ("eq", "eqmq"):
+        transcript = learn_dfa(summary, everything, mode)
+        assert transcript.success
+        move, _ = transcript.entries[-1]
+        assert move.hypothesis.bits == all_ones
 
 
 def test_learn_dfa_eq_mode():
-    transcript, _ = learn_dfa(2, 3, parity_dfa(), "eq")
+    transcript = learn_dfa(dfa_class_summary(2, 3), parity_dfa(), "eq")
     assert transcript.success and transcript.mq_count == 0
 
 
+def _class_targets(n, m):
+    """One DFA per language of DFA(n, m), the first in enumeration order."""
+    targets = {}
+    for dfa in enumerate_dfas(n):
+        targets.setdefault(dfa_language(dfa, m).bits, dfa)
+    return list(targets.values())
+
+
 def test_learn_dfa_all_targets_within_bound():
-    cls = enumerate_dfa_class(2, 3)
+    summary = dfa_class_summary(2, 3)
+    cls = summary[0]
     hyp = cls
     c = consistency_dim(cls, hyp)
     d = ldim_subset(cls, cls.full_version)
     bound = max(1, c - 1) * d + 1
     # sweep every distinct language, realized by a fresh enumeration DFA
-    seen = set()
-    targets = []
-    for dfa in enumerate_dfas(2):
-        bits = dfa_language(dfa, 3).bits
-        if bits not in seen:
-            seen.add(bits)
-            targets.append(dfa)
+    targets = _class_targets(2, 3)
     assert len(targets) == len(cls)
     for dfa in targets:
-        transcript, _ = learn_dfa(2, 3, dfa, "eqmq")
+        transcript = learn_dfa(summary, dfa, "eqmq")
         assert transcript.success and transcript.total_queries <= bound
+
+
+def test_learn_dfa_sessions_share_one_enumeration(monkeypatch):
+    """Sessions on one summary enumerate DFA(2, 3) once between them, and
+    each transcript is the one a fresh summary gives."""
+    from eqlearn import automata
+
+    calls = []
+    enumerate_once = automata.enumerate_dfa_class
+
+    def counting(n, m):
+        calls.append((n, m))
+        return enumerate_once(n, m)
+
+    targets = _class_targets(2, 3)
+    modes = ("eq", "eqmq")
+    with monkeypatch.context() as patch:
+        patch.setattr(automata, "enumerate_dfa_class", counting)
+        summary = dfa_class_summary(2, 3)
+        shared = [[learn_dfa(summary, dfa, mode) for mode in modes] for dfa in targets]
+    assert len(targets) == 26 and calls == [(2, 3)]
+    universe = summary[0].universe
+    for dfa, transcripts in zip(targets, shared):
+        fresh = dfa_class_summary(2, 3)
+        for mode, transcript in zip(modes, transcripts):
+            expected = transcript_lines(learn_dfa(fresh, dfa, mode), universe)
+            assert transcript_lines(transcript, universe) == expected, (dfa, mode)
 
 
 def test_learn_dfa_m4_uses_cap():
     # universe of 31 strings: the exact consistency scan is out of reach, the
     # distinguishing-suffix cap n(n+1) = 6 certifies the budget instead
-    cls = enumerate_dfa_class(2, 4)
+    summary = cls, _, c, exact = dfa_class_summary(2, 4)
+    assert (c, exact) == (6, False)
     d = ldim_subset(cls, cls.full_version)
     bound = (6 - 1) * d + 1
     for dfa in (parity_dfa(), Dfa(2, [(0, 1), (1, 1)], [0]), Dfa(1, [(0, 0)], [])):
-        transcript, (_, _, c, exact) = learn_dfa(2, 4, dfa, "eqmq")
-        assert (c, exact) == (6, False)
+        transcript = learn_dfa(summary, dfa, "eqmq")
         assert transcript.success
         assert transcript.total_queries <= bound

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from unittest import mock
 
 import pytest
@@ -18,7 +19,13 @@ from eqlearn.cli import execute
 from eqlearn.core import format_class, parse_class
 from eqlearn.dimensions import hypothesis_hm
 
-from conftest import cdim_oracle, compress_oracle, random_instance, scdim_oracle
+from conftest import (
+    cdim_oracle,
+    compress_oracle,
+    indicator_blocks,
+    random_instance,
+    scdim_oracle,
+)
 
 
 @pytest.fixture()
@@ -108,14 +115,62 @@ def test_exact_past_the_recursion_limit_is_input_error(tmp_path):
 
 
 def test_ldim_past_the_recursion_limit_is_input_error(tmp_path):
+    """The Littlestone guard asks for min(|X| + 1, ceil(|C| / 4) + 2) calls:
+    277 on SING(1100), which fit, so `compress` answers it (only `exact`
+    still refuses it).  Indicator blocks reach their guard depth, 202 calls
+    at k = 200: under a recursion limit that leaves the command less room,
+    every command that computes ldim refuses them."""
     code, text = execute(["gen", "--singletons", "1100"])
     assert code == 0
-    deep = tmp_path / "sing1100.cls"
-    deep.write_text(text)
-    for command in ("dims", "compress", "thicket"):
-        code, text = execute([command, "--class", str(deep)])
+    sing = tmp_path / "sing1100.cls"
+    sing.write_text(text)
+    assert execute(["compress", "--class", str(sing)]) == (0, "d=1 rhos=2\n")
+    deep = tmp_path / "blocks200.cls"
+    deep.write_text(format_class(indicator_blocks(200)))
+    commands = ("dims", "compress", "thicket")
+    saved = sys.getrecursionlimit()
+    limit = len(traceback.extract_stack()) + 150
+    sys.setrecursionlimit(limit)
+    try:
+        results = [execute([command, "--class", str(deep)]) for command in commands]
+    finally:
+        sys.setrecursionlimit(saved)
+    for command, (code, text) in zip(commands, results):
         assert code == 2 and text.startswith("input error: "), (command, text)
-        assert f"recursion limit of {sys.getrecursionlimit()}" in text
+        assert "would go 202 calls deep on this class" in text
+        assert f"past Python's recursion limit of {limit}" in text
+    assert execute(["compress", "--class", str(deep)]) == (0, "d=3 rhos=4\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--strong", "--hyp", "m:2"],
+        ["dims", "--strong", "--hyp", "FILE"],
+        ["exact", "--hyp", "m:2"],
+        ["learn", "--algo", "cdim", "--teacher", "tree", "--hyp", "m:2"],
+    ],
+    ids=["dims-m2", "dims-file", "exact-m2", "learn-m2"],
+)
+def test_hypothesis_class_columns_are_never_built(tree32_file, tmp_path, monkeypatch, argv):
+    """H is asked only for its members, so its per-element columns stay
+    unbuilt; the class's own are built as before."""
+    hyp_file = tmp_path / "hyp.cls"
+    tree32 = parse_class(execute(["gen", "--tree", "3", "2"])[1])
+    hyp_file.write_text(format_class(hypothesis_hm(tree32, 3)))
+    seen = []
+    load_hypotheses = cli._load_hypotheses
+
+    def keeping(spec, cls):
+        seen.append((cls, load_hypotheses(spec, cls)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "_load_hypotheses", keeping)
+    argv = [str(hyp_file) if arg == "FILE" else arg for arg in argv]
+    code, _ = execute(argv + ["--class", tree32_file])
+    [(cls, hyp)] = seen
+    assert code == 0 and hyp is not cls
+    assert hyp._element_ones is None and cls._element_ones is not None
 
 
 def test_exhaustive_arrays_past_their_size_limit_are_input_errors(tmp_path):
@@ -535,6 +590,13 @@ def test_dfa_learn_enumerates_the_class_once(tmp_path, monkeypatch):
         assert code == 0 and "result=success" in text
         assert text.splitlines()[-1] == "bound=exact c=4 d=4"
         assert calls == [(2, 3)], mode
+    # a bad target fails before the class is built; the report enumerates once too
+    calls.clear()
+    target.write_text("states: 2\naccept: 0\n")
+    code, text = execute(argv)
+    assert code == 2 and "state 0 is missing a transition" in text and calls == []
+    code, _ = execute(["dfa", "--states", "2", "--maxlen", "3", "--dims"])
+    assert code == 0 and calls == [(2, 3)]
 
 
 def test_gen_deterministic_and_roundtrip():

@@ -210,9 +210,12 @@ def test_consistent_total_extension_iff_extendable():
 @given(cls=concept_classes(max_x=6, max_c=10))
 @settings(max_examples=60, deadline=None)
 def test_element_ones_are_label_columns(cls):
+    """Built on first read, then kept on the class."""
+    assert cls._element_ones is None
     assert len(cls.element_ones) == cls.universe.size
     for x, ones in enumerate(cls.element_ones):
         assert ones == sum(c.label(x) << k for k, c in enumerate(cls.concepts))
+    assert cls._element_ones is cls.element_ones
 
 
 def test_empty_class_rejected():

@@ -24,6 +24,7 @@ from eqlearn.dimensions import (
     full_ldim_partial,
     hypothesis_hm,
     ldim,
+    ldim_recursion_depth,
     ldim_subset,
     m_consistent_totals,
     strong_consistency_dim,
@@ -37,7 +38,9 @@ from conftest import (
     cdim_oracle,
     concept_classes,
     extendable_oracle,
+    indicator_blocks,
     ldim_memo_oracle,
+    ldim_nesting,
     ldim_oracle,
     random_class_only,
     random_instance,
@@ -92,10 +95,9 @@ def test_ldim_subset_empty_and_singleton(sing4):
 def test_ldim_recursion_guard_admits_only_what_fits():
     """Raising Python's recursion limit step by step, `ldim_subset` is first
     refused and then gives the value; no RecursionError ever comes from
-    inside the recursion.  On SING(10) the pruned recursion goes about one
-    call deep, but the guard still probes the worst-case depth
-    min(|X|, |C| - 1) + 1 = 10, where each split would peel off one
-    singleton."""
+    inside the recursion.  On SING(10) the pruned recursion goes two calls
+    deep, but the guard still probes its bound min(|X| + 1, ceil(|C| / 4) +
+    2) = 5 (the recursion's worst case at 10 concepts is 4)."""
 
     def attempt():
         cls = fixtures.singletons(10)  # a fresh, empty memo
@@ -103,6 +105,27 @@ def test_ldim_recursion_guard_admits_only_what_fits():
 
     seen = steps_under_raising_limit(attempt, {"_ldim"})
     assert seen[-1] == "value" and "refused" in seen
+
+
+@given(cls=concept_classes(max_x=8, max_c=64))
+@settings(max_examples=150, deadline=None)
+def test_ldim_nesting_stays_within_the_guard_depth(cls):
+    assert ldim_nesting(cls)[1] <= ldim_recursion_depth(cls, len(cls))
+
+
+@pytest.mark.parametrize(
+    "cls, expected",
+    [(fixtures.powerset_class(k), (k, k + 1)) for k in range(1, 11)]
+    + [(indicator_blocks(k), (min(k + 1, 3), k + 2)) for k in (1, 2, 3, 10, 100)],
+    ids=[f"POW({k})" for k in range(1, 11)] + [f"blocks({k})" for k in (1, 2, 3, 10, 100)],
+)
+def test_ldim_nesting_reaches_the_guard_depth(cls, expected):
+    """POW(k) splits on every element in turn, |X| + 1 calls.  k POW(2)
+    blocks behind their indicators make the recursion enter the larger side
+    past each block, 4 concepts at a time, down to the last block's 3
+    calls: k + 2 = ceil(4k / 4) + 2."""
+    assert ldim_nesting(cls) == expected
+    assert ldim_recursion_depth(cls, len(cls)) == expected[1]
 
 
 @given(cls=concept_classes(max_x=6, max_c=24), data=st.data())
