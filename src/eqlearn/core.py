@@ -8,6 +8,7 @@ after construction, so all operations are pure and safe to share.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -409,7 +410,8 @@ def check_subclass(concept_class, hypotheses):
 
 
 class Distribution:
-    """Exact-rational positive weights on a universe, summing to 1."""
+    """Exact-rational positive weights on a universe, summing to 1; `units`
+    holds them as integers over their least common denominator."""
 
     def __init__(self, universe, weights):
         weights = tuple(Fraction(w) for w in weights)
@@ -418,7 +420,9 @@ class Distribution:
         for w in weights:
             if w <= 0:
                 raise ClassFormatError("distribution weights must be positive")
-        if sum(weights) != 1:
+        den = math.lcm(*(w.denominator for w in weights))
+        self.units = tuple(w.numerator * (den // w.denominator) for w in weights)
+        if sum(self.units) != den:
             raise ClassFormatError("distribution weights must sum to exactly 1")
         self.universe = universe
         self.weights = weights
@@ -430,6 +434,22 @@ class Distribution:
 
     def weight(self, i):
         return self.weights[i]
+
+    def pick(self, points, u):
+        """The point of the nonempty bitset `points` where the 64-bit draw u
+        falls: the first in ascending order whose cumulative weight exceeds
+        u / 2^64 of the weight of `points` (equality is no crossing), tested
+        exactly in units shifted left 64 bits."""
+        if points <= 0 or points >> self.universe.size:
+            raise ValueError("points must be a nonempty subset of the universe")
+        xs = [x for x in range(points.bit_length()) if (points >> x) & 1]
+        target = u * sum(self.units[x] for x in xs)
+        acc = 0
+        for x in xs:
+            acc += self.units[x] << 64
+            if acc > target:
+                return x
+        return x  # only a draw past 2^64 - 1 gets here: the last point
 
 
 def parse_distribution(universe, text):

@@ -228,10 +228,10 @@ def full_ldim_partial(concept_class, version=None):
     """The partial labeling each of whose points keeps the subclass at full
     Littlestone dimension: label j where constraining to j preserves the
     dimension (at most one label can, for nonempty halves), unspecified where
-    both labels drop it.  The only per-element dimension test: the learners'
-    splitting element, `is_exceptional`, the picks in `compress` and
-    `decompress` read their answers off this partial.  Memoized per version
-    on the class; the partial is immutable, so callers share it."""
+    both labels drop it.  The learners' splitting element, `is_exceptional`
+    and the picks of `compress` and `decompress` read their answers off this
+    partial.  Memoized per version on the class; the partial is immutable,
+    so callers share it."""
     if version is None:
         version = concept_class.full_version
     memo = concept_class._full_partial_memo

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .core import (
     AllTotals,
@@ -407,7 +408,7 @@ class ThicketGraph:
     The weight of i -> j is the expected drop in the version's Littlestone
     dimension when the teacher samples a point where i and j differ from
     `mu` and reveals j's label there.  Only the points depend on the pair,
-    so each element's mu-weighted drop for either label is tabled once."""
+    so each element's drop for either label is tabled once, in mu's units."""
 
     def __init__(self, concept_class, mu, version=None):
         if mu.universe != concept_class.universe:
@@ -417,10 +418,10 @@ class ThicketGraph:
         self.version = concept_class.full_version if version is None else version
         self.indices = concept_class.version_indices(self.version)
         d = ldim_subset(concept_class, self.version)
-        # _drops[x][label]: mu(x) times the drop when x is revealed as label
+        # _drops[x][label]: mu.units[x] times the drop when x is revealed as label
         self._drops = [
             [
-                mu.weight(x) * (d - ldim_subset(concept_class, self.version & side))
+                mu.units[x] * (d - ldim_subset(concept_class, self.version & side))
                 for side in (~ones, ones)
             ]
             for x, ones in enumerate(concept_class.element_ones)
@@ -437,7 +438,7 @@ class ThicketGraph:
             delta = self.cls.concepts[i].bits ^ b
             points = [x for x in range(self.cls.universe.size) if (delta >> x) & 1]
             drop = sum(self._drops[x][(b >> x) & 1] for x in points)
-            self._weights[i, j] = drop / sum(self.mu.weight(x) for x in points)
+            self._weights[i, j] = Fraction(drop, sum(self.mu.units[x] for x in points))
         return self._weights[i, j]
 
     def query_rank(self, i):

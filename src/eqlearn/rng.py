@@ -1,17 +1,13 @@
-"""Deterministic 64-bit PRNG and exact-rational weighted sampling.
+"""Deterministic 64-bit integer PRNG.
 
 The generator is SplitMix64: state advances by the golden-ratio increment
 0x9E3779B97F4A7C15 and each output is the standard two-round multiply-xor
 finalizer.  Per-trial seeds are derived with `mix64(seed, index)`, defined
 bit-exactly below so independent implementations can reproduce the streams.
-
-Sampling maps a raw 64-bit draw u to the rational u / 2**64 and inverts the
-exact cumulative weights; no floating point enters the probability path.
+A weighted draw hands a raw 64-bit output to `Distribution.pick`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -62,18 +58,3 @@ class SplitMix64:
                 u = (u << 64) | self.next_u64()
             if u < limit:
                 return u % n
-
-    def choose_weighted(self, items, weights):
-        """Pick an item with probability proportional to its exact weight."""
-        if len(items) != len(weights) or not items:
-            raise ValueError("items and weights must be nonempty and aligned")
-        total = sum((Fraction(w) for w in weights), Fraction(0))
-        if total <= 0:
-            raise ValueError("total weight must be positive")
-        r = Fraction(self.next_u64(), 1 << 64) * total
-        acc = Fraction(0)
-        for item, w in zip(items, weights):
-            acc += w
-            if acc > r:
-                return item
-        return items[-1]

@@ -197,8 +197,5 @@ class RandomTeacher(Teacher):
         answer = _honest_answer(self.target, move)
         if not isinstance(answer, Counterexample):
             return answer
-        diff = self.target.bits ^ move.hypothesis.bits
-        delta = [x for x in range(diff.bit_length()) if (diff >> x) & 1]
-        weights = [self.mu.weight(x) for x in delta]
-        x = self.rng.choose_weighted(delta, weights)
+        x = self.mu.pick(self.target.bits ^ move.hypothesis.bits, self.rng.next_u64())
         return Counterexample(x, self.target.label(x))

@@ -2,8 +2,8 @@
 class, query ranks, a shortest-path deficient-cycle check, and Monte-Carlo
 estimation of the max-min learner's expected query count.
 
-All weights and ranks are exact Fractions end to end; floating point appears
-only in the final Monte-Carlo summary statistics.
+Distributions are read in integer units, with one Fraction per edge and
+rank; floating point appears only in the final Monte-Carlo summary.
 """
 
 from __future__ import annotations

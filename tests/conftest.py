@@ -11,7 +11,8 @@ that tries every hypothesis and element at every version, the
 splitting-element, exceptional-partial and compression oracles test each
 point's constraint with its own dimension call, the round-trip oracle
 decodes every sample afresh, the thicket edge-weight oracle sums the drop
-point by point within the pair's symmetric difference, the
+point by point within the pair's symmetric difference, the weighted-pick
+oracle inverts the cumulative Fractions at u / 2^64, the
 deficient-cycle oracle tries every tuple of distinct nodes, the 3^|X|
 array oracles make one in-place numpy pass per element, and the c^d
 learner oracle builds a tree of sub-learner objects at every split.
@@ -520,6 +521,24 @@ def edge_weight_oracle(cls, mu, version, a, b):
         for x in delta
     )
     return drop / sum(mu.weight(x) for x in delta)
+
+
+def choose_weighted_oracle(u, items, weights):
+    """Pick an item with probability proportional to its exact weight: the
+    rational inversion the generator's `choose_weighted` used, with the
+    64-bit draw u passed in instead of drawn."""
+    if len(items) != len(weights) or not items:
+        raise ValueError("items and weights must be nonempty and aligned")
+    total = sum((Fraction(w) for w in weights), Fraction(0))
+    if total <= 0:
+        raise ValueError("total weight must be positive")
+    r = Fraction(u, 1 << 64) * total
+    acc = Fraction(0)
+    for item, w in zip(items, weights):
+        acc += w
+        if acc > r:
+            return item
+    return items[-1]
 
 
 def deficient_cycle_oracle(weight, n, max_len):

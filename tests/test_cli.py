@@ -505,6 +505,21 @@ def test_thicket_with_distribution_file(tmp_path, sing4_file):
     assert text.splitlines()[1] == "deficient_cycles=none"
 
 
+def test_thicket_trials_under_a_coprime_distribution(tmp_path, sing4_file):
+    # pins the law of every drawn counterexample under unequal weights: the
+    # denominators 2, 6, 5, 15 put the units 15, 5, 6, 4 over 30
+    mu = tmp_path / "mu4.txt"
+    mu.write_text("x0 1/2\nx1 1/6\nx2 1/5\nx3 2/15\n")
+    argv = ["thicket", "--class", sing4_file, "--mu", str(mu)]
+    code, text = execute(argv + ["--trials", "3000", "--seed", "7"])
+    assert code == 0
+    assert text == (
+        "maxrank=5/9\n"
+        "deficient_cycles=none\n"
+        "mean=0.9517 stderr=0.0136 max=3 bound=2\n"
+    )
+
+
 def test_thicket_command(sing4_file):
     code, text = execute(["thicket", "--class", sing4_file])
     assert code == 0

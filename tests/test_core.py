@@ -28,6 +28,7 @@ from eqlearn.rng import SplitMix64, mix64
 
 from conftest import (
     all_partials,
+    choose_weighted_oracle,
     concept_classes,
     random_class_only,
     unextendable_restriction_oracle,
@@ -324,6 +325,55 @@ def test_uniform_distribution(sing4):
     mu = Distribution.uniform(sing4.universe)
     assert sum(mu.weights) == 1
     assert mu.weight(0) == Fraction(1, 4)
+
+
+_COPRIME = "x0 1/2\nx1 1/6\nx2 1/5\nx3 2/15\n"
+_EDGE_DRAWS = [0, 1, 1 << 63, (1 << 64) - 1]
+
+
+def test_distribution_units_over_the_least_common_denominator(sing4):
+    assert parse_distribution(sing4.universe, _COPRIME).units == (15, 5, 6, 4)
+    assert Distribution.uniform(sing4.universe).units == (1, 1, 1, 1)
+
+
+@st.composite
+def _picks(draw):
+    """A distribution, a nonempty mask of its points and a 64-bit draw."""
+    granularity = draw(st.sampled_from([1, 16, 1000, None]))
+    if granularity is None:
+        mu = parse_distribution(fixtures.singletons(4).universe, _COPRIME)
+    else:
+        universe = Universe([f"x{i}" for i in range(draw(st.integers(1, 12)))])
+        seed = draw(st.integers(0, (1 << 64) - 1))
+        mu = fixtures.random_distribution(universe, seed, granularity)
+    points = draw(st.integers(1, (1 << mu.universe.size) - 1))
+    u = draw(st.sampled_from(_EDGE_DRAWS) | st.integers(0, (1 << 64) - 1))
+    return mu, points, u
+
+
+@settings(max_examples=400, deadline=None)
+@given(_picks())
+def test_pick_matches_the_rational_inversion(case):
+    mu, points, u = case
+    xs = [x for x in range(mu.universe.size) if (points >> x) & 1]
+    oracle = choose_weighted_oracle(u, xs, [mu.weight(x) for x in xs])
+    assert mu.pick(points, u) == oracle
+
+
+def test_pick_equal_cumulative_weight_is_no_crossing():
+    mu = Distribution.uniform(Universe(["a", "b"]))
+    # the first point's weight is exactly half the mass: the draw passes it
+    assert mu.pick(0b11, 1 << 63) == 1
+    assert choose_weighted_oracle(1 << 63, [0, 1], list(mu.weights)) == 1
+    assert mu.pick(0b11, (1 << 63) - 1) == 0
+
+
+def test_pick_refuses_empty_and_foreign_points(sing4):
+    mu = Distribution.uniform(sing4.universe)
+    for points in (0, 1 << 4, 0b10011, -1):
+        for u in _EDGE_DRAWS:
+            with pytest.raises(ValueError, match="nonempty subset"):
+                mu.pick(points, u)
 
 
 def test_below_stream_fixed_up_to_2_64():

@@ -261,6 +261,23 @@ def test_random_teacher_deterministic_transcripts(tree32):
     assert any(render(s) != render(42) for s in range(1, 8))
 
 
+def test_random_teacher_transcript_under_a_random_distribution(tree32):
+    # pins the law of the drawn counterexample: three counterexamples drawn
+    # under unequal weights over the denominator 116
+    from eqlearn.learners import ThicketMaxMinLearner
+
+    mu = fixtures.random_distribution(tree32.universe, 3)
+    learner = ThicketMaxMinLearner(tree32, mu)
+    transcript = run_session(learner, RandomTeacher(tree32, 5, mu, seed=7), 20)
+    assert transcript_lines(transcript, tree32.universe) == [
+        "EQ 001000000100 -> CE a2 0",
+        "EQ 100010000000 -> CE a0 0",
+        "EQ 010000010000 -> CE a12 1",
+        "EQ 010000001000 -> YES",
+        "result=success eq=4 mq=0",
+    ]
+
+
 def test_random_teacher_validation(sing4):
     mu = Distribution.uniform(sing4.universe)
     for index in (9, -1):
