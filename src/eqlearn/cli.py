@@ -27,11 +27,9 @@ from .core import (
 from .compression import CompressionScheme, check_roundtrip
 from .dimensions import (
     _smallest_unextendable,
-    check_recursion_depth,
     consistency_dim,
     consistency_threshold,
     hypothesis_hm,
-    ldim_recursion_depth,
     ldim_subset,
     strong_consistency_dim,
     vc_dim,
@@ -183,7 +181,6 @@ def _cmd_dims(args):
     if args.strong and args.hyp != "powerset":
         _smallest_unextendable(cls)
     hyp = _load_hypotheses(args.hyp, cls) if args.hyp else None
-    check_recursion_depth(ldim_recursion_depth(cls, len(cls)), "the Littlestone recursion")
     threshold = consistency_threshold(cls)
     lines = [f"ldim={ldim_subset(cls, cls.full_version)}", f"vcdim={vc_dim(cls)}"]
     if hyp is not None:

@@ -1,13 +1,13 @@
 """Exact combinatorial dimensions of finite concept classes.
 
-Littlestone dimension is computed by an exact branch-and-bound over the
-splitting recursion: the element loop stops at the floor(log2 |v|) bound,
-the smaller side of each split is evaluated first and the element skipped
-when it cannot beat the running maximum, and the larger side is evaluated
-only when the min is still undecided (see `_ldim`).  The memo table is keyed
-on the bitset of surviving concept indices and holds exact values only (it
-lives on the ConceptClass and is shared with the learners, teachers, the
-compression scheme, the thicket code and the full-dimension partials).
+Littlestone dimension is computed by a threshold search: "is ldim(v) >= k?"
+holds iff some element splits v into two sides that each answer yes at
+k - 1 (see `_at_least`), and the exact value is raised one question at a
+time (see `ldim_subset`).  Two tables on the ConceptClass, keyed on the
+bitset of surviving concept indices, hold what is known: `_ldim_memo` the
+exact values of the versions asked for, which the learners, teachers, the
+compression scheme, the thicket code and the full-dimension partials read,
+and `_ldim_bounds` the bounds (lo, hi) the questions have proved.
 Consistency dimension, the consistency threshold and H_m read one array of
 consistency levels over all 2^|X| totals, filled once per class.
 Strong consistency dimension works on arrays with one cell per partial
@@ -23,7 +23,6 @@ that never scans does not load it.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -50,43 +49,6 @@ def _check_size(size, limit, what):
         raise ValueError(f"{what} is limited to |X| <= {limit}; this universe has {size} elements")
 
 
-def _fits(frames):
-    """Whether `frames` more nested calls fit under the recursion limit.
-
-    Measured rather than estimated, since the frames below the caller, and
-    the C calls among them, already use part of the limit."""
-    try:
-        return frames == 0 or _fits(frames - 1)
-    except RecursionError:
-        return False
-
-
-def check_recursion_depth(depth, what):
-    """Refuse a recursion `depth` calls deep that would not fit under
-    Python's recursion limit.  Its deepest call may make one more (a
-    comprehension or `max`); the check itself probes depth + 2 frames deep
-    from the caller, which covers that."""
-    if not _fits(depth):
-        raise ValueError(
-            f"{what} would go {depth} calls deep on this class, "
-            f"past Python's recursion limit of {sys.getrecursionlimit()}"
-        )
-
-
-def ldim_recursion_depth(concept_class, n_concepts):
-    """How many calls deep `_ldim` goes at most on a version of `n_concepts`
-    concepts: min(|X| + 1, ceil(n / 4) + 2).
-
-    Each nested call fixes one more element, hence |X| + 1.  A call enters
-    the smaller side of a split, of at most n / 2 concepts, and the larger
-    side only when the smaller has dimension >= 2, hence at least 4
-    concepts, leaving at most n - 4; so D(n) <= 1 + max(D(n // 2), D(n - 4)),
-    with D(n) <= 2 below 4 concepts, which solves to ceil(n / 4) + 2.  The
-    bound is reached: k disjoint POW(2) blocks, each with its own indicator
-    element first, go k + 2 calls deep."""
-    return min(concept_class.universe.size + 1, -(-n_concepts // 4) + 2)
-
-
 # ---------------------------------------------------------------------------
 # Littlestone dimension
 
@@ -94,50 +56,50 @@ def ldim_recursion_depth(concept_class, n_concepts):
 def ldim_subset(concept_class, version):
     """Littlestone dimension of the subclass given by a concept-index bitset.
 
-    Returns -1 for the empty bitset; used internally so that "element does
-    not split" falls out of the max/min recursion naturally.  On a memo miss,
-    a version whose recursion would not fit under Python's recursion limit
-    is refused.
+    Returns -1 for the empty bitset, so that an empty side of a split never
+    ties a nonempty one.  On a memo miss, the dimension is raised from the
+    version's lower bound (its recorded lo, else 1 when it holds two
+    concepts) one threshold question (`_at_least`) at a time, and the exact
+    value, an int, is memoized.
     """
     if version == 0:
         return -1
-    cached = concept_class._ldim_memo.get(version)
-    if cached is not None:
-        return cached
-    depth = ldim_recursion_depth(concept_class, version.bit_count())
-    check_recursion_depth(depth, "the Littlestone recursion")
-    return _ldim(concept_class, version)
-
-
-def _ldim(concept_class, version):
-    """The branch-and-bound splitting recursion behind `ldim_subset`.
-
-    ldim(v) is the largest 1 + min(ldim(v0), ldim(v1)) over the elements
-    splitting v into nonempty sides v0 and v1.  Each pruning rule skips only
-    work that cannot raise the running maximum `best`:
-
-    - ldim(v) <= floor(log2 |v|), so the element loop stops once `best`
-      reaches that bound;
-    - the smaller side is evaluated first, and the element is skipped when
-      floor(log2 |small|) < best, or else when ldim(small) < best;
-    - the larger side is evaluated only when the min is still undecided: it
-      holds at least as many concepts as the smaller one, and a side with two
-      or more distinct concepts is split by some element, so it has dimension
-      >= 1.  When ldim(small) <= 1 the min is ldim(small) itself.
-
-    Every call returns, and memoizes, the exact dimension of its version, so
-    the memo holds exact values only.
-    """
     memo = concept_class._ldim_memo
-    cached = memo.get(version)
-    if cached is not None:
-        return cached
+    d = memo.get(version)
+    if d is None:
+        bounds = concept_class._ldim_bounds.get(version)
+        d = bounds[0] if bounds else min(1, version & (version - 1))
+        while _at_least(concept_class, version, d + 1):
+            d += 1
+        memo[version] = d
+    return d
+
+
+def _at_least(concept_class, version, k):
+    """Whether ldim(version) >= k, for a nonempty version.
+
+    ldim(v) >= k iff some element splits v into two sides that each have
+    ldim >= k - 1 (Littlestone 1988), so only yes/no questions at k - 1 are
+    asked of the sides.  The answer is read off the exact memo, or else off
+    the version's bounds (lo, hi) in `_ldim_bounds`: hi starts at
+    floor(log2 |v|), and lo at 1 when v holds two concepts (some element
+    splits them).  Otherwise each splitting element is tried, skipped when
+    floor(log2 |small side|) < k - 1, with the smaller side asked first; the
+    answer is recorded as lo = k or hi = k - 1.  Each nested call asks one
+    less, so the nesting is at most ldim(v) + 2 <= floor(log2 |v|) + 2 calls.
+    """
+    exact = concept_class._ldim_memo.get(version)
+    if exact is not None:
+        return exact >= k
+    bounds = concept_class._ldim_bounds
     n = version.bit_count()
-    cap = n.bit_length() - 1
-    best = 0
+    hi = n.bit_length() - 1
+    lo, hi = bounds.get(version) or (min(1, hi), hi)
+    if k <= lo:
+        return True
+    if k > hi:
+        return False
     for ones in concept_class.element_ones:
-        if best == cap:
-            break
         s1 = version & ones
         if not s1:
             continue
@@ -145,18 +107,14 @@ def _ldim(concept_class, version):
         if not s0:
             continue
         n1 = s1.bit_count()
-        small, large = (s1, s0) if 2 * n1 <= n else (s0, s1)
-        if min(n1, n - n1).bit_length() - 1 < best:
+        small, large, m = (s1, s0, n1) if 2 * n1 <= n else (s0, s1, n - n1)
+        if m.bit_length() < k:
             continue
-        low = _ldim(concept_class, small)
-        if low < best:
-            continue
-        if low > 1:
-            low = min(low, _ldim(concept_class, large))
-        if low >= best:
-            best = low + 1
-    memo[version] = best
-    return best
+        if _at_least(concept_class, small, k - 1) and _at_least(concept_class, large, k - 1):
+            bounds[version] = (k, hi)
+            return True
+    bounds[version] = (lo, k - 1)
+    return False
 
 
 @dataclass

@@ -38,8 +38,32 @@ the recursion is at most min(|X|, |C| - 1) + 1 calls deep.
 
 from __future__ import annotations
 
+import sys
+
 from .core import AllTotals, check_subclass
-from .dimensions import check_recursion_depth
+
+
+def _fits(frames):
+    """Whether `frames` more nested calls fit under the recursion limit.
+
+    Measured rather than estimated, since the frames below the caller, and
+    the C calls among them, already use part of the limit."""
+    try:
+        return frames == 0 or _fits(frames - 1)
+    except RecursionError:
+        return False
+
+
+def check_recursion_depth(depth):
+    """Refuse an oracle recursion `depth` calls deep that would not fit under
+    Python's recursion limit.  Its deepest call may make one more (a
+    comprehension or `max`); the check itself probes depth + 2 frames deep
+    from the caller, which covers that."""
+    if not _fits(depth):
+        raise ValueError(
+            f"the oracle would go {depth} calls deep on this class, "
+            f"past Python's recursion limit of {sys.getrecursionlimit()}"
+        )
 
 
 class _Oracle:
@@ -48,7 +72,7 @@ class _Oracle:
         if isinstance(hypotheses, AllTotals) and concept_class.universe.size > 5:
             raise ValueError("AllTotals hypothesis oracle is limited to |X| <= 5")
         depth = min(concept_class.universe.size, len(concept_class) - 1) + 1
-        check_recursion_depth(depth, "the oracle")
+        check_recursion_depth(depth)
         self.elements = [
             (1 << x, ones) for x, ones in enumerate(concept_class.element_ones)
         ]

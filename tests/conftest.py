@@ -596,8 +596,9 @@ def random_class_only(seed, max_x=7, max_c=10):
 
 def indicator_blocks(k):
     """k disjoint copies of POW(2), each with its own indicator element listed
-    before its two free elements: 4k concepts over 3k elements, the class on
-    which the Littlestone recursion goes the deepest its guard allows."""
+    before its two free elements: 4k concepts over 3k elements.  A recursion
+    that computed the exact dimension of both sides of each split would
+    enter the larger side past each block, k + 2 calls deep."""
     universe = Universe([f"{e}{b}" for b in range(k) for e in "iab"])
     return ConceptClass(
         universe,
@@ -607,25 +608,27 @@ def indicator_blocks(k):
 
 def ldim_nesting(cls):
     """The Littlestone dimension of `cls` and the deepest nesting of
-    `dimensions._ldim` calls that computing it from an empty memo reached."""
-    inner = dimensions._ldim
+    `dimensions._at_least` calls that computing it from an empty memo
+    reached."""
+    inner = dimensions._at_least
     depth = deepest = 0
 
-    def counting(concept_class, version):
+    def counting(concept_class, version, k):
         nonlocal depth, deepest
         depth += 1
         deepest = max(deepest, depth)
         try:
-            return inner(concept_class, version)
+            return inner(concept_class, version, k)
         finally:
             depth -= 1
 
     cls._ldim_memo = {}
-    dimensions._ldim = counting
+    cls._ldim_bounds = {}
+    dimensions._at_least = counting
     try:
         d = ldim_subset(cls, cls.full_version)
     finally:
-        dimensions._ldim = inner
+        dimensions._at_least = inner
     return d, deepest
 
 

@@ -24,7 +24,6 @@ from eqlearn.dimensions import (
     full_ldim_partial,
     hypothesis_hm,
     ldim,
-    ldim_recursion_depth,
     ldim_subset,
     m_consistent_totals,
     strong_consistency_dim,
@@ -46,7 +45,6 @@ from conftest import (
     random_instance,
     scdim_oracle,
     smallest_unextendable_oracle,
-    steps_under_raising_limit,
     vc_oracle,
 )
 
@@ -92,48 +90,45 @@ def test_ldim_subset_empty_and_singleton(sing4):
     assert ldim_subset(sing4, 0b0100) == 0
 
 
-def test_ldim_recursion_guard_admits_only_what_fits():
-    """Raising Python's recursion limit step by step, `ldim_subset` is first
-    refused and then gives the value; no RecursionError ever comes from
-    inside the recursion.  On SING(10) the pruned recursion goes two calls
-    deep, but the guard still probes its bound min(|X| + 1, ceil(|C| / 4) +
-    2) = 5 (the recursion's worst case at 10 concepts is 4)."""
-
-    def attempt():
-        cls = fixtures.singletons(10)  # a fresh, empty memo
-        assert ldim_subset(cls, cls.full_version) == 1
-
-    seen = steps_under_raising_limit(attempt, {"_ldim"})
-    assert seen[-1] == "value" and "refused" in seen
-
-
 @given(cls=concept_classes(max_x=8, max_c=64))
 @settings(max_examples=150, deadline=None)
-def test_ldim_nesting_stays_within_the_guard_depth(cls):
-    assert ldim_nesting(cls)[1] <= ldim_recursion_depth(cls, len(cls))
+def test_ldim_nesting_is_at_most_ldim_plus_two(cls):
+    """Each threshold question asks the sides one less, so the nesting is
+    bounded by the dimension, not by the class size."""
+    d, deepest = ldim_nesting(cls)
+    assert deepest <= d + 2
 
 
 @pytest.mark.parametrize(
     "cls, expected",
-    [(fixtures.powerset_class(k), (k, k + 1)) for k in range(1, 11)]
-    + [(indicator_blocks(k), (min(k + 1, 3), k + 2)) for k in (1, 2, 3, 10, 100)],
-    ids=[f"POW({k})" for k in range(1, 11)] + [f"blocks({k})" for k in (1, 2, 3, 10, 100)],
+    [(fixtures.powerset_class(k), (k, k)) for k in range(1, 11)]
+    + [(indicator_blocks(k), (min(k + 1, 3), min(k + 1, 3))) for k in (1, 2, 3, 10, 100, 200)]
+    + [(fixtures.singletons(1100), (1, 1)), (fixtures.tree_class(2, 6), (6, 6))],
+    ids=[f"POW({k})" for k in range(1, 11)]
+    + [f"blocks({k})" for k in (1, 2, 3, 10, 100, 200)]
+    + ["SING(1100)", "TREE(2,6)"],
 )
-def test_ldim_nesting_reaches_the_guard_depth(cls, expected):
-    """POW(k) splits on every element in turn, |X| + 1 calls.  k POW(2)
-    blocks behind their indicators make the recursion enter the larger side
-    past each block, 4 concepts at a time, down to the last block's 3
-    calls: k + 2 = ceil(4k / 4) + 2."""
+def test_ldim_nesting_measured(cls, expected):
+    """POW(k) asks "ldim >= k?" of the class, k - 1 of a half, and so on
+    down to 1, which the bounds answer: k calls.  Indicator blocks, where a
+    search for exact side values went k + 2 calls deep, take at most 3."""
     assert ldim_nesting(cls) == expected
-    assert ldim_recursion_depth(cls, len(cls)) == expected[1]
+
+
+def test_ldim_subset_returns_an_int():
+    for cls in (fixtures.singletons(1), fixtures.singletons(5), fixtures.tree_class(3, 2)):
+        for version in (cls.full_version, cls.full_version & 0b101, 0):
+            assert type(ldim_subset(cls, version)) is int
+            assert type(ldim_subset(cls, version)) is int  # a memo hit as well
 
 
 @given(cls=concept_classes(max_x=6, max_c=24), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_ldim_memo_holds_exact_values_only(cls, data):
     """After the witness tree, full-dimension partials of drawn versions and
-    the compression round trip have read the pruned recursion, every memo
-    entry equals the unpruned recursion's value."""
+    the compression round trip have read the threshold search, every memo
+    entry equals the unpruned recursion's value, and every bounds entry
+    (lo, hi) brackets it."""
     ldim(cls)
     versions = data.draw(st.lists(st.integers(1, cls.full_version), max_size=6))
     for version in versions:
@@ -143,18 +138,25 @@ def test_ldim_memo_holds_exact_values_only(cls, data):
     oracle = {}
     for version, value in cls._ldim_memo.items():
         assert value == ldim_memo_oracle(cls, version, oracle), version
+        assert type(value) is int
+    for version, (lo, hi) in cls._ldim_bounds.items():
+        assert lo <= ldim_memo_oracle(cls, version, oracle) <= hi, version
 
 
 class _BoundedMemo(dict):
-    """A memo table that fails as soon as it holds more than `bound` entries."""
+    """A memo table that fails as soon as it and the tables sharing its
+    `entries` hold more than `bound` entries together."""
 
-    def __init__(self, bound):
+    def __init__(self, bound, entries):
         super().__init__()
         self.bound = bound
+        self.entries = entries
 
     def __setitem__(self, key, value):
-        if len(self) >= self.bound and key not in self:
-            raise AssertionError(f"the Littlestone memo outgrew {self.bound} entries")
+        if key not in self:
+            if self.entries[0] >= self.bound:
+                raise AssertionError(f"the Littlestone memos outgrew {self.bound} entries")
+            self.entries[0] += 1
         super().__setitem__(key, value)
 
 
@@ -168,10 +170,13 @@ class _BoundedMemo(dict):
     ids=["SING(64)", "TREE(2,6)", "POW(10)"],
 )
 def test_ldim_memo_entries_stay_within_bound(cls, expected, bound):
-    """The pruned recursion's work, counted in memo entries: the unpruned one
-    needs 2^64 - 1 on SING(64) and about 3^10 on POW(10), and does not finish
-    within a minute on TREE(2,6)."""
-    cls._ldim_memo = _BoundedMemo(bound)
+    """The threshold search's work, counted in entries of the exact memo
+    and the bounds table together: the unpruned recursion needs 2^64 - 1 on
+    SING(64) and about 3^10 on POW(10), and does not finish within a minute
+    on TREE(2,6)."""
+    entries = [0]
+    cls._ldim_memo = _BoundedMemo(bound, entries)
+    cls._ldim_bounds = _BoundedMemo(bound, entries)
     d, tree = ldim(cls)
     assert d == expected and tree.height() == d
 
