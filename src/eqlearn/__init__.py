@@ -23,7 +23,6 @@ from .core import (
     parse_partial,
 )
 from .dimensions import (
-    MistakeTree,
     consistency_dim,
     consistency_levels,
     consistency_threshold,

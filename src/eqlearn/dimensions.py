@@ -23,7 +23,6 @@ that never scans does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
@@ -117,69 +116,9 @@ def _at_least(concept_class, version, k):
     return False
 
 
-@dataclass
-class MistakeTree:
-    """Complete binary tree witnessing a Littlestone-dimension lower bound.
-
-    Internal nodes carry an element index and two subtrees (low = branch
-    label 0, high = branch label 1); leaves carry a concept index.
-    """
-
-    element: int | None = None
-    concept: int | None = None
-    low: "MistakeTree | None" = None
-    high: "MistakeTree | None" = None
-
-    @property
-    def is_leaf(self):
-        return self.element is None
-
-    def height(self):
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.low.height(), self.high.height())
-
-    def is_proper(self, concept_class):
-        """Every leaf concept matches all (element, branch-label) pairs on its
-        path and the tree is complete."""
-
-        def walk(node, constraints):
-            if node.is_leaf:
-                if node.concept is None:
-                    return False
-                concept = concept_class.concepts[node.concept]
-                return all(concept.label(x) == lab for x, lab in constraints)
-            if node.low is None or node.high is None:
-                return False
-            return walk(node.low, constraints + [(node.element, 0)]) and walk(
-                node.high, constraints + [(node.element, 1)]
-            )
-
-        return walk(self, [])
-
-
-def _witness(concept_class, version, h):
-    if h == 0:
-        return MistakeTree(concept=concept_class.lowest_index(version))
-    for x in range(concept_class.universe.size):
-        ones = concept_class.element_ones[x]
-        s1 = version & ones
-        s0 = version & ~ones
-        if not s1 or not s0:
-            continue
-        if min(ldim_subset(concept_class, s0), ldim_subset(concept_class, s1)) >= h - 1:
-            return MistakeTree(
-                element=x,
-                low=_witness(concept_class, s0, h - 1),
-                high=_witness(concept_class, s1, h - 1),
-            )
-    raise AssertionError("no splitting element found for witness tree")
-
-
 def ldim(concept_class):
-    """Littlestone dimension together with a proper mistake tree of that height."""
-    d = ldim_subset(concept_class, concept_class.full_version)
-    return d, _witness(concept_class, concept_class.full_version, d)
+    """Littlestone dimension of the class, an int."""
+    return ldim_subset(concept_class, concept_class.full_version)
 
 
 def full_ldim_partial(concept_class, version=None):

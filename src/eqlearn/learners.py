@@ -436,9 +436,13 @@ class ThicketGraph:
                 raise ValueError(f"edge {i} -> {j} leaves the graph's version")
             b = self.cls.concepts[j].bits
             delta = self.cls.concepts[i].bits ^ b
-            points = [x for x in range(self.cls.universe.size) if (delta >> x) & 1]
-            drop = sum(self._drops[x][(b >> x) & 1] for x in points)
-            self._weights[i, j] = Fraction(drop, sum(self.mu.units[x] for x in points))
+            drop = units = 0
+            while delta:  # over the points where i and j differ
+                x = (delta & -delta).bit_length() - 1
+                drop += self._drops[x][(b >> x) & 1]
+                units += self.mu.units[x]
+                delta &= delta - 1
+            self._weights[i, j] = Fraction(drop, units)
         return self._weights[i, j]
 
     def query_rank(self, i):

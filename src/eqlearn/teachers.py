@@ -98,9 +98,14 @@ class _Adversary(Teacher):
 
 
 class TreeAdversary(_Adversary):
-    """Walks a full-height mistake tree, answering each equivalence query with
-    the current node's element labeled against the hypothesis; after the tree
-    is exhausted it commits to the lowest-index concept still consistent.
+    """Walks one path of a full-height mistake tree.  Its node is a pair
+    (version, height), starting at the whole class and its Littlestone
+    dimension; an equivalence query at a node of positive height gets the
+    node's element labeled against the hypothesis, and the node moves to
+    that side with one less height.  A node's element is the lowest one
+    whose two sides both keep Littlestone dimension at least height - 1
+    (Littlestone 1988), so each counterexample leaves a nonempty side.  At
+    height 0 it commits to the lowest-index concept still consistent.
     Membership queries keep the side of larger Littlestone dimension (ties
     answer 0); they are not covered by the d+1 lower-bound guarantee."""
 
@@ -108,7 +113,7 @@ class TreeAdversary(_Adversary):
 
     def __init__(self, concept_class):
         super().__init__(concept_class)
-        _, self.node = ldim(concept_class)
+        self.node = (concept_class.full_version, ldim(concept_class))
 
     def respond(self, move):
         if self.committed is not None:
@@ -123,16 +128,22 @@ class TreeAdversary(_Adversary):
             label = int(ldim_subset(self.cls, s1) > ldim_subset(self.cls, s0))
             self.consistent = s1 if label else s0
             return MqAnswer(label)
-        if self.node.is_leaf:
+        version, height = self.node
+        if height == 0:
             return self._commit(move)
-        x = self.node.element
+        x = next(
+            x
+            for x, ones in enumerate(self.cls.element_ones)
+            if ldim_subset(self.cls, version & ones) >= height - 1
+            and ldim_subset(self.cls, version & ~ones) >= height - 1
+        )
         label = 1 - move.hypothesis.label(x)
         survivors = self.cls.restrict_version(self.consistent, x, label)
         if not survivors:
             # an earlier membership answer emptied this branch; play honestly
             return self._commit(move)
         self.consistent = survivors
-        self.node = self.node.high if label else self.node.low
+        self.node = (self.cls.restrict_version(version, x, label), height - 1)
         return Counterexample(x, label)
 
 

@@ -36,11 +36,13 @@ def shortest_deficient_cycle(weight, n, max_len):
 
     Such a cycle is a strict edge u -> v closed by a path v -> u of weights
     <= 1/2, and a shortest such path visits distinct nodes, so one
-    breadth-first search per v finds a shortest cycle in O(n^3) time.
+    breadth-first search per v that a strict edge enters finds a shortest
+    cycle in O(n^3) time.
     """
     light = [[j for j in range(n) if j != i and weight(i, j) <= _HALF] for i in range(n)]
+    entered = sorted({j for i in range(n) for j in light[i] if weight(i, j) < _HALF})
     best = None
-    for v in range(n):
+    for v in entered:
         paths = {v: [v]}  # a shortest light path from v to each reached node
         frontier = [v]
         # the nodes reached in round k close cycles of length k + 1

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's fast paths: the
 Littlestone oracle searches for explicit proper trees, the Littlestone memo
-oracle is the splitting recursion with no pruning, the VC oracle packs each
+oracle is the splitting recursion with no pruning, the Littlestone
+certificate checker justifies each entry of the class's tables from its
+sides' entries alone, the VC oracle packs each
 member's pattern on a subset bit by bit, the dimension oracles scan with a
 definitional consistency predicate that tests every restriction against
 every concept of the version, the DFA oracles run each automaton string by
@@ -135,6 +137,49 @@ def ldim_memo_oracle(cls, version, memo):
             best = cand
     memo[version] = best
     return best
+
+
+def check_ldim_certificate(cls, d):
+    """Check that the class's Littlestone tables prove ldim(cls) = d.
+
+    The exact memo must hold d for the whole class, and every entry, an
+    exact value k in `_ldim_memo` (lo = hi = k) or a pair (lo, hi) in
+    `_ldim_bounds`, must follow from its sides' entries, which makes the
+    tables a proof by induction on the version's size:
+    - a lower bound k >= 2 needs one splitting element whose sides both
+      have lower bounds >= k - 1 (a nonempty version has 0, and one of two
+      concepts has 1);
+    - an upper bound k below floor(log2 |v|) needs, for every splitting
+      element, a side with an upper bound <= k - 1, where floor(log2 |side|)
+      counts as one.
+    Fails on the first entry that does not follow."""
+    memo, bounds = cls._ldim_memo, cls._ldim_bounds
+    assert memo.get(cls.full_version) == d
+
+    def lower(version):
+        trivial = min(1, version.bit_count() - 1)
+        return max(memo.get(version, trivial), bounds.get(version, (trivial,))[0])
+
+    def upper(version):
+        log = version.bit_count().bit_length() - 1
+        return min(memo.get(version, log), bounds.get(version, (log, log))[1])
+
+    entries = [(v, k, k) for v, k in memo.items()]
+    entries += [(v, lo, hi) for v, (lo, hi) in bounds.items()]
+    for version, lo, hi in entries:
+        n = version.bit_count()
+        assert n and 0 <= lo <= hi, (version, lo, hi)
+        splits = [
+            (version & ones, version & ~ones)
+            for ones in cls.element_ones
+            if version & ones and version & ~ones
+        ]
+        if lo >= 2:
+            assert any(min(lower(s1), lower(s0)) >= lo - 1 for s1, s0 in splits), (version, lo)
+        else:
+            assert lo <= n - 1, (version, lo)
+        if hi < n.bit_length() - 1:
+            assert all(min(upper(s1), upper(s0)) <= hi - 1 for s1, s0 in splits), (version, hi)
 
 
 def all_partials(universe):

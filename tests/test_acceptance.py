@@ -72,7 +72,7 @@ def test_criterion_1_tree32_exact_values():
     tree32 = fixtures.tree_class(3, 2)
     hyp = tree32
     values = (
-        ldim(tree32)[0],
+        ldim(tree32),
         consistency_dim(tree32, hyp),
         strong_consistency_dim(tree32, hyp),
         lc_eq_exact(tree32, hyp),
@@ -104,7 +104,7 @@ def test_criterion_2_sandwich_eq():
         random_instance(10_000 + k) for k in range(200)
     ]
     for cls, hyp in instances:
-        d = ldim(cls)[0]
+        d = ldim(cls)
         c = consistency_dim(cls, hyp)
         sc = strong_consistency_dim(cls, hyp)
         lc = lc_eq_exact(cls, hyp)
@@ -126,7 +126,7 @@ def test_criterion_3_sandwich_eqmq():
         random_instance(10_000 + k) for k in range(200)
     ]
     for cls, hyp in instances:
-        d = ldim(cls)[0]
+        d = ldim(cls)
         c = consistency_dim(cls, hyp)
         lc = lc_eqmq_exact(cls, hyp)
         if not (c <= lc <= max(1, c - 1) * d + 1):
@@ -141,7 +141,7 @@ def test_criterion_4_learner_bounds():
     violations = []
     instances = _fixture_pairs() + [random_instance(10_000 + k) for k in range(200)]
     for cls, hyp in instances:
-        d = ldim(cls)[0]
+        d = ldim(cls)
         c = consistency_dim(cls, hyp)
         sc = strong_consistency_dim(cls, hyp)
         halving_bound = (
@@ -182,7 +182,7 @@ def test_criterion_5_adversarial_lower_bounds():
     ok = True
     details = []
     for cls in (fixtures.singletons(4), fixtures.powerset_class(3), fixtures.tree_class(3, 2)):
-        d = ldim(cls)[0]
+        d = ldim(cls)
         transcript = run_session(OptimalEqLearner(cls), TreeAdversary(cls), 50)
         details.append(f"tree:{transcript.eq_count}")
         if not transcript.success or transcript.eq_count != d + 1:
@@ -324,9 +324,9 @@ def test_criterion_10_hm_theorem():
     classes += [random_class_only(40_000 + k, max_x=7, max_c=10) for k in range(100)]
     violations = 0
     for cls in classes:
-        d = ldim(cls)[0]
+        d = ldim(cls)
         hm = hypothesis_hm(cls, d + 1)
-        if ldim(hm)[0] != d:
+        if ldim(hm) != d:
             violations += 1
         if consistency_dim(cls, hm) > d + 1:
             violations += 1

@@ -35,6 +35,7 @@ from eqlearn.teachers import TreeAdversary
 
 from conftest import (
     cdim_oracle,
+    check_ldim_certificate,
     concept_classes,
     extendable_oracle,
     indicator_blocks,
@@ -54,34 +55,30 @@ from conftest import (
 
 
 def test_ldim_fixture_values(sing4, tree32, pow3, five):
-    assert ldim(tree32)[0] == 2  # the chain construction has dimension d
-    assert ldim(pow3)[0] == 3
-    assert ldim(sing4)[0] == 1
-    assert ldim(five)[0] == ldim_oracle(five)
+    assert ldim(tree32) == 2  # the chain construction has dimension d
+    assert ldim(pow3) == 3
+    assert ldim(sing4) == 1
+    assert ldim(five) == ldim_oracle(five)
 
 
 def test_ldim_witness_proper(sing4, tree32, pow3, five):
     for cls in (sing4, tree32, pow3, five):
-        d, tree = ldim(cls)
-        assert tree.height() == d
-        assert tree.is_proper(cls)
+        check_ldim_certificate(cls, ldim(cls))
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_ldim_matches_oracle(seed):
     cls = random_class_only(seed, max_x=5, max_c=7)
-    d, tree = ldim(cls)
+    d = ldim(cls)
     assert d == ldim_oracle(cls)
-    assert tree.height() == d
-    assert tree.is_proper(cls)
+    check_ldim_certificate(cls, d)
 
 
 @given(cls=concept_classes())
 @settings(max_examples=80, deadline=None)
 def test_ldim_witness_properties(cls):
-    d, tree = ldim(cls)
-    assert tree.height() == d
-    assert tree.is_proper(cls)
+    d = ldim(cls)
+    check_ldim_certificate(cls, d)
     assert vc_dim(cls) <= d
 
 
@@ -125,11 +122,11 @@ def test_ldim_subset_returns_an_int():
 @given(cls=concept_classes(max_x=6, max_c=24), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_ldim_memo_holds_exact_values_only(cls, data):
-    """After the witness tree, full-dimension partials of drawn versions and
-    the compression round trip have read the threshold search, every memo
-    entry equals the unpruned recursion's value, and every bounds entry
-    (lo, hi) brackets it."""
-    ldim(cls)
+    """After `ldim`, full-dimension partials of drawn versions and the
+    compression round trip have read the threshold search, every memo entry
+    equals the unpruned recursion's value, every bounds entry (lo, hi)
+    brackets it, and the tables certify the dimension entry by entry."""
+    d = ldim(cls)
     versions = data.draw(st.lists(st.integers(1, cls.full_version), max_size=6))
     for version in versions:
         full_ldim_partial(cls, version)
@@ -141,6 +138,7 @@ def test_ldim_memo_holds_exact_values_only(cls, data):
         assert type(value) is int
     for version, (lo, hi) in cls._ldim_bounds.items():
         assert lo <= ldim_memo_oracle(cls, version, oracle) <= hi, version
+    check_ldim_certificate(cls, d)
 
 
 class _BoundedMemo(dict):
@@ -177,8 +175,9 @@ def test_ldim_memo_entries_stay_within_bound(cls, expected, bound):
     entries = [0]
     cls._ldim_memo = _BoundedMemo(bound, entries)
     cls._ldim_bounds = _BoundedMemo(bound, entries)
-    d, tree = ldim(cls)
-    assert d == expected and tree.height() == d
+    d = ldim(cls)
+    assert d == expected
+    check_ldim_certificate(cls, d)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def test_vc_matches_oracle(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_vc_at_most_ldim(seed):
     cls = random_class_only(seed + 100, max_x=6, max_c=9)
-    assert vc_dim(cls) <= ldim(cls)[0]
+    assert vc_dim(cls) <= ldim(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +526,7 @@ def test_hm_tree32_contains_chain_root(tree32):
 def fixed_ldim_check(cls):
     d = ldim_subset(cls, cls.full_version)
     hm = hypothesis_hm(cls, d + 1)
-    assert ldim(hm)[0] == d
+    assert ldim(hm) == d
     assert consistency_dim(cls, hm) <= d + 1
 
 

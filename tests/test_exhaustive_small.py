@@ -138,7 +138,7 @@ def _best_learner_queries(cls, hypothesis_bits, teacher, state_of, cap):
 
 def _tree_state(teacher):
     return (
-        id(teacher.node),
+        teacher.node,
         teacher.consistent,
         teacher.committed.bits if teacher.committed else None,
     )
@@ -158,7 +158,7 @@ def test_tree_adversary_forces_any_learner():
         (fixtures.powerset_class(3), list(range(8))),
         (tree32, [c.bits for c in tree32.concepts]),
     ):
-        d = ldim(cls)[0]
+        d = ldim(cls)
         best = _best_learner_queries(
             cls, hyp_bits, TreeAdversary(cls), _tree_state, cap=20
         )

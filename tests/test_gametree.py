@@ -53,7 +53,7 @@ def test_all_totals_small(sing4):
 def test_powerset_complexity_is_exactly_ldim_plus_one(seed):
     # the adversarial lower bound meets the majority strategy's upper bound
     cls = random_instance(seed + 2800, max_x=5, max_c=6)[0]
-    assert lc_eq_exact(cls, AllTotals(cls.universe)) == ldim(cls)[0] + 1
+    assert lc_eq_exact(cls, AllTotals(cls.universe)) == ldim(cls) + 1
 
 
 def test_sc2_complexity_is_exactly_ldim_plus_one():
@@ -63,7 +63,7 @@ def test_sc2_complexity_is_exactly_ldim_plus_one():
         if consistency_dim(cls, hyp) != 2:
             continue
         hits += 1
-        assert lc_eq_exact(cls, hyp) == ldim(cls)[0] + 1
+        assert lc_eq_exact(cls, hyp) == ldim(cls) + 1
     assert hits >= 3  # the sweep must actually exercise dimension-2 instances
 
 
@@ -126,7 +126,7 @@ def test_recursion_guard_admits_only_what_fits():
 
 
 def sandwich_eq(cls, hyp):
-    d = ldim(cls)[0]
+    d = ldim(cls)
     c = consistency_dim(cls, hyp)
     sc = strong_consistency_dim(cls, hyp)
     lc = lc_eq_exact(cls, hyp)
@@ -143,7 +143,7 @@ def sandwich_eq(cls, hyp):
 
 
 def sandwich_eqmq(cls, hyp, lc_eq):
-    d = ldim(cls)[0]
+    d = ldim(cls)
     c = consistency_dim(cls, hyp)
     lc = lc_eqmq_exact(cls, hyp)
     # the adversary keeps the Littlestone dimension dropping by at most one

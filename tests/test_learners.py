@@ -477,7 +477,7 @@ def test_learner_bounds_random_suite():
     for seed in range(30):
         cls = random_class_only(seed + 4000, max_x=6, max_c=8)
         hyp = cls
-        d = ldim(cls)[0]
+        d = ldim(cls)
         c = consistency_dim(cls, hyp)
         sc = strong_consistency_dim(cls, hyp)
         halving_bound = max(1, math.ceil(sc * math.log(len(cls)))) if sc >= 2 else d + 1

@@ -4,7 +4,7 @@ import pytest
 
 from eqlearn import fixtures
 from eqlearn.core import Concept, ConceptClass, Distribution, Universe, parse_partial
-from eqlearn.dimensions import ldim
+from eqlearn.dimensions import ldim, ldim_subset
 from eqlearn.learners import (
     CdimEqLearner,
     HalvingEqLearner,
@@ -72,11 +72,11 @@ def test_tree_adversary_forces_optimal(sing4, pow3, tree32):
     for cls, expected in [(sing4, 2), (pow3, 4), (tree32, 3)]:
         transcript = run_session(OptimalEqLearner(cls), TreeAdversary(cls), 50)
         assert transcript.success
-        assert transcript.eq_count == expected == ldim(cls)[0] + 1
+        assert transcript.eq_count == expected == ldim(cls) + 1
 
 
 def test_tree_adversary_forces_all_eq_learners(sing4, singe4):
-    d = ldim(sing4)[0]
+    d = ldim(sing4)
     hyp = singe4
     for factory in (
         lambda: OptimalEqLearner(sing4),
@@ -100,7 +100,7 @@ def test_tree_adversary_forces_every_eq_learner_on_fixtures(
         (pow3, pow3),
     ]
     for cls, hyp in configs:
-        d = ldim(cls)[0]
+        d = ldim(cls)
         from eqlearn.dimensions import consistency_dim
 
         c = consistency_dim(cls, hyp)
@@ -121,6 +121,18 @@ def test_tree_adversary_singleton_class():
     cls = fixtures.random_class(3, 1, seed=3)
     transcript = run_session(OptimalEqLearner(cls), TreeAdversary(cls), 5)
     assert transcript.success and transcript.eq_count == 1
+
+
+def test_tree_adversary_construction_asks_only_the_class_dimension():
+    """The adversary walks its own path: building it fills the Littlestone
+    tables exactly as the class's dimension alone does, with no side of a
+    mistake tree asked ahead of the first query."""
+    built = fixtures.powerset_class(10)
+    TreeAdversary(built)
+    fresh = fixtures.powerset_class(10)
+    ldim_subset(fresh, fresh.full_version)
+    assert built._ldim_memo.keys() == fresh._ldim_memo.keys()
+    assert built._ldim_bounds.keys() == fresh._ldim_bounds.keys()
 
 
 def test_tree_adversary_coherent_with_probes(tree32):
