@@ -245,6 +245,8 @@ def _make_learner(algo, cls, hyp, mu_file):
 def _cmd_learn(args):
     if args.mu is not None and args.algo != "thicket":
         raise UsageError("--mu applies only to --algo thicket")
+    if args.algo == "thicket" and args.hyp != "self":
+        raise UsageError("--algo thicket guesses members of the class; use --hyp self")
     cls = _load_class(args.class_file)
     hyp = _load_hypotheses(args.hyp, cls)
     if args.algo == "optimal" and not isinstance(hyp, AllTotals):
@@ -265,16 +267,10 @@ def _format_fraction(f):
 def _cmd_thicket(args):
     cls = _load_class(args.class_file)
     mu = _load_distribution(args.mu, cls.universe)
-    lines = []
-    graph = ThicketGraph(cls, mu)
-    lines.append(f"maxrank={_format_fraction(graph.max_query_rank())}")
+    lines = [f"maxrank={_format_fraction(ThicketGraph(cls, mu).max_query_rank())}"]
     max_len = args.cycles if args.cycles is not None else len(cls)
     cycle = deficient_cycle_search(cls, mu, max_len)
-    lines.append(
-        "deficient_cycles=none"
-        if cycle is None
-        else "deficient_cycles=" + ",".join(map(str, cycle))
-    )
+    lines.append("deficient_cycles=" + (",".join(map(str, cycle)) if cycle else "none"))
     if args.trials is not None:
         stats = estimate_expected_queries(cls, mu, args.trials, args.seed)
         lines.append(

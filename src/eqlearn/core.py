@@ -435,9 +435,6 @@ class Distribution:
         n = universe.size
         return cls(universe, [Fraction(1, n)] * n)
 
-    def weight(self, i):
-        return self.weights[i]
-
     def pick(self, points, u):
         """The point of the nonempty bitset `points` where the 64-bit draw u
         falls: the first in ascending order whose cumulative weight exceeds

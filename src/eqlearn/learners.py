@@ -408,7 +408,8 @@ class ThicketGraph:
     The weight of i -> j is the expected drop in the version's Littlestone
     dimension when the teacher samples a point where i and j differ from
     `mu` and reveals j's label there.  Only the points depend on the pair,
-    so each element's drop for either label is tabled once, in mu's units."""
+    so each element's drop for either label is tabled once, in mu's units,
+    and `weight` sums a pair's points from that table on every call."""
 
     def __init__(self, concept_class, mu, version=None):
         if mu.universe != concept_class.universe:
@@ -426,24 +427,21 @@ class ThicketGraph:
             ]
             for x, ones in enumerate(concept_class.element_ones)
         ]
-        self._weights = {}
 
     def weight(self, i, j):
         if i == j:
             raise ValueError("no self-edges in the query graph")
-        if (i, j) not in self._weights:
-            if not (self.version >> i) & (self.version >> j) & 1:
-                raise ValueError(f"edge {i} -> {j} leaves the graph's version")
-            b = self.cls.concepts[j].bits
-            delta = self.cls.concepts[i].bits ^ b
-            drop = units = 0
-            while delta:  # over the points where i and j differ
-                x = (delta & -delta).bit_length() - 1
-                drop += self._drops[x][(b >> x) & 1]
-                units += self.mu.units[x]
-                delta &= delta - 1
-            self._weights[i, j] = Fraction(drop, units)
-        return self._weights[i, j]
+        if not (self.version >> i) & (self.version >> j) & 1:
+            raise ValueError(f"edge {i} -> {j} leaves the graph's version")
+        b = self.cls.concepts[j].bits
+        delta = self.cls.concepts[i].bits ^ b
+        drop = units = 0
+        while delta:  # over the points where i and j differ
+            x = (delta & -delta).bit_length() - 1
+            drop += self._drops[x][(b >> x) & 1]
+            units += self.mu.units[x]
+            delta &= delta - 1
+        return Fraction(drop, units)
 
     def query_rank(self, i):
         if len(self.indices) < 2:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .core import InvariantViolation
 from .dimensions import ldim_subset
@@ -37,12 +38,17 @@ def shortest_deficient_cycle(weight, n, max_len):
     Such a cycle is a strict edge u -> v closed by a path v -> u of weights
     <= 1/2, and a shortest such path visits distinct nodes, so one
     breadth-first search per v that a strict edge enters finds a shortest
-    cycle in O(n^3) time.
-    """
-    light = [[j for j in range(n) if j != i and weight(i, j) <= _HALF] for i in range(n)]
-    entered = sorted({j for i in range(n) for j in light[i] if weight(i, j) < _HALF})
+    cycle.  Each ordered pair's weight is asked once, in the pass that lists
+    the light edges and records the strict ones."""
+    light = [[] for _ in range(n)]
+    strict = set()  # the light edges (u, v) of weight < 1/2
+    for i, j in permutations(range(n), 2):
+        if (w := weight(i, j)) <= _HALF:
+            light[i].append(j)
+            if w < _HALF:
+                strict.add((i, j))
     best = None
-    for v in entered:
+    for v in sorted({v for _, v in strict}):
         paths = {v: [v]}  # a shortest light path from v to each reached node
         frontier = [v]
         # the nodes reached in round k close cycles of length k + 1
@@ -53,7 +59,7 @@ def shortest_deficient_cycle(weight, n, max_len):
                     if b not in paths:
                         paths[b] = paths[a] + [b]
                         reached.append(b)
-            closing = [u for u in reached if weight(u, v) < _HALF]
+            closing = [u for u in reached if (u, v) in strict]
             if closing:
                 best = paths[closing[0]]
                 break

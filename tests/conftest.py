@@ -561,11 +561,11 @@ def edge_weight_oracle(cls, mu, version, a, b):
     d = ldim_subset(cls, version)
     delta = [x for x in range(cls.universe.size) if ca.label(x) != cb.label(x)]
     drop = sum(
-        mu.weight(x)
+        mu.weights[x]
         * (d - ldim_subset(cls, cls.restrict_version(version, x, cb.label(x))))
         for x in delta
     )
-    return drop / sum(mu.weight(x) for x in delta)
+    return drop / sum(mu.weights[x] for x in delta)
 
 
 def choose_weighted_oracle(u, items, weights):

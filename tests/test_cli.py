@@ -330,6 +330,14 @@ def test_bad_usage_is_exit_1(sing4_file, tmp_path):
             "--mu applies only to --algo thicket",
         )
         for algo in ("optimal", "cdim", "sc2", "halving", "eqmq")
+    ) + tuple(
+        # refused before the class file, which does not exist, is read
+        (
+            ["learn", "--class", str(tmp_path / "missing.cls"), "--algo", "thicket"]
+            + ["--teacher", "tree", "--hyp", spec],
+            "--algo thicket guesses members of the class; use --hyp self",
+        )
+        for spec in ("powerset", "m:2", "m:30", sing4_file)
     ):
         code, text = execute(argv)
         assert (code, text) == (1, f"usage error: {message}\n"), argv

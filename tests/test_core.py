@@ -301,8 +301,8 @@ def test_m_consistent_find_extension(sing4):
 def test_distribution_parse(sing4):
     text = "x0 1/2\nx1 1/4\nx2 1/8\nx3 1/8\n"
     mu = parse_distribution(sing4.universe, text)
-    assert mu.weight(0) == Fraction(1, 2)
-    assert mu.weight(2) + mu.weight(3) == Fraction(1, 4)
+    assert mu.weights[0] == Fraction(1, 2)
+    assert mu.weights[2] + mu.weights[3] == Fraction(1, 4)
 
 
 @pytest.mark.parametrize(
@@ -324,7 +324,7 @@ def test_distribution_errors(sing4, text, match):
 def test_uniform_distribution(sing4):
     mu = Distribution.uniform(sing4.universe)
     assert sum(mu.weights) == 1
-    assert mu.weight(0) == Fraction(1, 4)
+    assert mu.weights[0] == Fraction(1, 4)
 
 
 _COPRIME = "x0 1/2\nx1 1/6\nx2 1/5\nx3 2/15\n"
@@ -356,7 +356,7 @@ def _picks(draw):
 def test_pick_matches_the_rational_inversion(case):
     mu, points, u = case
     xs = [x for x in range(mu.universe.size) if (points >> x) & 1]
-    oracle = choose_weighted_oracle(u, xs, [mu.weight(x) for x in xs])
+    oracle = choose_weighted_oracle(u, xs, [mu.weights[x] for x in xs])
     assert mu.pick(points, u) == oracle
 
 

@@ -1,6 +1,8 @@
 """Thicket query graph: exact-rational weights, ranks, cycles, Monte-Carlo."""
 
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -257,8 +259,21 @@ def _assert_deficient_cycle(weight, cycle, max_len):
     assert all(w <= HALF for w in weights) and any(w < HALF for w in weights)
 
 
+def _counted(weight):
+    """`weight`, and the number of times each ordered pair was asked of it."""
+    asked = Counter()
+
+    def counting(i, j):
+        asked[i, j] += 1
+        return weight(i, j)
+
+    return counting, asked
+
+
 def _check_against_oracle(weight, n, max_len):
-    found = shortest_deficient_cycle(weight, n, max_len)
+    counting, asked = _counted(weight)
+    found = shortest_deficient_cycle(counting, n, max_len)
+    assert max(asked.values()) == 1  # no ordered pair's weight is asked twice
     expected = deficient_cycle_oracle(weight, n, max_len)
     assert (found is None) == (expected is None)
     if found is not None:
@@ -303,6 +318,35 @@ def test_hand_built_cycle_longer_than_max_len():
     for max_len in (2, 3, 4):
         assert _check_against_oracle(weight, n, max_len) is None
     assert len(_check_against_oracle(weight, n, 5)) == 5
+
+
+def test_cycle_search_on_query_graphs_asks_each_weight_once(tree32):
+    sing6 = fixtures.singletons(6)
+    for cls, mu in [
+        (tree32, Distribution.uniform(tree32.universe)),
+        (sing6, Distribution.uniform(sing6.universe)),
+        *_instances(3, 4242),
+    ]:
+        weight = ThicketGraph(cls, mu).weight
+        for max_len in range(2, len(cls) + 1):
+            counting, asked = _counted(weight)
+            assert shortest_deficient_cycle(counting, len(cls), max_len) is None
+            assert max(asked.values()) == 1
+
+
+def test_query_graph_and_cycle_search_keep_no_per_pair_state():
+    # SING(120) has 14,280 ordered pairs: a Fraction kept for each of them
+    # peaks above 2 MB here, while the light adjacency lists peak near 0.2 MB
+    cls = fixtures.singletons(120)
+    mu = Distribution.uniform(cls.universe)
+    tracemalloc.start()
+    try:
+        assert ThicketGraph(cls, mu).max_query_rank() == HALF
+        assert deficient_cycle_search(cls, mu, len(cls)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024, peak
 
 
 @st.composite
