@@ -24,7 +24,6 @@ from .core import (
 )
 from .dimensions import (
     consistency_dim,
-    consistency_levels,
     consistency_threshold,
     hypothesis_hm,
     ldim,

@@ -176,8 +176,8 @@ def _cmd_dims(args):
     # the strong dimension against the powerset needs no 3^|X| array; any
     # other builds it first, refusing a universe too large for it before any
     # other work, and the array then also holds every total's consistency
-    # level, so the levels H_m, cdim and the threshold read are gathered
-    # from it rather than scanned
+    # level, so H_m, cdim and the threshold are gathered from it rather than
+    # searched for
     if args.strong and args.hyp != "powerset":
         _smallest_unextendable(cls)
     hyp = _load_hypotheses(args.hyp, cls) if args.hyp else None

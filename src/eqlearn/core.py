@@ -216,14 +216,15 @@ class ConceptClass:
     key of the Littlestone memo, so it never outgrows that table), the
     3^|X| strong-consistency array once it has been built (see
     `dimensions._smallest_unextendable`) and the consistency levels of all
-    totals, filled only by `dimensions.consistency_levels` (gathered from
-    the 3^|X| array when the class has it on their first read, scanned
-    otherwise).  Both arrays are read-only.  The per-element label columns
-    `element_ones` are built on first read, so a hypothesis class, which is
-    only asked `contains_bits`, `member_bits` and `first_member`, never
-    builds them.  All of this lasts as long as the caller holds the class:
-    every command holds the class it parsed, and `dfa` the class of its
-    `dfa_class_summary`.
+    totals gathered from that array, filled only by
+    `dimensions._consistency_levels` on their first read from a class that
+    holds it (a class without the array keeps no levels: its consistency
+    answers come from a search).  Both arrays are read-only.  The
+    per-element label columns `element_ones` are built on first read, so a
+    hypothesis class, which is only asked `contains_bits`, `member_bits` and
+    `first_member`, never builds them.  All of this lasts as long as the
+    caller holds the class: every command holds the class it parsed, and
+    `dfa` the class of its `dfa_class_summary`.
     """
 
     def __init__(self, universe, concepts):

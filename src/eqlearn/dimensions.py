@@ -8,17 +8,19 @@ bitset of surviving concept indices, hold what is known: `_ldim_memo` the
 exact values of the versions asked for, which the learners, teachers, the
 compression scheme, the thicket code and the full-dimension partials read,
 and `_ldim_bounds` the bounds (lo, hi) the questions have proved.
-Consistency dimension, the consistency threshold and H_m read one array of
-consistency levels over all 2^|X| totals, filled once per class.
+Consistency dimension, the consistency threshold and H_m are answered by a
+depth-first search over prefixes of totals (`_totals_above`), which prunes a
+prefix once k of its points AND the class to nothing (`_hits`), so it
+visits few totals beyond those of level above k.
 Strong consistency dimension works on arrays with one cell per partial
 labeling (3^|X| cells in base-3 order), updated by one numpy pass per
 element, each over long contiguous runs (`_digit_passes`).  The class's
 array of smallest unextendable restrictions is built at most once and kept
-on the class; a total's level is its cell there, so when the class already
-has that array on the levels' first read (as `dims --strong` arranges), the
-levels are gathered from it and the 2^|X| scan never runs.  numpy is
-imported by the kernels that build these arrays, on first use, so a command
-that never scans does not load it.
+on the class; a total's level is its cell there, so a class that holds that
+array (as `dims --strong` and the halving learner arrange) has its
+consistency answers gathered from it, and the search never runs on it.
+numpy is imported by the kernels that build and read these arrays, on first
+use, so a command that builds none does not load it.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from .core import (
     check_subclass,
 )
 
-# Exhaustive arrays are refused above these universe sizes rather than
-# allocated.  Measured as peak-memory growth: the level scan takes about 20
-# bytes per total (2^24 totals: about 340 MB), and `strong_consistency_dim`
-# about 2.2 bytes per partial labeling, the class's kept array included
+# Exhaustive work is refused above these universe sizes rather than started.
+# The search over totals may list all 2^|X| of them (H_2 of a random 18x60
+# class holds all 262,144, listed in about 2 s), so it stops at 24.
+# `strong_consistency_dim` takes about 2.2 bytes per partial labeling,
+# measured as peak-memory growth, the class's kept array included
 # (tracemalloc peak at |X| = 14 on a class with no array yet: 2.00 with H
 # the class, 2.14 with H_2; 3^17 cells: about 280 MB).
 _MAX_SCAN_SIZE = 24
@@ -170,7 +173,12 @@ def vc_dim(concept_class):
 
 
 # ---------------------------------------------------------------------------
-# consistency dimension (one scan over totals per class)
+# consistency dimension (a search over prefixes of totals)
+#
+# A total's level is the size of its smallest restriction with no extension
+# in the class, and |X|+1 for members: the least number of its points whose
+# agreement bitsets AND the class to nothing, i.e. its teaching dimension in
+# the class plus itself (Goldman & Kearns 1995).
 
 
 def _hypothesis_bits(hypotheses):
@@ -179,71 +187,129 @@ def _hypothesis_bits(hypotheses):
     return np.array(hypotheses.member_bits(), dtype=np.int64)
 
 
-def consistency_levels(concept_class):
-    """Per total (indexed by its bits): the size of its smallest restriction
-    with no extension in the class, and |X|+1 for members.
+def _hits(member, ones, t, points, version, budget, memo):
+    """Whether at most `budget` of the points in the bitset `points`, labelled
+    as in the total t, AND the concepts of `version` down to nothing: whether
+    they hit the disagreement set of every concept in it.  Branches on the
+    points where the version's lowest concept disagrees with t, with `memo`
+    keyed on (version, budget) for this t and these points."""
+    if not version:
+        return budget >= 0
+    if budget <= 0:
+        return False
+    key = version, budget
+    hit = memo.get(key)
+    if hit is None:
+        hit = False
+        low = (version & -version).bit_length() - 1
+        apart = (member[low] ^ t) & points
+        while apart:
+            x = (apart & -apart).bit_length() - 1
+            apart &= apart - 1
+            rest = version & ones[x] if (t >> x) & 1 else version & ~ones[x]
+            if _hits(member, ones, t, points, rest, budget - 1, memo):
+                hit = True
+                break
+        memo[key] = hit
+    return hit
 
-    Read-only and kept on the class.  A total's level is its cell in the
-    3^|X| array of `_smallest_unextendable`, so when the class already has
-    that array the levels are gathered from its total cells; otherwise they
-    are filled by `_scan_levels`.
-    """
-    levels = concept_class._consistency_levels
-    if levels is None:
-        smallest = concept_class._smallest_unextendable
-        if smallest is None:
-            levels = _scan_levels(concept_class)
-        else:
-            size = concept_class.universe.size
-            levels = smallest[_total_cells(size)]
-            levels[levels == _INF] = size + 1
-        levels.flags.writeable = False
-        concept_class._consistency_levels = levels
-    return levels
 
+def _totals_above(concept_class, k):
+    """The totals whose level exceeds k, as bits, ordered by (label of element
+    0, label of element 1, ...).
 
-def _scan_levels(concept_class):
-    """The levels of `consistency_levels`, one restriction size at a time
-    until only members survive: for each subset of that size, the members'
-    restrictions to it are marked in a boolean table, and every surviving
-    total whose restriction is unmarked gets the size."""
+    A depth-first search over prefixes, element 0 first and label 0 first.
+    A prefix of level > k extended by label y at x_j keeps level > k iff some
+    concept agrees with the extension (no points can remove it), or no k - 1
+    earlier points AND the concepts labelling x_j as y down to nothing
+    (`_hits`).  At k <= 0 every total is listed."""
     size = concept_class.universe.size
     _check_size(size, _MAX_SCAN_SIZE, "the scan over all 2^|X| totals")
-    import numpy as np
+    ones = concept_class.element_ones
+    member = concept_class.member_bits()
+    full = concept_class.full_version
+    agreeing = [full] * (size + 1)
+    tried = [0] * (size + 1)  # labels tried at each depth
+    t = j = 0
+    while j >= 0:
+        if j == size:
+            yield t
+            j -= 1
+            continue
+        y = tried[j]
+        if y == 2:
+            j -= 1
+            continue
+        tried[j] = y + 1
+        if y:
+            t |= 1 << j
+            side = ones[j]
+        else:
+            t &= ~(1 << j)
+            side = full ^ ones[j]
+        a = agreeing[j] & side
+        if a or not _hits(member, ones, t, (1 << j) - 1, side, k - 1, {}):
+            agreeing[j + 1] = a
+            j += 1
+            tried[j] = 0
 
-    levels = np.full(1 << size, size + 1, dtype=np.int8)
-    member = np.array(concept_class.member_bits(), dtype=np.int64)
-    alive = np.arange(1 << size, dtype=np.int64)
-    seen = np.zeros(1 << size, dtype=bool)
-    for k in range(1, size + 1):
-        if alive.size == member.size:
-            break
-        for subset in combinations(range(size), k):
-            mask = sum(1 << x for x in subset)
-            marks = member & mask
-            seen[marks] = True
-            keep = seen[alive & mask]
-            seen[marks] = False
-            levels[alive[~keep]] = k
-            alive = alive[keep]
+
+def _level(concept_class, t, k):
+    """The level of a total outside the class whose level exceeds k."""
+    member = concept_class.member_bits()
+    points = (1 << concept_class.universe.size) - 1
+    ones = concept_class.element_ones
+    memo = {}
+    k += 1
+    while not _hits(member, ones, t, points, concept_class.full_version, k, memo):
+        k += 1
+    return k
+
+
+def _consistency_levels(concept_class):
+    """Per total (indexed by its bits): its level, gathered from the total
+    cells of the class's 3^|X| array (`_smallest_unextendable`), which the
+    class must hold.  Kept on the class, read-only."""
+    levels = concept_class._consistency_levels
+    if levels is None:
+        size = concept_class.universe.size
+        levels = concept_class._smallest_unextendable[_total_cells(size)]
+        levels[levels == _INF] = size + 1
+        levels.flags.writeable = False
+        concept_class._consistency_levels = levels
     return levels
 
 
 def m_consistent_totals(concept_class, m):
     """All totals (as bitmasks) m-consistent with the class, ascending."""
     n = min(m, concept_class.universe.size)
-    return (consistency_levels(concept_class) > n).nonzero()[0].tolist()
+    if concept_class._smallest_unextendable is not None:
+        return (_consistency_levels(concept_class) > n).nonzero()[0].tolist()
+    return sorted(_totals_above(concept_class, n))
 
 
 def consistency_dim(concept_class, hypotheses):
     """Least n such that every total n-consistent with the class lies in H:
-    the largest level of a total outside H, and at least 1."""
+    the largest level of a total outside H, and at least 1.
+
+    Read off the class's 3^|X| array when it holds one.  Otherwise k is
+    raised from 1 by jumps, each to the exact level of the first total
+    outside H whose level exceeds k, until no such total is left; each jump
+    restarts the search, which then prunes more."""
     check_subclass(concept_class, hypotheses)
     if isinstance(hypotheses, AllTotals):
         return 1
-    levels = consistency_levels(concept_class).copy()
-    levels[_hypothesis_bits(hypotheses)] = 0  # totals in H do not count
-    return int(levels.max(initial=1))
+    if concept_class._smallest_unextendable is not None:
+        levels = _consistency_levels(concept_class).copy()
+        levels[_hypothesis_bits(hypotheses)] = 0  # totals in H do not count
+        return int(levels.max(initial=1))
+    k = 1
+    while True:
+        outside = (t for t in _totals_above(concept_class, k) if not hypotheses.contains_bits(t))
+        t = next(outside, None)
+        if t is None:
+            return k
+        k = _level(concept_class, t, k)
 
 
 def consistency_threshold(concept_class):
@@ -394,13 +460,10 @@ def hypothesis_hm(concept_class, m):
     least extension in that order."""
     if m < 1:
         raise ValueError("m must be positive")
-    import numpy as np
-
     universe = concept_class.universe
-    totals = np.array(m_consistent_totals(concept_class, m), dtype=np.int64)
-    reversed_bits = np.zeros_like(totals)  # element 0's label most significant
-    for i in range(universe.size):
-        reversed_bits |= ((totals >> i) & 1) << (universe.size - 1 - i)
-    members = totals[reversed_bits.argsort()].tolist()
-    return ConceptClass(universe, [Concept(universe, b) for b in members])
 
+    def labels_from_element_0(bits):
+        return format(bits, f"0{universe.size}b")[::-1]
+
+    members = sorted(m_consistent_totals(concept_class, m), key=labels_from_element_0)
+    return ConceptClass(universe, [Concept(universe, b) for b in members])

@@ -16,8 +16,9 @@ decodes every sample afresh, the thicket edge-weight oracle sums the drop
 point by point within the pair's symmetric difference, the weighted-pick
 oracle inverts the cumulative Fractions at u / 2^64, the
 deficient-cycle oracle tries every tuple of distinct nodes, the 3^|X|
-array oracles make one in-place numpy pass per element, and the c^d
-learner oracle builds a tree of sub-learner objects at every split.
+array oracles make one in-place numpy pass per element, the consistency
+level oracle scans every subset of X by size over all 2^|X| totals, and
+the c^d learner oracle builds a tree of sub-learner objects at every split.
 They exist so the optimized implementations are checked against a second,
 slower route.
 """
@@ -316,6 +317,35 @@ def smallest_unextendable_oracle(concept_class):
         cells = smallest.reshape(3 ** (size - 1 - i), 3, 3**i)
         np.minimum(cells[:, 1:], cells[:, :1], out=cells[:, 1:])
     return smallest
+
+
+def consistency_levels_oracle(concept_class):
+    """Per total (indexed by its bits): the size of its smallest restriction
+    with no extension in the class, and |X|+1 for members, as an int8 array,
+    one restriction size at a time until only members survive: for each
+    subset of that size, the members' restrictions to it are marked in a
+    boolean table, and every surviving total whose restriction is unmarked
+    gets the size."""
+    size = concept_class.universe.size
+    dimensions._check_size(size, dimensions._MAX_SCAN_SIZE, "the scan over all 2^|X| totals")
+    import numpy as np
+
+    levels = np.full(1 << size, size + 1, dtype=np.int8)
+    member = np.array(concept_class.member_bits(), dtype=np.int64)
+    alive = np.arange(1 << size, dtype=np.int64)
+    seen = np.zeros(1 << size, dtype=bool)
+    for k in range(1, size + 1):
+        if alive.size == member.size:
+            break
+        for subset in combinations(range(size), k):
+            mask = sum(1 << x for x in subset)
+            marks = member & mask
+            seen[marks] = True
+            keep = seen[alive & mask]
+            seen[marks] = False
+            levels[alive[~keep]] = k
+            alive = alive[keep]
+    return levels
 
 
 def lc_reference(cls, hyp, allow_mq):

@@ -192,6 +192,14 @@ def test_exhaustive_arrays_past_their_size_limit_are_input_errors(tmp_path):
     assert code == 2 and f"limited to |X| <= {dimensions._MAX_PARTIALS_SIZE}" in text
 
 
+def test_dims_answers_the_threshold_of_sing24(tmp_path):
+    # the largest universe the search takes, with the largest threshold
+    path = tmp_path / "sing24.cls"
+    path.write_text(execute(["gen", "--singletons", "24"])[1])
+    code, text = execute(["dims", "--class", str(path)])
+    assert code == 0 and text.split() == ["ldim=1", "vcdim=1", "threshold=24"], text
+
+
 def test_dims_refuses_a_wide_universe_before_any_dimension(tmp_path, monkeypatch):
     def fail(*args):
         raise AssertionError("dims computed a dimension before refusing the scan")
@@ -205,9 +213,9 @@ def test_dims_refuses_a_wide_universe_before_any_dimension(tmp_path, monkeypatch
 
 def test_dims_refuses_the_strong_arrays_before_any_scan(tmp_path, monkeypatch):
     def fail(*args):
-        raise AssertionError("dims scanned the totals before refusing the 3^|X| arrays")
+        raise AssertionError("dims searched the totals before refusing the 3^|X| arrays")
 
-    monkeypatch.setattr(dimensions, "consistency_levels", fail)
+    monkeypatch.setattr(dimensions, "_totals_above", fail)
     wide = _wide_class(tmp_path, dimensions._MAX_PARTIALS_SIZE + 1)
     for hyp in ("self", "m:2", wide):
         code, text = execute(["dims", "--class", wide, "--hyp", hyp, "--strong"])
@@ -237,9 +245,9 @@ def test_dims_strong_reads_every_level_off_the_array(tmp_path, monkeypatch, seed
     threshold = dict(line.split("=") for line in text.split())["threshold"]
 
     def fail(*args):
-        raise AssertionError("dims --strong scanned the totals")
+        raise AssertionError("dims --strong searched the totals")
 
-    monkeypatch.setattr(dimensions, "_scan_levels", fail)
+    monkeypatch.setattr(dimensions, "_totals_above", fail)
     for spec, hyp in hyps.items():
         code, text = execute(["dims", "--class", str(path), "--hyp", spec, "--strong"])
         assert code == 0, (spec, text)
@@ -782,8 +790,12 @@ def test_numpy_is_loaded_only_by_the_commands_that_scan(sing4_file, tree32_file)
         ["learn", "--class", sing4_file, "--algo", "thicket", "--teacher", "tree"],
         ["learn", "--class", sing4_file, "--algo", "optimal", "--hyp", "powerset"]
         + ["--teacher", "tree"],
-        # last, and it does scan: the probe sees numpy when it is loaded
+        # the consistency answers come from the search, with no array
         ["dims", "--class", sing4_file],
+        ["dfa", "--states", "2", "--maxlen", "2", "--dims"],
+        ["learn", "--class", tree32_file, "--algo", "cdim", "--hyp", "self", "--teacher", "tree"],
+        # last, and it builds the 3^|X| array: the probe sees numpy when it is loaded
+        ["dims", "--class", sing4_file, "--hyp", "self", "--strong"],
     ]
     script = (
         "import json, sys\n"

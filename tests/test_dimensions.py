@@ -1,13 +1,12 @@
 """Dimension computations against paper values and definition-level oracles."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqlearn import dimensions, fixtures
+from eqlearn.automata import enumerate_dfa_class
 from eqlearn.compression import check_roundtrip
 from eqlearn.core import (
     AllTotals,
@@ -19,7 +18,6 @@ from eqlearn.core import (
 )
 from eqlearn.dimensions import (
     consistency_dim,
-    consistency_levels,
     consistency_threshold,
     full_ldim_partial,
     hypothesis_hm,
@@ -37,6 +35,7 @@ from conftest import (
     cdim_oracle,
     check_ldim_certificate,
     concept_classes,
+    consistency_levels_oracle,
     extendable_oracle,
     indicator_blocks,
     ldim_memo_oracle,
@@ -301,8 +300,7 @@ def test_scdim_single_element():
 def test_smallest_unextendable_totals_are_consistency_levels(cls):
     size = cls.universe.size
     smallest = dimensions._smallest_unextendable(cls)
-    # scanned on a fresh object, which has no array to gather them from
-    levels = consistency_levels(ConceptClass(cls.universe, cls.concepts))
+    levels = consistency_levels_oracle(cls)
     for bits in range(1 << size):
         cell = sum(3**i * (1 + ((bits >> i) & 1)) for i in range(size))
         value = int(smallest[cell])
@@ -311,19 +309,26 @@ def test_smallest_unextendable_totals_are_consistency_levels(cls):
         else:
             assert value == levels[bits] <= size
     # the levels gathered from the array are the scanned ones
-    assert np.array_equal(consistency_levels(cls), levels)
+    assert np.array_equal(dimensions._consistency_levels(cls), levels)
 
 
 def test_the_kept_arrays_are_read_only():
     cls = fixtures.random_class(6, 10, 3)
     smallest = dimensions._smallest_unextendable(cls)
     assert dimensions._smallest_unextendable(cls) is smallest
-    gathered = consistency_levels(cls)
-    scanned = consistency_levels(fixtures.random_class(6, 10, 3))
-    for array in (smallest, gathered, scanned):
+    gathered = dimensions._consistency_levels(cls)
+    assert dimensions._consistency_levels(cls) is gathered
+    for array in (smallest, gathered):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def _searching_fails(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the totals were searched, not gathered from the array")
+
+    monkeypatch.setattr(dimensions, "_totals_above", fail)
 
 
 def test_the_levels_are_filled_only_by_consistency_levels(monkeypatch):
@@ -334,22 +339,17 @@ def test_the_levels_are_filled_only_by_consistency_levels(monkeypatch):
     cls = fixtures.tree_class(3, 2)
     assert run_session(HalvingEqLearner(cls, cls), TreeAdversary(cls), 60).success
     assert cls._smallest_unextendable is not None and cls._consistency_levels is None
-    # their first read gathers them from the array
-    scanned = consistency_levels(fixtures.tree_class(3, 2))
-
-    def fail(*args):
-        raise AssertionError("the levels were scanned, not gathered from the array")
-
+    # a class without the array keeps no levels: its answers are searched for
+    searched = fixtures.tree_class(3, 2)
+    assert consistency_threshold(searched) == 4
+    assert searched._consistency_levels is None and searched._smallest_unextendable is None
+    # on a class with the array, their first read gathers them from it
     with monkeypatch.context() as patch:
-        patch.setattr(dimensions, "_scan_levels", fail)
-        gathered = consistency_levels(cls)
+        _searching_fails(patch)
+        assert consistency_threshold(cls) == 4
+    gathered = cls._consistency_levels
     assert not gathered.flags.writeable
-    assert np.array_equal(gathered, scanned)
-    # levels read before the array is built stay the scanned object
-    cls = fixtures.tree_class(3, 2)
-    scanned = consistency_levels(cls)
-    dimensions._smallest_unextendable(cls)
-    assert consistency_levels(cls) is scanned
+    assert np.array_equal(gathered, consistency_levels_oracle(cls))
 
 
 @pytest.mark.parametrize("size", [5, 8, 11])
@@ -382,16 +382,20 @@ def test_scdim_on_one_class_object_matches_fresh_objects(size):
 @pytest.mark.parametrize("seed", range(10))
 def test_hm_is_the_same_from_the_scan_and_from_the_array(monkeypatch, seed):
     cls = random_class_only(seed + 1500, max_x=8, max_c=12)
-    scanned = ConceptClass(cls.universe, cls.concepts)
-    from_scan = [hypothesis_hm(scanned, m).member_bits() for m in range(1, cls.universe.size + 2)]
-
-    def fail(*args):
-        raise AssertionError("the levels were scanned, not gathered from the array")
-
-    monkeypatch.setattr(dimensions, "_scan_levels", fail)
+    size = cls.universe.size
+    levels = consistency_levels_oracle(cls)
+    ms = range(1, size + 2)
+    from_scan = [
+        sorted((levels > min(m, size)).nonzero()[0].tolist(), key=_labels_from_element_0(size))
+        for m in ms
+    ]
+    searched = ConceptClass(cls.universe, cls.concepts)
+    from_search = [hypothesis_hm(searched, m).member_bits() for m in ms]
+    _searching_fails(monkeypatch)
     gathered = ConceptClass(cls.universe, cls.concepts)
     dimensions._smallest_unextendable(gathered)
-    from_array = [hypothesis_hm(gathered, m).member_bits() for m in range(1, cls.universe.size + 2)]
+    from_array = [hypothesis_hm(gathered, m).member_bits() for m in ms]
+    assert from_search == from_scan
     assert from_array == from_scan
 
 
@@ -506,13 +510,15 @@ def test_hm_at_universe_size_is_class(sing4, tree32, five):
             assert sorted(hm.member_bits()) == sorted(cls.bits_index), m
 
 
+def _labels_from_element_0(size):
+    return lambda bits: format(bits, f"0{size}b")[::-1]
+
+
 @given(cls=concept_classes(max_x=7, max_c=12), m=st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_hm_orders_members_by_labels_from_element_0(cls, m):
     size = cls.universe.size
-    expected = sorted(
-        m_consistent_totals(cls, m), key=lambda bits: format(bits, f"0{size}b")[::-1]
-    )
+    expected = sorted(m_consistent_totals(cls, m), key=_labels_from_element_0(size))
     assert hypothesis_hm(cls, m).member_bits() == expected
 
 
@@ -556,40 +562,122 @@ def test_dimension_report(tree32):
 
 
 # ---------------------------------------------------------------------------
-# the consistency level array
+# the consistency levels: the search, the scan oracle and the 3^|X| array
 
 
 @given(cls=concept_classes(max_x=5, max_c=8))
 @settings(max_examples=80, deadline=None)
 def test_consistency_levels_match_predicate(cls):
     size = cls.universe.size
+    levels = consistency_levels_oracle(cls)
     for n in range(size + 1):
-        consistent = consistency_levels(cls) > n
+        consistent = set(m_consistent_totals(cls, n))
         for bits in range(1 << size):
             total = Concept(cls.universe, bits).as_partial()
-            assert bool(consistent[bits]) == is_n_consistent(total, cls, n), (bits, n)
+            expected = is_n_consistent(total, cls, n)
+            assert (bits in consistent) == bool(levels[bits] > n) == expected, (bits, n)
     # beyond |X|, n-consistency of a total is membership
     for m in (size, size + 1, size + 3):
         assert m_consistent_totals(cls, m) == sorted(cls.bits_index)
 
 
+def _consistency_answers(cls, superset):
+    """The threshold, cdim against the superset and against each H_m, and
+    the m-consistent totals, for m = 1..|X|+2."""
+    ms = range(1, cls.universe.size + 3)
+    hms = [hypothesis_hm(cls, m) for m in ms]
+    return (
+        consistency_threshold(cls),
+        consistency_dim(cls, superset),
+        [consistency_dim(cls, hm) for hm in hms],
+        [m_consistent_totals(cls, m) for m in ms],
+    )
+
+
+def _oracle_answers(cls, superset):
+    size = cls.universe.size
+    levels = consistency_levels_oracle(cls)
+
+    def cdim(hyp):
+        outside = np.ones(1 << size, dtype=bool)
+        outside[hyp.member_bits()] = False
+        return int(levels.max(initial=1, where=outside))
+
+    ms = range(1, size + 3)
+    totals = [(levels > min(m, size)).nonzero()[0].tolist() for m in ms]
+    hms = [ConceptClass(cls.universe, [Concept(cls.universe, b) for b in t]) for t in totals]
+    return cdim(cls), cdim(superset), [cdim(hm) for hm in hms], totals
+
+
+@given(
+    cls=concept_classes(max_x=8, max_c=40),
+    extra=st.sets(st.integers(0, (1 << 8) - 1), min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_the_search_gives_the_oracle_and_the_array_answers(cls, extra):
+    universe = cls.universe
+    superset = set(cls.bits_index) | {b & ((1 << universe.size) - 1) for b in extra}
+    superset = ConceptClass(universe, [Concept(universe, b) for b in sorted(superset)])
+    searched = _consistency_answers(cls, superset)
+    assert searched == _oracle_answers(cls, superset)
+    gathered = ConceptClass(universe, cls.concepts)
+    dimensions._smallest_unextendable(gathered)
+    with pytest.MonkeyPatch.context() as patch:
+        _searching_fails(patch)
+        assert _consistency_answers(gathered, superset) == searched
+
+
+def _pow_without_all_ones(n):
+    full = fixtures.powerset_class(n)
+    return ConceptClass(full.universe, [c for c in full if c.bits != (1 << n) - 1])
+
+
+@pytest.mark.parametrize(
+    "make, threshold",
+    [
+        (lambda: _pow_without_all_ones(10), 10),
+        (lambda: fixtures.singletons(20), 20),
+        (lambda: enumerate_dfa_class(3, 3), 7),
+        (lambda: fixtures.tree_class(3, 2), 4),
+    ],
+    ids=["POW(10)-1^10", "SING(20)", "DFA(3,3)", "TREE(3,2)"],
+)
+def test_search_thresholds_on_pinned_shapes(make, threshold):
+    assert consistency_threshold(make()) == threshold
+
+
+def test_tree32_hm_sizes_from_the_search():
+    cls = fixtures.tree_class(3, 2)
+    assert [len(m_consistent_totals(cls, m)) for m in (2, 3)] == [13, 12]
+    assert cls._smallest_unextendable is None
+
+
 @pytest.mark.parametrize("threshold_first", [True, False])
 def test_levels_are_scanned_once_to_the_end(monkeypatch, threshold_first):
-    # TREE(3,2): threshold 4, so the first request, whichever it is, scans
-    # levels 1-4 and, since only members survive level 4, nothing beyond;
-    # every later request reads the same array
+    # TREE(3,2) holding its 3^|X| array: whichever request comes first, the
+    # search never runs, the levels are gathered from the array once and in
+    # full (members at |X|+1), and every answer equals the searched one
+    searched = fixtures.tree_class(3, 2)
+    expected = (
+        consistency_threshold(searched),
+        consistency_dim(searched, hypothesis_hm(searched, 2)),
+        hypothesis_hm(searched, 2).member_bits(),
+        hypothesis_hm(searched, 6).member_bits(),
+    )
+    assert expected[:2] == (4, 2) and sorted(expected[3]) == sorted(searched.bits_index)
     cls = fixtures.tree_class(3, 2)
-    scanned = []
-
-    def counting(items, k):
-        scanned.append(k)
-        return combinations(items, k)
-
-    monkeypatch.setattr(dimensions, "combinations", counting)
+    strong_consistency_dim(cls, cls)
+    _searching_fails(monkeypatch)
     if threshold_first:
-        assert consistency_threshold(cls) == 4
+        assert consistency_threshold(cls) == expected[0]
     hm = hypothesis_hm(cls, 2)
-    assert consistency_dim(cls, hm) == 2
-    assert consistency_threshold(cls) == 4
-    assert sorted(hypothesis_hm(cls, 6).member_bits()) == sorted(cls.bits_index)
-    assert scanned == [1, 2, 3, 4]
+    levels = cls._consistency_levels
+    assert np.array_equal(levels, consistency_levels_oracle(cls))
+    got = (
+        consistency_threshold(cls),
+        consistency_dim(cls, hm),
+        hm.member_bits(),
+        hypothesis_hm(cls, 6).member_bits(),
+    )
+    assert got == expected
+    assert cls._consistency_levels is levels
