@@ -28,9 +28,22 @@ costs at least the best move found so far, and a membership query as soon
 as its first side does; children are always evaluated exactly.  A version of
 two or more concepts cannot be finished in one query (the adversary can keep
 a concept the hypothesis gets wrong, and a membership query leaves at least
-one concept on each side), so its value is at least 2 and the search stops
-at the first move of cost 2.  Singletons have value 1 and are never
-expanded; `nodes` counts the expanded versions.
+one concept on each side), so its value is at least 2.  Values are monotone:
+every answer consistent with a subset of v is consistent with v, so v's
+strategy also ends on the subset within as many queries.  So each child
+value the node reads is a floor on its own value, and the search stops at
+the first move whose cost meets max(2, the largest child value seen).
+
+Closed forms.  A version of two concepts has value 2: a member of it is a
+hypothesis (H contains C), and any counterexample leaves one concept.  A
+version {a, b, c} has value 2 exactly when some useful hypothesis leaves one
+concept at every counterexample, that is, takes on every free element the
+label two of the three share: when the bitwise majority of a, b and c,
+restricted to the parent's free elements, is one of the keys the parent
+passes down.  Otherwise it has value 3 (a member hypothesis leaves at most
+two concepts, and a membership query always leaves two on one side).
+Singletons have value 1 and are never expanded; `nodes` counts the versions
+of two or more concepts valued, by search or by closed form.
 
 Depth.  Each move constrains a new free element and shrinks the version, so
 the recursion is at most min(|X|, |C| - 1) + 1 calls deep.
@@ -76,21 +89,41 @@ class _Oracle:
         self.elements = [
             (1 << x, ones) for x, ones in enumerate(concept_class.element_ones)
         ]
-        self.hyp_bits = sorted(set(hypotheses.member_bits()))
+        # a dict keyed in sorted order: iterated in that order, and asked
+        # for membership by the three-concept closed form
+        self.hyp_bits = dict.fromkeys(sorted(set(hypotheses.member_bits())))
+        self.concept_bits = concept_class.member_bits()
+        self.space = (1 << concept_class.universe.size) - 1
         self.allow_mq = allow_mq
         self.memo = {1 << k: 1 for k in range(len(concept_class))}
         self.nodes = 0
 
     def value(self, version):
         return self.memo.get(version) or self._expand(
-            version, self.elements, self.hyp_bits
+            version, self.elements, self.hyp_bits, self.space
         )
 
-    def _expand(self, version, elements, hyps):
+    def _expand(self, version, elements, hyps, space):
         """Value of a version of at least two concepts that is not in the
         memo; `elements` and `hyps` are its parent's free elements and
-        useful hypotheses (or everything, at the root)."""
+        useful hypotheses (or everything, at the root), and `space` is the
+        bitset of those elements, to which each hypothesis in `hyps` is
+        restricted."""
         self.nodes += 1
+        memo = self.memo
+        upper = version & (version - 1)  # the version less its lowest concept
+        rest = upper & (upper - 1)  # and less its two lowest
+        if not rest:
+            memo[version] = 2
+            return 2
+        if not rest & (rest - 1):
+            bits = self.concept_bits
+            a = bits[(version & -version).bit_length() - 1]
+            b = bits[(upper & -upper).bit_length() - 1]
+            c = bits[rest.bit_length() - 1]
+            majority = ((a & b) | (a & c) | (b & c)) & space
+            value = memo[version] = 2 if majority in hyps else 3
+            return value
         fixed = 0  # elements on which the version is constant
         label = 0  # and its labels there
         free = []
@@ -109,27 +142,33 @@ class _Oracle:
                 fixed |= bit
         keep = ~fixed
         keys = {h & keep for h in hyps if not (h ^ label) & fixed}
+        space ^= fixed
         table = [None] * len(children)
-        memo = self.memo
         expand = self._expand
         best = len(free) + 2  # above every move's cost
+        floor = 2  # the largest child value seen, and at least 2
         if self.allow_mq:
             for j in range(0, len(children), 2):
                 a = table[j]
                 if a is None:
-                    a = table[j] = memo.get(children[j]) or expand(children[j], free, keys)
-                if a + 1 >= best:
-                    continue
-                b = table[j + 1]
-                if b is None:
-                    b = table[j + 1] = memo.get(children[j + 1]) or expand(
-                        children[j + 1], free, keys
+                    a = table[j] = memo.get(children[j]) or expand(
+                        children[j], free, keys, space
                     )
-                if b + 1 < best:
-                    best = max(a, b) + 1
-                    if best == 2:
-                        break
-        if best > 2:
+                if a > floor:
+                    floor = a
+                if a + 1 < best:
+                    b = table[j + 1]
+                    if b is None:
+                        b = table[j + 1] = memo.get(children[j + 1]) or expand(
+                            children[j + 1], free, keys, space
+                        )
+                    if b > floor:
+                        floor = b
+                    if b + 1 < best:
+                        best = max(a, b) + 1
+                if best <= floor:
+                    break
+        if best > floor:
             for key in keys:
                 worst = 0
                 for j, bit in slots:
@@ -137,15 +176,19 @@ class _Oracle:
                         j += 1  # the counterexample labels this element 1
                     c = table[j]
                     if c is None:
-                        c = table[j] = memo.get(children[j]) or expand(children[j], free, keys)
+                        c = table[j] = memo.get(children[j]) or expand(
+                            children[j], free, keys, space
+                        )
                     if c > worst:
                         worst = c
                         if worst + 1 >= best:
                             break
                 else:
                     best = worst + 1
-                    if best == 2:
-                        break
+                if worst > floor:
+                    floor = worst
+                if best <= floor:
+                    break
         memo[version] = best
         return best
 

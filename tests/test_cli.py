@@ -697,7 +697,7 @@ def test_gen_at_the_cell_limit():
         (
             ["--random", "8", "65", "--seed", "3"],
             ["exact", "--mode", "eq", "--hyp", "self"],
-            "lc=7 nodes=1060\n",
+            "lc=7 nodes=1025\n",
         ),
     ],
     ids=["compress-17x65", "exact-8x65"],

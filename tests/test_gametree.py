@@ -1,5 +1,6 @@
 """Minimax oracle: frozen values, the reference oracles, and sandwiches."""
 
+import itertools
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqlearn import fixtures
-from eqlearn.core import AllTotals
+from eqlearn.core import AllTotals, Concept, ConceptClass, Universe
 from eqlearn.dimensions import (
     consistency_dim,
     hypothesis_hm,
@@ -101,9 +102,58 @@ def test_oracle_matches_memo_oracle(seed):
         assert lc_eqmq_exact(cls, hyp) == lc_memo_oracle(cls, hyp, allow_mq=True)
 
 
+@given(seed=st.integers(0, 2**32), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_value_never_grows_on_a_subclass(seed, data):
+    """A subset of a version has no larger value: every answer consistent
+    with the subset is consistent with the version.  The oracle's floor (the
+    largest child value seen) rests on this."""
+    cls, superset = random_instance(seed, max_x=7, max_c=12, max_extra=4)
+    keep = data.draw(st.sets(st.integers(0, len(cls) - 1), min_size=1))
+    sub = ConceptClass(cls.universe, [cls.concepts[k] for k in sorted(keep)])
+    for hyp in (cls, superset, hypothesis_hm(cls, 2)):
+        for allow_mq in (False, True):
+            assert lc_memo_oracle(sub, hyp, allow_mq) <= lc_memo_oracle(
+                cls, hyp, allow_mq
+            )
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_three_concepts_closed_form(size):
+    """Every three-concept class on |X| <= 4: the value is 2 exactly when the
+    bitwise majority total is a hypothesis, else 3, in both modes, with H the
+    class, the powerset, and the class plus one other total: the majority
+    when the class lacks it, and the lowest total that is neither."""
+    universe = Universe([f"x{i}" for i in range(size)])
+    totals = range(1 << size)
+    for bits in itertools.combinations(totals, 3):
+        a, b, c = bits
+        majority = (a & b) | (a & c) | (b & c)
+        cls = ConceptClass(universe, [Concept(universe, t) for t in bits])
+        other = next(t for t in totals if t not in bits and t != majority)
+        extras = [other] if majority in bits else [majority, other]
+        # the unmemoized reference is exponential in |H|, so the powerset is
+        # checked against the memoized one
+        hyps = [(cls, lc_reference), (AllTotals(universe), lc_memo_oracle)]
+        hyps += [
+            (
+                ConceptClass(universe, [*cls.concepts, Concept(universe, t)]),
+                lc_reference,
+            )
+            for t in extras
+        ]
+        for hyp, reference in hyps:
+            expected = 2 if hyp.contains_bits(majority) else 3
+            for mode, allow_mq in (("eq", False), ("eqmq", True)):
+                assert lc_exact_with_stats(cls, hyp, mode) == (expected, 1)
+                assert reference(cls, hyp, allow_mq) == expected
+
+
 def test_nodes_count_versions_of_two_or_more_concepts(sing4):
-    # SING(4) with itself: every subset of two or more singletons is expanded
-    assert lc_exact_with_stats(sing4, sing4, "eq") == (4, 11)
+    # SING(4) with itself: the full version and the four versions of three
+    # singletons that its hypotheses leave are valued, the latter by closed
+    # form (their majority, the empty set, is not a hypothesis)
+    assert lc_exact_with_stats(sing4, sing4, "eq") == (4, 5)
     for n_concepts, expected in ((2, (2, 1)), (1, (1, 0))):
         cls = fixtures.random_class(3, n_concepts, seed=1)
         for mode in ("eq", "eqmq"):
