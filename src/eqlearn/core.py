@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
-from operator import and_
 
 
 class ClassFormatError(ValueError):
@@ -336,23 +333,86 @@ def format_class(concept_class):
 # consistency predicates
 
 
+def _hits(member, ones, t, points, version, budget, memo):
+    """Whether at most `budget` of the points in the bitset `points`, labelled
+    as in the total t, AND the concepts of `version` down to nothing: whether
+    they hit the disagreement set of every concept in it.  Branches on the
+    points where the version's lowest concept disagrees with t, with `memo`
+    keyed on (version, budget) for this t and these points."""
+    if not version:
+        return budget >= 0
+    if budget <= 0:
+        return False
+    key = version, budget
+    hit = memo.get(key)
+    if hit is None:
+        hit = False
+        low = (version & -version).bit_length() - 1
+        apart = (member[low] ^ t) & points
+        while apart:
+            x = (apart & -apart).bit_length() - 1
+            apart &= apart - 1
+            rest = version & ones[x] if (t >> x) & 1 else version & ~ones[x]
+            if _hits(member, ones, t, points, rest, budget - 1, memo):
+                hit = True
+                break
+        memo[key] = hit
+    return hit
+
+
+def _unextendable_size(concept_class, mask, bits, version, min_size, max_size):
+    """The least k from `min_size` to min(`max_size`, |mask|) such that k
+    points of `mask`, labelled as in `bits`, AND `version` down to nothing,
+    or None.  Past the least size, padding the set with more points keeps it
+    unextendable, so "at most k" (`_hits`) is "exactly k".  One memo serves
+    every budget.  A labeling that a concept of the version extends has no
+    such points, and is answered first, by ANDing in every point of `mask`."""
+    survivors, rest = version, mask
+    while survivors and rest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        survivors = concept_class.restrict_version(survivors, x, (bits >> x) & 1)
+    if survivors:
+        return None
+    member = concept_class.member_bits()
+    memo = {}
+    for k in range(min_size, min(max_size, mask.bit_count()) + 1):
+        if _hits(member, concept_class.element_ones, bits, mask, version, k, memo):
+            return k
+    return None
+
+
 def smallest_unextendable_restriction(
     concept_class, mask, bits, max_size, version=None, min_size=1
 ):
     """The smallest restriction (size ascending, then lexicographic) of
     `min_size` to `max_size` points of the labels `bits` on `mask` with no
     extension in the class (within `version` when given), as a tuple of
-    points, or None.  A subset has none when ANDing the version with each
-    of its points' agreement bitsets leaves no survivor."""
+    points, or None.
+
+    The size k comes from `_unextendable_size`.  The points are then chosen
+    in ascending order: each is the least remaining point x such that the
+    points chosen, x, and at most the rest of the k among the points above
+    x AND the version down to nothing (`_hits`).  Padding up to k needs no
+    check: a point below the next point of the first k-set leaves more
+    points above it than that set does."""
     if version is None:
         version = concept_class.full_version
-    dom = [x for x in range(concept_class.universe.size) if (mask >> x) & 1]
-    agree = {x: concept_class.restrict_version(version, x, (bits >> x) & 1) for x in dom}
-    for k in range(min_size, min(max_size, len(dom)) + 1):
-        for subset in combinations(dom, k):
-            if not reduce(and_, map(agree.get, subset), version):
-                return subset
-    return None
+    k = _unextendable_size(concept_class, mask, bits, version, min_size, max_size)
+    if k is None:
+        return None
+    member = concept_class.member_bits()
+    ones = concept_class.element_ones
+    points = []
+    rest = mask
+    while len(points) < k:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        after = concept_class.restrict_version(version, x, (bits >> x) & 1)
+        if _hits(member, ones, bits, rest, after, k - len(points) - 1, {}):
+            points.append(x)
+            version = after
+    return tuple(points)
 
 
 def is_n_consistent(partial, concept_class, n):
@@ -366,12 +426,8 @@ def is_n_consistent(partial, concept_class, n):
     if n < 0:
         raise ValueError("n must be nonnegative")
     k = min(n, partial.size)
-    return (
-        smallest_unextendable_restriction(
-            concept_class, partial.mask, partial.bits, k, min_size=k
-        )
-        is None
-    )
+    version = concept_class.full_version
+    return _unextendable_size(concept_class, partial.mask, partial.bits, version, k, k) is None
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ compression scheme, the thicket code and the full-dimension partials read,
 and `_ldim_bounds` the bounds (lo, hi) the questions have proved.
 Consistency dimension, the consistency threshold and H_m are answered by a
 depth-first search over prefixes of totals (`_totals_above`), which prunes a
-prefix once k of its points AND the class to nothing (`_hits`), so it
-visits few totals beyond those of level above k.
+prefix once k of its points AND the class to nothing, so it visits few
+totals beyond those of level above k.  That test is the hitting-set search
+`core._hits`, the one behind `core.smallest_unextendable_restriction` and
+`is_n_consistent` too; a total's exact level is the least budget at which
+it succeeds (`core._unextendable_size`).
 Strong consistency dimension works on arrays with one cell per partial
 labeling (3^|X| cells in base-3 order), updated by one numpy pass per
 element, each over long contiguous runs (`_digit_passes`).  The class's
@@ -32,6 +35,8 @@ from .core import (
     Concept,
     ConceptClass,
     PartialConcept,
+    _hits,
+    _unextendable_size,
     check_subclass,
 )
 
@@ -187,33 +192,6 @@ def _hypothesis_bits(hypotheses):
     return np.array(hypotheses.member_bits(), dtype=np.int64)
 
 
-def _hits(member, ones, t, points, version, budget, memo):
-    """Whether at most `budget` of the points in the bitset `points`, labelled
-    as in the total t, AND the concepts of `version` down to nothing: whether
-    they hit the disagreement set of every concept in it.  Branches on the
-    points where the version's lowest concept disagrees with t, with `memo`
-    keyed on (version, budget) for this t and these points."""
-    if not version:
-        return budget >= 0
-    if budget <= 0:
-        return False
-    key = version, budget
-    hit = memo.get(key)
-    if hit is None:
-        hit = False
-        low = (version & -version).bit_length() - 1
-        apart = (member[low] ^ t) & points
-        while apart:
-            x = (apart & -apart).bit_length() - 1
-            apart &= apart - 1
-            rest = version & ones[x] if (t >> x) & 1 else version & ~ones[x]
-            if _hits(member, ones, t, points, rest, budget - 1, memo):
-                hit = True
-                break
-        memo[key] = hit
-    return hit
-
-
 def _totals_above(concept_class, k):
     """The totals whose level exceeds k, as bits, ordered by (label of element
     0, label of element 1, ...).
@@ -254,18 +232,6 @@ def _totals_above(concept_class, k):
             tried[j] = 0
 
 
-def _level(concept_class, t, k):
-    """The level of a total outside the class whose level exceeds k."""
-    member = concept_class.member_bits()
-    points = (1 << concept_class.universe.size) - 1
-    ones = concept_class.element_ones
-    memo = {}
-    k += 1
-    while not _hits(member, ones, t, points, concept_class.full_version, k, memo):
-        k += 1
-    return k
-
-
 def _consistency_levels(concept_class):
     """Per total (indexed by its bits): its level, gathered from the total
     cells of the class's 3^|X| array (`_smallest_unextendable`), which the
@@ -303,13 +269,15 @@ def consistency_dim(concept_class, hypotheses):
         levels = _consistency_levels(concept_class).copy()
         levels[_hypothesis_bits(hypotheses)] = 0  # totals in H do not count
         return int(levels.max(initial=1))
+    size = concept_class.universe.size
+    full, version = (1 << size) - 1, concept_class.full_version
     k = 1
     while True:
         outside = (t for t in _totals_above(concept_class, k) if not hypotheses.contains_bits(t))
         t = next(outside, None)
         if t is None:
             return k
-        k = _level(concept_class, t, k)
+        k = _unextendable_size(concept_class, full, t, version, k + 1, size)
 
 
 def consistency_threshold(concept_class):

@@ -169,10 +169,24 @@ def test_unextendable_restriction_matches_its_definition(cls, data):
     version = data.draw(
         st.one_of(st.none(), st.integers(0, cls.full_version)), label="version"
     )
+    # drawn apart, so that min_size > max_size (no sizes, so None) comes up
     max_size = data.draw(st.integers(0, n + 1), label="max_size")
-    min_size = data.draw(st.integers(0, max_size), label="min_size")
+    min_size = data.draw(st.integers(0, n + 1), label="min_size")
     args = (cls, mask, bits, max_size, version, min_size)
     assert smallest_unextendable_restriction(*args) == unextendable_restriction_oracle(*args)
+
+
+def test_unextendable_restriction_on_sing40():
+    """The all-zero total on 40 points extends to a singleton on every
+    restriction but the whole of it: the search finds the 40 points without
+    trying the 2^40 smaller sets, and n-consistency at n = 20 without trying
+    the C(40, 20) restrictions of that size."""
+    cls = fixtures.singletons(40)
+    full = (1 << 40) - 1
+    assert smallest_unextendable_restriction(cls, full, 0, 40) == tuple(range(40))
+    allzero = PartialConcept(cls.universe, full, 0)
+    assert is_n_consistent(allzero, cls, 20)
+    assert not is_n_consistent(allzero, cls, 40)
 
 
 def test_total_full_consistency_is_membership(sing4):

@@ -196,9 +196,8 @@ def sandwich_eqmq(cls, hyp, lc_eq):
     d = ldim(cls)
     c = consistency_dim(cls, hyp)
     lc = lc_eqmq_exact(cls, hyp)
-    # the adversary keeps the Littlestone dimension dropping by at most one
-    # per query, and the last query is a correct EQ on a single concept
-    assert d + 1 <= lc
+    # no d + 1 floor: a membership query can drop the Littlestone dimension
+    # by more than one (see test_membership_query_can_drop_ldim_by_two)
     assert c <= lc
     assert lc <= max(1, c - 1) * d + 1
     assert lc <= lc_eq
@@ -216,6 +215,21 @@ def test_sandwich_fixtures(sing4, singe4, tree32, five, pow3):
     for cls, hyp in pairs:
         lc = sandwich_eq(cls, hyp)
         sandwich_eqmq(cls, hyp, lc)
+
+
+def test_membership_query_can_drop_ldim_by_two():
+    """A class of ldim 3 whose EQ+MQ value is 3, below ldim + 1: x0 = 0
+    with x1..x4 labelled as SING(4) or all 0, and x0 = 1 with x1..x4
+    labelled as a complement of SING(4) or all 1.  Its EQ value is 4."""
+    universe = Universe([f"x{i}" for i in range(5)])
+    rows = ["01000", "00100", "00010", "00001", "00000"]
+    rows += ["10111", "11011", "11101", "11110", "11111"]
+    cls = ConceptClass(universe, [Concept.from_bitstring(universe, r) for r in rows])
+    assert ldim(cls) == 3 and consistency_dim(cls, cls) == 3
+    for hyp in (cls, AllTotals(universe)):
+        lc = sandwich_eq(cls, hyp)
+        assert lc == lc_memo_oracle(cls, hyp, allow_mq=False) == 4
+        assert sandwich_eqmq(cls, hyp, lc) == lc_memo_oracle(cls, hyp, allow_mq=True) == 3
 
 
 @pytest.mark.parametrize("seed", range(40))
