@@ -18,7 +18,7 @@ from .core import (
     PartialConcept,
     Universe,
 )
-from .dimensions import _MAX_SCAN_SIZE, consistency_dim, ldim_subset
+from .dimensions import consistency_dim, ldim_subset
 from .learners import CdimEqLearner, EqMqLearner, run_session
 from .teachers import HonestTeacher
 
@@ -217,13 +217,13 @@ def nerode_witness(concept, n):
 def learn_dfa(summary, target, mode):
     """Learn the target's language in the class of `summary`, a
     `dfa_class_summary(n, m)` held by the caller, with the `mode` learner
-    certified by the summary's consistency value (exact, or the n(n+1) cap)
-    against the honest least-index teacher.  Refuses a target whose bounded
-    language is outside the class, and raises if the certified budget runs
-    out.  Returns the transcript."""
+    certified by the summary's consistency dimension against the honest
+    least-index teacher.  Refuses a target whose bounded language is outside
+    the class, and raises if the certified budget runs out.  Returns the
+    transcript."""
     if mode not in ("eq", "eqmq"):
         raise ValueError("mode must be 'eq' or 'eqmq'")
-    cls, _, c, _ = summary
+    cls, _, c = summary
     m = bound_of_universe(cls.universe)
     target_index = cls.bits_index.get(dfa_language(target, m).bits)
     if target_index is None:
@@ -239,14 +239,8 @@ def learn_dfa(summary, target, mode):
 
 
 def dfa_class_summary(n, m):
-    """(class, ldim, consistency dimension or cap, whether it is exact).
-
-    When the universe is too large for the exact consistency-dimension scan,
-    the distinguishing-suffix construction's cap n(n+1) is used instead (an
-    upper bound is all the learners need).
-    """
+    """(class, ldim, consistency dimension), all exact.  The consistency
+    dimension is at most the distinguishing-suffix cap n(n+1)
+    (`nerode_witness`)."""
     cls = enumerate_dfa_class(n, m)
-    d = ldim_subset(cls, cls.full_version)
-    if cls.universe.size <= _MAX_SCAN_SIZE:
-        return cls, d, consistency_dim(cls, cls), True
-    return cls, d, n * (n + 1), False
+    return cls, ldim_subset(cls, cls.full_version), consistency_dim(cls, cls)

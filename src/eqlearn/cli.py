@@ -301,18 +301,13 @@ def _cmd_dfa(args):
         target = parse_dfa(_read_text(args.target))
     elif args.target or args.mode:
         raise UsageError("--target and --mode apply only with --learn")
-    # the one enumeration and scan of the class; both reports read it
-    summary = cls, d, c, exact = dfa_class_summary(args.states, args.maxlen)
+    # the one enumeration and search of the class; both reports read it
+    summary = cls, d, c = dfa_class_summary(args.states, args.maxlen)
     if args.learn:
         lines = transcript_lines(learn_dfa(summary, target, args.mode or "eqmq"), cls.universe)
-        lines.append(f"bound={'exact' if exact else 'cap'} c={c} d={d}")
+        lines.append(f"bound=exact c={c} d={d}")
         return lines
-    return [
-        f"concepts={len(cls)}",
-        f"elements={cls.universe.size}",
-        f"ldim={d}",
-        f"cdim{'=' if exact else '<='}{c}",
-    ]
+    return [f"concepts={len(cls)}", f"elements={cls.universe.size}", f"ldim={d}", f"cdim={c}"]
 
 
 def _gen_cells(args):

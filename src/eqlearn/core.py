@@ -338,26 +338,47 @@ def _hits(member, ones, t, points, version, budget, memo):
     as in the total t, AND the concepts of `version` down to nothing: whether
     they hit the disagreement set of every concept in it.  Branches on the
     points where the version's lowest concept disagrees with t, with `memo`
-    keyed on (version, budget) for this t and these points."""
+    keyed on (version, budget) for this t and these points.
+
+    One loop, so any budget runs in one frame: the open question is
+    (version, budget) with `apart` its points not yet tried, and `stack`
+    holds the questions it was opened from, as (version, budget, points
+    left).  A branch that empties the version, or one that leaves budget 0,
+    is answered in place."""
     if not version:
         return budget >= 0
     if budget <= 0:
         return False
-    key = version, budget
-    hit = memo.get(key)
-    if hit is None:
-        hit = False
-        low = (version & -version).bit_length() - 1
-        apart = (member[low] ^ t) & points
+    hit = memo.get((version, budget))
+    if hit is not None:
+        return hit
+    stack = []
+    apart = (member[(version & -version).bit_length() - 1] ^ t) & points
+    while True:
         while apart:
             x = (apart & -apart).bit_length() - 1
             apart &= apart - 1
             rest = version & ones[x] if (t >> x) & 1 else version & ~ones[x]
-            if _hits(member, ones, t, points, rest, budget - 1, memo):
+            if not rest:
                 hit = True
                 break
-        memo[key] = hit
-    return hit
+            if budget > 1:
+                hit = memo.get((rest, budget - 1))
+                if hit is None:
+                    stack.append((version, budget, apart))
+                    version, budget = rest, budget - 1
+                    apart = (member[(rest & -rest).bit_length() - 1] ^ t) & points
+                elif hit:
+                    break
+        else:
+            hit = False
+        memo[version, budget] = hit
+        while hit and stack:
+            version, budget, _ = stack.pop()
+            memo[version, budget] = True
+        if not stack:
+            return hit
+        version, budget, apart = stack.pop()
 
 
 def _unextendable_size(concept_class, mask, bits, version, min_size, max_size):

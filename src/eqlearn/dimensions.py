@@ -14,7 +14,9 @@ prefix once k of its points AND the class to nothing, so it visits few
 totals beyond those of level above k.  That test is the hitting-set search
 `core._hits`, the one behind `core.smallest_unextendable_restriction` and
 `is_n_consistent` too; a total's exact level is the least budget at which
-it succeeds (`core._unextendable_size`).
+it succeeds (`core._unextendable_size`).  Only H_m, which lists its totals,
+is refused past 24 elements.  VC dimension is a depth-first search over
+shattered sets (`vc_dim`).
 Strong consistency dimension works on arrays with one cell per partial
 labeling (3^|X| cells in base-3 order), updated by one numpy pass per
 element, each over long contiguous runs (`_digit_passes`).  The class's
@@ -28,8 +30,6 @@ use, so a command that builds none does not load it.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .core import (
     AllTotals,
     Concept,
@@ -41,8 +41,9 @@ from .core import (
 )
 
 # Exhaustive work is refused above these universe sizes rather than started.
-# The search over totals may list all 2^|X| of them (H_2 of a random 18x60
-# class holds all 262,144, listed in about 2 s), so it stops at 24.
+# H_m may hold all 2^|X| totals (H_2 of a random 18x60 class holds all
+# 262,144, listed in about 2 s), so listing it stops at 24; the threshold and
+# cdim list no totals and take any size.
 # `strong_consistency_dim` takes about 2.2 bytes per partial labeling,
 # measured as peak-memory growth, the class's kept array included
 # (tracemalloc peak at |X| = 14 on a class with no array yet: 2.00 with H
@@ -160,20 +161,41 @@ def full_ldim_partial(concept_class, version=None):
 
 
 def vc_dim(concept_class):
-    """Size of the largest shattered subset of the universe (exhaustive scan)."""
-    n = concept_class.universe.size
-    member_bits = concept_class.member_bits()
+    """Size of the largest shattered subset of the universe.
+
+    A depth-first search over shattered sets, each held as its 2^k patterns:
+    the bitsets of the concepts that label its points in each of the 2^k
+    ways.  A set is extended only by points above its largest, and the
+    extension is shattered iff the point splits every pattern into two
+    nonempty halves.  An extension to k + 1 points can lead past the best
+    size found only if each of its patterns splits 2^(best - k) ways more,
+    so it is kept only when every half holds at least that many concepts
+    and enough points remain above it.  The best size may grow while a set
+    waits on the stack, so the test is made again when it is taken off."""
+    ones = concept_class.element_ones
+    n = len(ones)
     best = 0
-    for k in range(1, n + 1):
-        if len(concept_class) < (1 << k):
-            break
-        for subset in combinations(range(n), k):
-            mask = sum(1 << x for x in subset)
-            if len({bits & mask for bits in member_bits}) == 1 << k:
-                best = k
+    stack = [((concept_class.full_version,), 0)]  # (patterns, least point to add)
+    while stack:
+        patterns, start = stack.pop()
+        k = len(patterns).bit_length() - 1
+        if min(p.bit_count() for p in patterns) < 2 << (best - k):
+            continue
+        for x in range(start, n):
+            short = best - k  # points to add after x to pass best
+            if x + short >= n:
                 break
-        else:
-            break
+            need = 1 << short
+            halves = []
+            for p in patterns:
+                p1 = p & ones[x]
+                p0 = p ^ p1
+                if p1.bit_count() < need or p0.bit_count() < need:
+                    break
+                halves += (p0, p1)
+            else:
+                best = max(best, k + 1)
+                stack.append((halves, x + 1))
     return best
 
 
@@ -202,7 +224,6 @@ def _totals_above(concept_class, k):
     earlier points AND the concepts labelling x_j as y down to nothing
     (`_hits`).  At k <= 0 every total is listed."""
     size = concept_class.universe.size
-    _check_size(size, _MAX_SCAN_SIZE, "the scan over all 2^|X| totals")
     ones = concept_class.element_ones
     member = concept_class.member_bits()
     full = concept_class.full_version
@@ -248,7 +269,9 @@ def _consistency_levels(concept_class):
 
 def m_consistent_totals(concept_class, m):
     """All totals (as bitmasks) m-consistent with the class, ascending."""
-    n = min(m, concept_class.universe.size)
+    size = concept_class.universe.size
+    _check_size(size, _MAX_SCAN_SIZE, "the list of m-consistent totals (H_m)")
+    n = min(m, size)
     if concept_class._smallest_unextendable is not None:
         return (_consistency_levels(concept_class) > n).nonzero()[0].tolist()
     return sorted(_totals_above(concept_class, n))

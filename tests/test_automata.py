@@ -1,7 +1,9 @@
 """DFA concept classes, the counting bound, Nerode witnesses, and learning."""
 
 import math
+from itertools import combinations, islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +20,18 @@ from eqlearn.automata import (
     parse_dfa,
     string_universe,
 )
-from eqlearn.core import ClassFormatError
+from eqlearn import dimensions
+from eqlearn.core import (
+    ClassFormatError,
+    Concept,
+    is_n_consistent,
+    smallest_unextendable_restriction,
+)
 from eqlearn.dimensions import consistency_dim, ldim_subset
 from eqlearn.learners import transcript_lines
+from eqlearn.rng import SplitMix64
 
-from conftest import dfa_language_oracle, enumerate_dfas
+from conftest import dfa_language_oracle, enumerate_dfas, unextendable_restriction_oracle
 
 
 def parity_dfa():
@@ -185,7 +194,7 @@ def test_learn_dfa_eqmq_parity():
     cls = enumerate_dfa_class(2, 3)
     c = consistency_dim(cls, cls)
     d = ldim_subset(cls, cls.full_version)
-    assert summary[1:] == (d, c, True)
+    assert summary[1:] == (d, c)
     assert summary[0].member_bits() == cls.member_bits()
     assert transcript.total_queries <= max(1, c - 1) * d + 1
 
@@ -272,14 +281,66 @@ def test_learn_dfa_sessions_share_one_enumeration(monkeypatch):
             assert transcript_lines(transcript, universe) == expected, (dfa, mode)
 
 
-def test_learn_dfa_m4_uses_cap():
-    # universe of 31 strings: the exact consistency scan is out of reach, the
-    # distinguishing-suffix cap n(n+1) = 6 certifies the budget instead
-    summary = cls, _, c, exact = dfa_class_summary(2, 4)
-    assert (c, exact) == (6, False)
-    d = ldim_subset(cls, cls.full_version)
-    bound = (6 - 1) * d + 1
+def test_learn_dfa_m4_is_exact_within_the_nerode_cap():
+    # universe of 31 strings: c is the exact consistency dimension, at most
+    # the distinguishing-suffix cap n(n+1) = 6, and certifies the budget
+    summary = cls, d, c = dfa_class_summary(2, 4)
+    assert c == 4 <= 2 * (2 + 1)
+    assert d == ldim_subset(cls, cls.full_version)
+    bound = (c - 1) * d + 1
     for dfa in (parity_dfa(), Dfa(2, [(0, 1), (1, 1)], [0]), Dfa(1, [(0, 0)], [])):
         transcript = learn_dfa(summary, dfa, "eqmq")
         assert transcript.success
         assert transcript.total_queries <= bound
+
+
+def test_dfa_m4_levels_match_brute_force():
+    """On DFA(2, 4), seeded totals (random ones, and members with one to
+    three labels flipped) and the first totals outside the class that the
+    search lists above level c - 1 have the smallest restriction with no
+    extension that the subset brute force finds first, and are n-consistent
+    exactly below its size; no level exceeds c, the consistency dimension."""
+    cls, _, c = dfa_class_summary(2, 4)
+    size = cls.universe.size
+    full = (1 << size) - 1
+    rng = SplitMix64(2024)
+    totals = [rng.below(1 << size) for _ in range(150)]
+    for _ in range(50):
+        t = cls.concepts[rng.below(len(cls))].bits
+        for _ in range(1 + rng.below(3)):
+            t ^= 1 << rng.below(size)
+        totals.append(t)
+    top = (t for t in dimensions._totals_above(cls, c - 1) if not cls.contains_bits(t))
+    totals += islice(top, 10)
+    levels = set()
+    for t in totals:
+        if cls.contains_bits(t):
+            continue
+        expected = unextendable_restriction_oracle(cls, full, t, size)
+        assert smallest_unextendable_restriction(cls, full, t, size) == expected, t
+        partial = Concept(cls.universe, t).as_partial()
+        level = len(expected)
+        assert is_n_consistent(partial, cls, level - 1)
+        assert not is_n_consistent(partial, cls, level)
+        levels.add(level)
+    assert max(levels) == c and len(levels) > 2
+
+
+def test_dfa_3_4_consistency_dimension_is_attained():
+    """DFA(3, 4)'s consistency dimension, 6, is at most the cap n(n+1) = 12,
+    and a total outside the class attains it: each of its C(31, 5) 5-point
+    restrictions has an extension, and the 6-point restriction the search
+    returns has none."""
+    cls, _, c = dfa_class_summary(3, 4)
+    assert c == 6 <= 3 * (3 + 1)
+    size = cls.universe.size
+    full = (1 << size) - 1
+    t = next(t for t in dimensions._totals_above(cls, c - 1) if not cls.contains_bits(t))
+    masks = np.array([sum(1 << x for x in s) for s in combinations(range(size), c - 1)])
+    for member in cls.member_bits():
+        masks = masks[(masks & (member ^ t)) != 0]
+    assert masks.size == 0
+    points = smallest_unextendable_restriction(cls, full, t, size)
+    assert len(points) == c
+    mask = sum(1 << x for x in points)
+    assert all((member ^ t) & mask for member in cls.member_bits())

@@ -114,13 +114,14 @@ def test_exact_past_the_recursion_limit_is_input_error(tmp_path):
         assert code == 0 and text.startswith("lc=2 "), text
 
 
-def test_ldim_past_the_recursion_limit_is_input_error(tmp_path):
+def test_ldim_and_threshold_past_the_recursion_limit_answer(tmp_path):
     """The Littlestone threshold search nests at most ldim + 2 calls deep,
-    so it needs no recursion guard: `compress` answers SING(1100), and
-    indicator blocks at k = 200 (which a search for exact side values took
-    202 calls deep) even under a recursion limit that leaves the command
-    only about 60 frames.  `dims` on the blocks is refused only by the
-    2^|X| scan limit."""
+    and the hitting-set search behind the consistency threshold runs in one
+    frame at any budget, so neither needs a recursion guard: `compress`
+    answers SING(1100), and `compress` and `dims` answer indicator blocks at
+    k = 200 (600 elements; a search for exact side values took 202 calls
+    deep, and the threshold's budget reaches 199) even under a recursion
+    limit that leaves the command only about 60 frames."""
     code, text = execute(["gen", "--singletons", "1100"])
     assert code == 0
     sing = tmp_path / "sing1100.cls"
@@ -136,11 +137,18 @@ def test_ldim_past_the_recursion_limit_is_input_error(tmp_path):
     finally:
         sys.setrecursionlimit(saved)
     assert compressed == (0, "d=3 rhos=4\n")
-    assert dims == (
-        2,
-        "input error: the scan over all 2^|X| totals is limited to |X| <= 24; "
-        "this universe has 600 elements\n",
-    )
+    assert dims == (0, "ldim=3\nvcdim=2\nthreshold=200\n")
+
+
+def test_witness_teacher_on_sing1100_needs_no_deep_recursion(tmp_path):
+    """The witness teacher's consistency check on SING(1100) asks the
+    hitting-set search for 1100 points of the all-zeros labeling."""
+    path = tmp_path / "sing1100.cls"
+    path.write_text(execute(["gen", "--singletons", "1100"])[1])
+    teacher = "witness:" + "0" * 1100 + ":1099"
+    argv = ["learn", "--class", str(path), "--algo", "optimal", "--hyp", "powerset"]
+    code, text = execute(argv + ["--teacher", teacher])
+    assert code == 0 and text.endswith("result=success eq=2 mq=0\n"), text[-200:]
 
 
 @pytest.mark.parametrize(
@@ -175,16 +183,16 @@ def test_hypothesis_class_columns_are_never_built(tree32_file, tmp_path, monkeyp
 
 
 def test_exhaustive_arrays_past_their_size_limit_are_input_errors(tmp_path):
+    # the threshold and cdim list no totals, so they answer at any size;
+    # H_m lists its totals, and is refused past the limit
     wide = _wide_class(tmp_path, 40)
-    for argv in (
-        ["dims"],
-        ["dims", "--hyp", "m:2"],
-        ["learn", "--algo", "cdim", "--teacher", "honest:0"],
-        ["exact", "--hyp", "m:2"],
-    ):
+    assert execute(["dims", "--class", wide]) == (0, "ldim=1\nvcdim=1\nthreshold=2\n")
+    code, text = execute(["learn", "--algo", "cdim", "--teacher", "honest:0", "--class", wide])
+    assert code == 0 and text.endswith("YES\nresult=success eq=2 mq=0\n"), text
+    for argv in (["dims", "--hyp", "m:2"], ["exact", "--hyp", "m:2"]):
         code, text = execute(argv + ["--class", wide])
         assert code == 2 and text.startswith("input error: "), (argv, text)
-        assert f"limited to |X| <= {dimensions._MAX_SCAN_SIZE}" in text
+        assert f"(H_m) is limited to |X| <= {dimensions._MAX_SCAN_SIZE}" in text
     narrow = _wide_class(tmp_path, 18)
     code, text = execute(["dims", "--class", narrow, "--hyp", "self"])
     assert code == 0 and "cdim=2" in text, text
@@ -202,11 +210,12 @@ def test_dims_answers_the_threshold_of_sing24(tmp_path):
 
 def test_dims_refuses_a_wide_universe_before_any_dimension(tmp_path, monkeypatch):
     def fail(*args):
-        raise AssertionError("dims computed a dimension before refusing the scan")
+        raise AssertionError("dims computed a dimension before refusing H_m")
 
     monkeypatch.setattr(cli, "vc_dim", fail)
     monkeypatch.setattr(cli, "ldim_subset", fail)
-    code, text = execute(["dims", "--class", _wide_class(tmp_path, 25)])
+    monkeypatch.setattr(cli, "consistency_threshold", fail)
+    code, text = execute(["dims", "--hyp", "m:2", "--class", _wide_class(tmp_path, 25)])
     assert code == 2 and text.startswith("input error: "), text
     assert f"limited to |X| <= {dimensions._MAX_SCAN_SIZE}" in text
 

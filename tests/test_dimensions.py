@@ -191,8 +191,27 @@ def test_vc_fixture_values(sing4, tree32, pow3):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_vc_matches_oracle(seed):
+    """A sparse random class, and two dense ones over 3 <= k <= 8 elements: a
+    random class of 2^k - k to 2^k concepts, and POW(k) without a few of its
+    totals (in the dense ones, the pruning by pattern size decides)."""
     cls = random_class_only(seed + 700, max_x=8, max_c=24)
     assert vc_dim(cls) == vc_oracle(cls)
+    rng = SplitMix64(seed + 7000)
+    k = 3 + rng.below(6)
+    dense = fixtures.random_class(k, (1 << k) - rng.below(k + 1), rng.next_u64())
+    assert vc_dim(dense) == vc_oracle(dense)
+    universe = Universe([f"x{i}" for i in range(k)])
+    missing = {rng.below(1 << k) for _ in range(1 + rng.below(4))}
+    powerset_less = ConceptClass(
+        universe, [Concept(universe, b) for b in range(1 << k) if b not in missing]
+    )
+    assert vc_dim(powerset_less) == vc_oracle(powerset_less)
+
+
+def test_vc_of_wide_and_dfa_classes():
+    # 600 elements: indicator blocks shatter two free elements and no more
+    assert vc_dim(indicator_blocks(200)) == 2
+    assert vc_dim(enumerate_dfa_class(3, 3)) == 7
 
 
 @pytest.mark.parametrize("seed", range(20))
