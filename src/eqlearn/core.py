@@ -204,13 +204,13 @@ class ConceptClass:
     """An ordered collection of distinct concepts over one universe.
 
     The list order is the canonical tie-break order.  The instance carries a
-    Littlestone-dimension memo table of exact values shared by every
-    algorithm that walks subclasses of this class (keyed by the bitset of
-    surviving concept indices), the Littlestone bounds (lo, hi) that the
-    threshold search behind it has proved (see `dimensions._at_least`), the
+    Littlestone-dimension memo table shared by every algorithm that walks
+    subclasses of this class (keyed by the bitset of surviving concept
+    indices), holding the bounds (lo, hi) that the threshold search has
+    proved, exact when lo == hi (see `dimensions._at_least`), the
     full-dimension partial of each version asked for (see
-    `dimensions.full_ldim_partial`; every nonempty version in it is also a
-    key of the Littlestone memo, so it never outgrows that table), the
+    `dimensions.full_ldim_partial`; every nonempty version in it has an
+    exact entry in the Littlestone memo, so it never outgrows that table), the
     3^|X| strong-consistency array once it has been built (see
     `dimensions._smallest_unextendable`) and the consistency levels of all
     totals gathered from that array, filled only by
@@ -243,7 +243,6 @@ class ConceptClass:
         self.full_version = (1 << len(concepts)) - 1
         self._element_ones = None
         self._ldim_memo = {}
-        self._ldim_bounds = {}
         self._full_partial_memo = {}
         self._smallest_unextendable = None
         self._consistency_levels = None

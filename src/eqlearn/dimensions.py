@@ -3,11 +3,11 @@
 Littlestone dimension is computed by a threshold search: "is ldim(v) >= k?"
 holds iff some element splits v into two sides that each answer yes at
 k - 1 (see `_at_least`), and the exact value is raised one question at a
-time (see `ldim_subset`).  Two tables on the ConceptClass, keyed on the
-bitset of surviving concept indices, hold what is known: `_ldim_memo` the
-exact values of the versions asked for, which the learners, teachers, the
-compression scheme, the thicket code and the full-dimension partials read,
-and `_ldim_bounds` the bounds (lo, hi) the questions have proved.
+time (see `ldim_subset`).  One table on the ConceptClass, `_ldim_memo`,
+keyed on the bitset of surviving concept indices, holds what is known: the
+bounds (lo, hi) the questions have proved, exact when lo == hi, as it is
+for every version whose dimension the learners, teachers, the compression
+scheme, the thicket code and the full-dimension partials have read.
 Consistency dimension, the consistency threshold and H_m are answered by a
 depth-first search over prefixes of totals (`_totals_above`), which prunes a
 prefix once k of its points AND the class to nothing, so it visits few
@@ -65,21 +65,19 @@ def ldim_subset(concept_class, version):
     """Littlestone dimension of the subclass given by a concept-index bitset.
 
     Returns -1 for the empty bitset, so that an empty side of a split never
-    ties a nonempty one.  On a memo miss, the dimension is raised from the
-    version's lower bound (its recorded lo, else 1 when it holds two
-    concepts) one threshold question (`_at_least`) at a time, and the exact
-    value, an int, is memoized.
+    ties a nonempty one.  Unless the version's memo entry is exact, the
+    dimension is raised from its lower bound (the entry's lo, else 1 when it
+    holds two concepts) one threshold question (`_at_least`) at a time, and
+    recorded as exact: (d, d).
     """
     if version == 0:
         return -1
     memo = concept_class._ldim_memo
-    d = memo.get(version)
-    if d is None:
-        bounds = concept_class._ldim_bounds.get(version)
-        d = bounds[0] if bounds else min(1, version & (version - 1))
+    d, hi = memo.get(version) or (min(1, version & (version - 1)), None)
+    if d != hi:
         while _at_least(concept_class, version, d + 1):
             d += 1
-        memo[version] = d
+        memo[version] = (d, d)
     return d
 
 
@@ -88,21 +86,18 @@ def _at_least(concept_class, version, k):
 
     ldim(v) >= k iff some element splits v into two sides that each have
     ldim >= k - 1 (Littlestone 1988), so only yes/no questions at k - 1 are
-    asked of the sides.  The answer is read off the exact memo, or else off
-    the version's bounds (lo, hi) in `_ldim_bounds`: hi starts at
-    floor(log2 |v|), and lo at 1 when v holds two concepts (some element
-    splits them).  Otherwise each splitting element is tried, skipped when
-    floor(log2 |small side|) < k - 1, with the smaller side asked first; the
-    answer is recorded as lo = k or hi = k - 1.  Each nested call asks one
-    less, so the nesting is at most ldim(v) + 2 <= floor(log2 |v|) + 2 calls.
+    asked of the sides.  The answer is read off the version's memo entry
+    (lo, hi), which starts at hi = floor(log2 |v|) and lo = 1 when v holds
+    two concepts (some element splits them).  Otherwise each splitting
+    element is tried, skipped when floor(log2 |small side|) < k - 1, with
+    the smaller side asked first; the answer is recorded as lo = k or
+    hi = k - 1.  Each nested call asks one less, so the nesting is at most
+    ldim(v) + 2 <= floor(log2 |v|) + 2 calls.
     """
-    exact = concept_class._ldim_memo.get(version)
-    if exact is not None:
-        return exact >= k
-    bounds = concept_class._ldim_bounds
+    memo = concept_class._ldim_memo
     n = version.bit_count()
     hi = n.bit_length() - 1
-    lo, hi = bounds.get(version) or (min(1, hi), hi)
+    lo, hi = memo.get(version) or (min(1, hi), hi)
     if k <= lo:
         return True
     if k > hi:
@@ -119,9 +114,9 @@ def _at_least(concept_class, version, k):
         if m.bit_length() < k:
             continue
         if _at_least(concept_class, small, k - 1) and _at_least(concept_class, large, k - 1):
-            bounds[version] = (k, hi)
+            memo[version] = (k, hi)
             return True
-    bounds[version] = (lo, k - 1)
+    memo[version] = (lo, k - 1)
     return False
 
 

@@ -62,11 +62,11 @@ def powerset_class(k):
 
 def random_class(n_elements, n_concepts, seed):
     """Distinct concepts drawn uniformly from the 2^n totals."""
+    universe = Universe([f"x{i}" for i in range(n_elements)])
     if n_concepts > (1 << n_elements):
         raise ClassFormatError(
             f"cannot draw {n_concepts} distinct concepts from {1 << n_elements} totals"
         )
-    universe = Universe([f"x{i}" for i in range(n_elements)])
     rng = SplitMix64(seed)
     chosen = []
     seen = set()

@@ -141,12 +141,11 @@ def ldim_memo_oracle(cls, version, memo):
 
 
 def check_ldim_certificate(cls, d):
-    """Check that the class's Littlestone tables prove ldim(cls) = d.
+    """Check that the class's Littlestone memo proves ldim(cls) = d.
 
-    The exact memo must hold d for the whole class, and every entry, an
-    exact value k in `_ldim_memo` (lo = hi = k) or a pair (lo, hi) in
-    `_ldim_bounds`, must follow from its sides' entries, which makes the
-    tables a proof by induction on the version's size:
+    The memo must hold the exact entry (d, d) for the whole class, and every
+    entry (lo, hi) must follow from its sides' entries, which makes the
+    table a proof by induction on the version's size:
     - a lower bound k >= 2 needs one splitting element whose sides both
       have lower bounds >= k - 1 (a nonempty version has 0, and one of two
       concepts has 1);
@@ -154,20 +153,16 @@ def check_ldim_certificate(cls, d):
       element, a side with an upper bound <= k - 1, where floor(log2 |side|)
       counts as one.
     Fails on the first entry that does not follow."""
-    memo, bounds = cls._ldim_memo, cls._ldim_bounds
-    assert memo.get(cls.full_version) == d
+    memo = cls._ldim_memo
+    assert memo.get(cls.full_version) == (d, d)
 
     def lower(version):
-        trivial = min(1, version.bit_count() - 1)
-        return max(memo.get(version, trivial), bounds.get(version, (trivial,))[0])
+        return memo.get(version, (min(1, version.bit_count() - 1),))[0]
 
     def upper(version):
-        log = version.bit_count().bit_length() - 1
-        return min(memo.get(version, log), bounds.get(version, (log, log))[1])
+        return memo.get(version, (0, version.bit_count().bit_length() - 1))[1]
 
-    entries = [(v, k, k) for v, k in memo.items()]
-    entries += [(v, lo, hi) for v, (lo, hi) in bounds.items()]
-    for version, lo, hi in entries:
+    for version, (lo, hi) in memo.items():
         n = version.bit_count()
         assert n and 0 <= lo <= hi, (version, lo, hi)
         splits = [
@@ -698,7 +693,6 @@ def ldim_nesting(cls):
             depth -= 1
 
     cls._ldim_memo = {}
-    cls._ldim_bounds = {}
     dimensions._at_least = counting
     try:
         d = ldim_subset(cls, cls.full_version)

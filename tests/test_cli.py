@@ -650,6 +650,14 @@ def test_gen_deterministic_and_roundtrip():
     assert code == 2  # more concepts than totals
 
 
+def test_gen_random_refuses_an_empty_or_negative_universe():
+    # the universe is checked before 2^|X| is formed, so a negative width
+    # is refused as gen --singletons refuses one, not by a shift error
+    message = (2, "input error: universe must contain at least one element\n")
+    for argv in (["--random", "-3", "2"], ["--random", "0", "2"], ["--singletons", "-4"]):
+        assert execute(["gen"] + argv + ["--seed", "1"]) == message, argv
+
+
 def test_gen_random_wider_than_64_elements():
     for nx, nc in ((65, 3), (130, 2)):
         code, text = execute(["gen", "--random", str(nx), str(nc), "--seed", "1"])

@@ -13,9 +13,10 @@ from eqlearn.compression import (
     is_exceptional,
 )
 from eqlearn.core import ConceptClass, PartialConcept, parse_partial
-from eqlearn.dimensions import full_ldim_partial
+from eqlearn.dimensions import full_ldim_partial, ldim_subset
 
 from conftest import (
+    check_ldim_certificate,
     compress_oracle,
     concept_classes,
     full_ldim_partial_oracle,
@@ -226,7 +227,30 @@ def test_full_partial_memo_keys_are_ldim_memo_keys():
     for cls in classes:
         check_roundtrip(cls)
         assert cls._full_partial_memo
-        assert set(cls._full_partial_memo) <= set(cls._ldim_memo)
+        for version in cls._full_partial_memo:
+            lo, hi = cls._ldim_memo[version]
+            assert lo == hi, version
+
+
+_RANDOM_SIZES = ((6, 9), (7, 10), (8, 12), (9, 14))
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [fixtures.random_class(nx, nc, seed=7200 + nx) for nx, nc in _RANDOM_SIZES]
+    + [fixtures.singletons(7), fixtures.singletons(8), fixtures.five_class()]
+    + [fixtures.tree_class(3, 2)],
+    ids=[f"random{nx}x{nc}" for nx, nc in _RANDOM_SIZES]
+    + ["SING(7)", "SING(8)", "FIVE", "TREE(3,2)"],
+)
+def test_roundtrip_leaves_an_ldim_certificate(cls):
+    """On each class family that `compress --check-all` is timed on, the
+    round trip asks the dimension of many versions, some first bounded
+    (lo, hi) by the threshold search and later made exact (d, d); the memo
+    it leaves still certifies the class's dimension entry by entry."""
+    count, failures = check_roundtrip(cls)
+    assert count > 0 and not failures
+    check_ldim_certificate(cls, ldim_subset(cls, cls.full_version))
 
 
 @pytest.mark.parametrize("name", ["tree32", "pow3"])

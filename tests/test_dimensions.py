@@ -120,11 +120,12 @@ def test_ldim_subset_returns_an_int():
 
 @given(cls=concept_classes(max_x=6, max_c=24), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_ldim_memo_holds_exact_values_only(cls, data):
+def test_ldim_memo_brackets_every_value_and_is_exact_where_read(cls, data):
     """After `ldim`, full-dimension partials of drawn versions and the
     compression round trip have read the threshold search, every memo entry
-    equals the unpruned recursion's value, every bounds entry (lo, hi)
-    brackets it, and the tables certify the dimension entry by entry."""
+    (lo, hi) brackets the unpruned recursion's value, every version whose
+    dimension was read has an exact entry (lo == hi, an int), and the table
+    certifies the dimension entry by entry."""
     d = ldim(cls)
     versions = data.draw(st.lists(st.integers(1, cls.full_version), max_size=6))
     for version in versions:
@@ -132,28 +133,44 @@ def test_ldim_memo_holds_exact_values_only(cls, data):
     if cls.universe.size <= 4:
         check_roundtrip(cls)
     oracle = {}
-    for version, value in cls._ldim_memo.items():
-        assert value == ldim_memo_oracle(cls, version, oracle), version
-        assert type(value) is int
-    for version, (lo, hi) in cls._ldim_bounds.items():
+    for version, (lo, hi) in cls._ldim_memo.items():
         assert lo <= ldim_memo_oracle(cls, version, oracle) <= hi, version
+        assert type(lo) is int and type(hi) is int
+    for version in [cls.full_version, *versions]:
+        assert cls._ldim_memo[version] == (ldim_memo_oracle(cls, version, oracle),) * 2
     check_ldim_certificate(cls, d)
 
 
-class _BoundedMemo(dict):
-    """A memo table that fails as soon as it and the tables sharing its
-    `entries` hold more than `bound` entries together."""
+@given(cls=concept_classes(max_x=6, max_c=24), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_at_least_records_the_answer_it_gives(cls, data):
+    """The threshold questions at a drawn version's dimension d and at
+    d + 1, asked in a drawn order, answer yes and no, and each leaves the
+    version's entry (lo, hi), or the trivial bounds where it writes none,
+    answering it again with no search: k <= lo after a yes, k > hi after a
+    no."""
+    oracle = {}
+    for version in data.draw(st.lists(st.integers(1, cls.full_version), min_size=1, max_size=6)):
+        d = ldim_memo_oracle(cls, version, oracle)
+        for k in data.draw(st.permutations([d, d + 1])):
+            answer = dimensions._at_least(cls, version, k)
+            assert answer == (k == d), (version, k)
+            log = version.bit_count().bit_length() - 1
+            lo, hi = cls._ldim_memo.get(version, (min(1, log), log))
+            assert k <= lo if answer else k > hi, (version, k, lo, hi)
 
-    def __init__(self, bound, entries):
+
+class _BoundedMemo(dict):
+    """A memo table that fails as soon as it holds more than `bound`
+    entries."""
+
+    def __init__(self, bound):
         super().__init__()
         self.bound = bound
-        self.entries = entries
 
     def __setitem__(self, key, value):
-        if key not in self:
-            if self.entries[0] >= self.bound:
-                raise AssertionError(f"the Littlestone memos outgrew {self.bound} entries")
-            self.entries[0] += 1
+        if key not in self and len(self) >= self.bound:
+            raise AssertionError(f"the Littlestone memo outgrew {self.bound} entries")
         super().__setitem__(key, value)
 
 
@@ -167,13 +184,10 @@ class _BoundedMemo(dict):
     ids=["SING(64)", "TREE(2,6)", "POW(10)"],
 )
 def test_ldim_memo_entries_stay_within_bound(cls, expected, bound):
-    """The threshold search's work, counted in entries of the exact memo
-    and the bounds table together: the unpruned recursion needs 2^64 - 1 on
-    SING(64) and about 3^10 on POW(10), and does not finish within a minute
-    on TREE(2,6)."""
-    entries = [0]
-    cls._ldim_memo = _BoundedMemo(bound, entries)
-    cls._ldim_bounds = _BoundedMemo(bound, entries)
+    """The threshold search's work, counted in entries of the memo: the
+    unpruned recursion needs 2^64 - 1 on SING(64) and about 3^10 on POW(10),
+    and does not finish within a minute on TREE(2,6)."""
+    cls._ldim_memo = _BoundedMemo(bound)
     d = ldim(cls)
     assert d == expected
     check_ldim_certificate(cls, d)

@@ -125,14 +125,13 @@ def test_tree_adversary_singleton_class():
 
 def test_tree_adversary_construction_asks_only_the_class_dimension():
     """The adversary walks its own path: building it fills the Littlestone
-    tables exactly as the class's dimension alone does, with no side of a
+    memo exactly as the class's dimension alone does, with no side of a
     mistake tree asked ahead of the first query."""
     built = fixtures.powerset_class(10)
     TreeAdversary(built)
     fresh = fixtures.powerset_class(10)
     ldim_subset(fresh, fresh.full_version)
-    assert built._ldim_memo.keys() == fresh._ldim_memo.keys()
-    assert built._ldim_bounds.keys() == fresh._ldim_bounds.keys()
+    assert built._ldim_memo == fresh._ldim_memo
 
 
 def test_tree_adversary_coherent_with_probes(tree32):
