@@ -7,11 +7,16 @@ first, padded with d - k copies of the first pick.  Reconstruction function
 i reads the first i picks as positive and the other k - i as negative.  No
 single decoder needs to disambiguate every tuple: the round-trip guarantee
 is existential over the family.  Few distinct tuples occur, so a scheme
-decodes each one once with all d + 1 functions and checks every sample that
-encodes to it against those totals.  The exhaustive check walks the samples
-as (mask, bits) pairs through the one encoder `compress` also uses, tests
-them against the totals' bits, and builds a PartialConcept only for a
-sample that fails.
+decodes each one once with all d + 1 functions.
+
+The exhaustive check decides whole cubes of domains at once.  For a member
+c, each step of the encoder reads only which points of one set G (the
+points that drop the running subclass's dimension under c's labels) the
+domain holds, so one walk per member that branches on the pick partitions
+the nonempty domains into cubes {must <= mask <= full - avoid}, all of whose
+samples of c encode to the same tuple.  Agreeing with a decoded total only
+gets easier as the domain shrinks, so a cube is tested at its largest
+domain, and only a failing cube tests its domains one by one.
 """
 
 from __future__ import annotations
@@ -46,16 +51,10 @@ def compress(concept_class, sample):
     d = ldim_subset(concept_class, concept_class.full_version)
     if d == 0:
         return ()
-    if sample.mask == 0:
+    mask, bits = sample.mask, sample.bits
+    if mask == 0:
         raise ValueError("cannot encode an empty-domain sample when ldim >= 1")
-    return _encode(concept_class, concept_class.element_ones, d, sample.mask, sample.bits)
-
-
-def _encode(concept_class, element_ones, d, mask, bits):
-    """The greedy walk of `compress` on a realizable sample given as its
-    domain `mask` and labels `bits`, for d = ldim(C) >= 1 and mask != 0.
-    `element_ones` is the class's `element_ones`, which the round trip reads
-    once per scheme rather than once per sample."""
+    element_ones = concept_class.element_ones
     version = concept_class.full_version
     positives = []
     negatives = []
@@ -140,35 +139,36 @@ class CompressionScheme:
     def __init__(self, concept_class):
         self.cls = concept_class
         self.dimension = ldim_subset(concept_class, concept_class.full_version)
-        self._element_ones = concept_class.element_ones
         self._decoded = {}  # tuple -> the bits of its decoders' non-None totals
 
     @property
     def reconstruction_count(self):
         return self.dimension + 1
 
-    def roundtrip_ok(self, sample):
-        compress(self.cls, sample)  # refuses a sample the class cannot encode
-        return self._roundtrip_ok(sample.mask, sample.bits)
-
-    def _roundtrip_ok(self, mask, bits):
-        """Some decoder of the realizable sample's tuple reads back a total
-        that agrees with `bits` on `mask`."""
-        d = self.dimension
-        tup = _encode(self.cls, self._element_ones, d, mask, bits) if d else ()
+    def _totals(self, tup):
+        """The bits of the non-None totals that the d + 1 decoders read off
+        a tuple, decoded on the tuple's first request."""
         totals = self._decoded.get(tup)
         if totals is None:
-            decoded = (decompress(self.cls, i, tup) for i in range(d + 1))
+            decoded = (decompress(self.cls, i, tup) for i in range(self.dimension + 1))
             totals = self._decoded[tup] = [t.bits for t in decoded if t is not None]
-        for t in totals:
-            if t & mask == bits:
-                return True
-        return False
+        return totals
+
+    def roundtrip_ok(self, sample):
+        """Some decoder of the sample's tuple reads back a total that agrees
+        with it on its domain.  A one-sample question: the exhaustive
+        `check_roundtrip` decides whole cubes of samples instead, so only
+        the tests and single-sample callers ask it."""
+        tup = compress(self.cls, sample)  # refuses a sample the class cannot encode
+        mask, bits = sample.mask, sample.bits
+        return any(t & mask == bits for t in self._totals(tup))
 
     def sample_bits(self):
         """(mask, bits) of every distinct nonempty-domain restriction of a
         member (the sample space of the round-trip theorem): masks descend
-        from the full domain, and members keep class order within a mask."""
+        from the full domain, and members keep class order within a mask.
+        One pair per sample, so only the tests and single-sample callers
+        walk it; `check_roundtrip` counts them with `sample_count`."""
         member_bits = self.cls.member_bits()
         full = (1 << self.cls.universe.size) - 1
         mask = full
@@ -178,20 +178,126 @@ class CompressionScheme:
             mask = (mask - 1) & full
 
     def enumerate_samples(self):
-        """The samples of `sample_bits` as partial concepts."""
+        """The samples of `sample_bits` as partial concepts, for the tests
+        and single-sample callers."""
         universe = self.cls.universe
         return (PartialConcept(universe, m, b) for m, b in self.sample_bits())
 
 
-def check_roundtrip(concept_class):
-    """Exhaustive round-trip check; returns (sample count, failing samples)
-    with the failures in `enumerate_samples` order."""
-    scheme = CompressionScheme(concept_class)
-    universe = concept_class.universe
-    failures = []
+def sample_count(concept_class):
+    """The number of samples of `sample_bits`: over every nonempty domain,
+    the number of distinct restrictions of members to it.
+
+    One pass over the elements.  A block is a set of members that agree on
+    the domain's points so far, kept as the set of its distinct column tails
+    (each member's labels from the current element on), with a weight: the
+    number of domain prefixes that leave it.  The next element either stays
+    out of the domain (the block carries on) or joins it (the block splits
+    by its label there).  A block of one tail never splits again, so it
+    counts once for each of the 2^rest choices of the remaining elements.
+    """
+    n = concept_class.universe.size
     count = 0
-    for mask, bits in scheme.sample_bits():
-        count += 1
-        if not scheme._roundtrip_ok(mask, bits):
-            failures.append(PartialConcept(universe, mask, bits))
-    return count, failures
+    blocks = {frozenset(concept_class.member_bits()): 1}
+    for x in range(n):
+        after = {}
+        for tails, weight in blocks.items():
+            if len(tails) == 1:
+                count += weight << (n - x)
+                continue
+            ones = frozenset(t >> 1 for t in tails if t & 1)
+            zeros = frozenset(t >> 1 for t in tails if not t & 1)
+            for block in (frozenset(t >> 1 for t in tails), ones, zeros):
+                if block:
+                    after[block] = after.get(block, 0) + weight
+        blocks = after
+    return count + sum(blocks.values()) - 1  # less the empty domain
+
+
+def _cubes(concept_class, d, c):
+    """The encoder's walk for every domain of member c's samples at once:
+    yields (tuple, must, avoid) per cube of nonempty domains
+    {must <= mask <= full - avoid}, whose samples of c all encode to tuple.
+
+    At version v with full-dimension partial f, the drop set of c's sample
+    on mask is mask & g with g = ~f.mask | (f.bits ^ c), so the pick (the
+    lowest point of mask & g & c, else the lowest of mask & g) and the halt
+    depend only on which points of g the domain holds.  A picked point is
+    constant on the running subclass, so it is never in a later g, and
+    must never meets avoid: every cube holds a real sample.
+    """
+    full = (1 << concept_class.universe.size) - 1
+    element_ones = concept_class.element_ones
+    stack = [(concept_class.full_version, (), (), 0, 0)]
+    while stack:
+        version, positives, negatives, must, avoid = stack.pop()
+        if len(positives) + len(negatives) == d:
+            yield positives + negatives, must, avoid
+            continue
+        f = full_ldim_partial(concept_class, version)
+        g = full & ~(f.mask & ~(f.bits ^ c))
+        # the lowest positive drop point of the domain is x
+        rest = g & c & ~avoid
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            x = bit.bit_length() - 1
+            below = avoid | (g & c & (bit - 1))
+            stack.append((version & element_ones[x], positives + (x,), negatives, must | bit, below))
+        # no positive drop point; the lowest negative one is x
+        avoid |= g & c
+        rest = g & ~c & ~avoid
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            x = bit.bit_length() - 1
+            below = avoid | (g & ~c & (bit - 1))
+            stack.append((version & ~element_ones[x], positives, negatives + (x,), must | bit, below))
+        # no drop point: the walk halts
+        avoid |= g
+        tup = positives + negatives
+        if tup:
+            yield tup + tup[:1] * (d - len(tup)), must, avoid
+            continue
+        # an immediate halt encodes the domain's lowest point
+        rest = full & ~avoid
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            yield ((bit.bit_length() - 1,) * d, bit, avoid | (bit - 1))
+
+
+def check_roundtrip(concept_class):
+    """Exhaustive round-trip check; returns (`sample_count`, failing
+    samples) with the failures in `sample_bits` order.
+
+    Each member walks its cubes of domains (`_cubes`).  A cube passes when
+    some total of its tuple agrees with the member on the cube's largest
+    domain, since it then agrees on every smaller one.  Only a failing cube
+    tests its domains one by one.  A sample shared by several members is
+    found by each of them, so failures are kept once, under the first
+    member with that restriction, and sorted by descending mask, then by
+    that member's class order.
+    """
+    scheme = CompressionScheme(concept_class)
+    d = scheme.dimension
+    full = (1 << concept_class.universe.size) - 1
+    failed = {}  # (mask, bits) -> the index of the first member with them
+    for index, c in enumerate(concept_class.member_bits()):
+        for tup, must, avoid in _cubes(concept_class, d, c):
+            totals = scheme._totals(tup)
+            top = full & ~avoid
+            if any(not (t ^ c) & top for t in totals):
+                continue
+            free = top & ~must
+            sub = free
+            while True:
+                mask = must | sub
+                if mask and not any(not (t ^ c) & mask for t in totals):
+                    failed.setdefault((mask, c & mask), index)
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+    universe = concept_class.universe
+    order = sorted(failed, key=lambda key: (-key[0], failed[key]))
+    return sample_count(concept_class), [PartialConcept(universe, m, b) for m, b in order]

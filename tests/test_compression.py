@@ -11,8 +11,9 @@ from eqlearn.compression import (
     compress,
     decompress,
     is_exceptional,
+    sample_count,
 )
-from eqlearn.core import ConceptClass, PartialConcept, parse_partial
+from eqlearn.core import Concept, ConceptClass, PartialConcept, parse_partial
 from eqlearn.dimensions import full_ldim_partial, ldim_subset
 
 from conftest import (
@@ -273,25 +274,117 @@ def test_decode_cache_reports_every_sample_of_a_failing_tuple(name, request, mon
     assert sorted((s.mask, s.bits) for s in failures) == sorted(expected)
 
 
+def _mutant(refused, index=None, flip=None):
+    """A decoder family that differs from `decompress` on one tuple: it
+    refuses the tuple's decoder `index` (every decoder when None), or, with
+    `flip`, returns that decoder's total with the label at point `flip`
+    flipped."""
+    decode = compression.decompress
+
+    def broken(concept_class, i, tup):
+        total = decode(concept_class, i, tup)
+        if tup != refused or index not in (None, i) or total is None:
+            return total
+        if flip is None:
+            return None
+        return Concept(total.universe, total.bits ^ (1 << flip))
+
+    return broken
+
+
+def _roundtrip_under(cls, broken):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compression, "decompress", broken)
+        return check_roundtrip(cls)
+
+
+def _assert_failures_match_the_oracle(cls, broken):
+    count, failures = _roundtrip_under(cls, broken)
+    expected_count, expected = roundtrip_failures_oracle(cls, broken)
+    assert count == expected_count
+    assert [(s.mask, s.bits) for s in failures] == [(s.mask, s.bits) for s in expected]
+    return failures
+
+
 @given(cls=concept_classes(max_x=6, max_c=10), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_roundtrip_failures_match_the_oracle_in_order(cls, data):
     # the CLI prints failures[0], so the failing samples and their order
-    # are both part of the output
+    # are both part of the output; the mutant refuses a whole tuple, one of
+    # its decoders, or flips one label of one decoder's total
     scheme = CompressionScheme(cls)
     tuples = sorted({compress_oracle(cls, s) for s in scheme.enumerate_samples()})
     refused = data.draw(st.sampled_from(tuples), label="refused")
-    decode = compression.decompress
+    index = data.draw(st.none() | st.integers(0, scheme.dimension), label="index")
+    flip = None
+    if index is not None:
+        flip = data.draw(st.none() | st.integers(0, cls.universe.size - 1), label="flip")
+    failures = _assert_failures_match_the_oracle(cls, _mutant(refused, index, flip))
+    assert failures or index is not None
 
-    def broken(concept_class, index, tup):
-        return None if tup == refused else decode(concept_class, index, tup)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(compression, "decompress", broken)
-        count, failures = check_roundtrip(cls)
-    expected_count, expected = roundtrip_failures_oracle(cls, broken)
-    assert count == expected_count and expected
-    assert [(s.mask, s.bits) for s in failures] == [(s.mask, s.bits) for s in expected]
+@pytest.mark.parametrize("name", ["tree32", "pow3"])
+def test_a_cube_that_fails_in_part_reports_only_its_failing_domains(name, request):
+    # refusing one decoder of a tuple fails whole cubes: every other decoder
+    # disagrees with the sample at one of its picks.  A total with one label
+    # flipped fails only the domains that hold that point, so on TREE(3,2)
+    # some cube's largest domain fails while smaller domains pass (a cube
+    # of POW(3) is one domain)
+    cls = request.getfixturevalue(name)
+    scheme = CompressionScheme(cls)
+    tuples = [compress_oracle(cls, s) for s in scheme.enumerate_samples()]
+    chosen = max(sorted(set(tuples)), key=tuples.count)
+    last = cls.universe.size - 1
+    whole = _assert_failures_match_the_oracle(cls, _mutant(chosen, 0))
+    failures = _assert_failures_match_the_oracle(cls, _mutant(chosen, 0, flip=last))
+    failed = {(s.mask, s.bits) for s in failures}
+    assert failures and failed <= {(s.mask, s.bits) for s in whole}
+    if name == "tree32":
+        assert len(failures) < len(whole)
+        full = (1 << cls.universe.size) - 1
+        split = 0
+        for c in cls.member_bits():
+            for tup, must, avoid in compression._cubes(cls, scheme.dimension, c):
+                free = full & ~avoid & ~must
+                sub, seen = free, set()
+                while True:
+                    seen.add((must | sub, c & (must | sub)) in failed)
+                    if not sub:
+                        break
+                    sub = (sub - 1) & free
+                split += seen == {True, False}
+        assert split
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 20])
+def test_sample_count_of_singletons(n):
+    count, failures = check_roundtrip(fixtures.singletons(n))
+    assert count == n * 2 ** (n - 1) + 2**n - 2 and not failures
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sample_count_of_powerset(n):
+    count, failures = check_roundtrip(fixtures.powerset_class(n))
+    assert count == 3**n - 1 and not failures
+
+
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_sample_count_of_one_concept(n):
+    count, failures = check_roundtrip(fixtures.random_class(n, 1, seed=7300 + n))
+    assert count == 2**n - 1 and not failures
+
+
+@given(cls=concept_classes())
+@settings(max_examples=60, deadline=None)
+def test_sample_count_matches_oracle(cls):
+    expected, _ = roundtrip_failures_oracle(cls, compression.decompress)
+    assert sample_count(cls) == expected == len(list(CompressionScheme(cls).sample_bits()))
+
+
+def test_sample_count_of_singletons_1100_is_a_loop():
+    # one pass over 1,100 elements: no recursion to outgrow
+    n = 1100
+    assert sample_count(fixtures.singletons(n)) == n * 2 ** (n - 1) + 2**n - 2
 
 
 def test_roundtrip_requires_existential_decoder(tree32):
