@@ -184,7 +184,8 @@ def _cmd_dims(args):
     threshold = consistency_threshold(cls)
     lines = [f"ldim={ldim_subset(cls, cls.full_version)}", f"vcdim={vc_dim(cls)}"]
     if hyp is not None:
-        lines.append(f"cdim={consistency_dim(cls, hyp)}")
+        # against the class itself, cdim is the threshold
+        lines.append(f"cdim={threshold if hyp is cls else consistency_dim(cls, hyp)}")
         if args.strong:
             lines.append(f"scdim={strong_consistency_dim(cls, hyp)}")
     lines.append(f"threshold={threshold}")

@@ -6,8 +6,8 @@ recover it.  Every tuple has one layout: k <= d distinct picks, positives
 first, padded with d - k copies of the first pick.  Reconstruction function
 i reads the first i picks as positive and the other k - i as negative.  No
 single decoder needs to disambiguate every tuple: the round-trip guarantee
-is existential over the family.  Few distinct tuples occur, so a scheme
-decodes each one once with all d + 1 functions.
+is existential over the family.  Few distinct tuples occur, so the
+exhaustive check decodes each one once with all d + 1 functions.
 
 The exhaustive check decides whole cubes of domains at once.  For a member
 c, each step of the encoder reads only which points of one set G (the
@@ -139,54 +139,16 @@ class CompressionScheme:
     def __init__(self, concept_class):
         self.cls = concept_class
         self.dimension = ldim_subset(concept_class, concept_class.full_version)
-        self._decoded = {}  # tuple -> the bits of its decoders' non-None totals
 
     @property
     def reconstruction_count(self):
         return self.dimension + 1
 
-    def _totals(self, tup):
-        """The bits of the non-None totals that the d + 1 decoders read off
-        a tuple, decoded on the tuple's first request."""
-        totals = self._decoded.get(tup)
-        if totals is None:
-            decoded = (decompress(self.cls, i, tup) for i in range(self.dimension + 1))
-            totals = self._decoded[tup] = [t.bits for t in decoded if t is not None]
-        return totals
-
-    def roundtrip_ok(self, sample):
-        """Some decoder of the sample's tuple reads back a total that agrees
-        with it on its domain.  A one-sample question: the exhaustive
-        `check_roundtrip` decides whole cubes of samples instead, so only
-        the tests and single-sample callers ask it."""
-        tup = compress(self.cls, sample)  # refuses a sample the class cannot encode
-        mask, bits = sample.mask, sample.bits
-        return any(t & mask == bits for t in self._totals(tup))
-
-    def sample_bits(self):
-        """(mask, bits) of every distinct nonempty-domain restriction of a
-        member (the sample space of the round-trip theorem): masks descend
-        from the full domain, and members keep class order within a mask.
-        One pair per sample, so only the tests and single-sample callers
-        walk it; `check_roundtrip` counts them with `sample_count`."""
-        member_bits = self.cls.member_bits()
-        full = (1 << self.cls.universe.size) - 1
-        mask = full
-        while mask:
-            for bits in dict.fromkeys(b & mask for b in member_bits):
-                yield mask, bits
-            mask = (mask - 1) & full
-
-    def enumerate_samples(self):
-        """The samples of `sample_bits` as partial concepts, for the tests
-        and single-sample callers."""
-        universe = self.cls.universe
-        return (PartialConcept(universe, m, b) for m, b in self.sample_bits())
-
 
 def sample_count(concept_class):
-    """The number of samples of `sample_bits`: over every nonempty domain,
-    the number of distinct restrictions of members to it.
+    """The number of samples (the sample space of the round-trip theorem):
+    over every nonempty domain, the number of distinct restrictions of
+    members to it.
 
     One pass over the elements.  A block is a set of members that agree on
     the domain's points so far, kept as the set of its distinct column tails
@@ -269,23 +231,26 @@ def _cubes(concept_class, d, c):
 
 def check_roundtrip(concept_class):
     """Exhaustive round-trip check; returns (`sample_count`, failing
-    samples) with the failures in `sample_bits` order.
+    samples).  The failures come in descending mask order, and within a
+    mask in the class order of the first member with that restriction.
 
     Each member walks its cubes of domains (`_cubes`).  A cube passes when
     some total of its tuple agrees with the member on the cube's largest
     domain, since it then agrees on every smaller one.  Only a failing cube
     tests its domains one by one.  A sample shared by several members is
     found by each of them, so failures are kept once, under the first
-    member with that restriction, and sorted by descending mask, then by
-    that member's class order.
+    member with that restriction.  Each tuple is decoded on its first cube.
     """
-    scheme = CompressionScheme(concept_class)
-    d = scheme.dimension
+    d = ldim_subset(concept_class, concept_class.full_version)
     full = (1 << concept_class.universe.size) - 1
+    decoded = {}  # tuple -> the bits of its decoders' non-None totals
     failed = {}  # (mask, bits) -> the index of the first member with them
     for index, c in enumerate(concept_class.member_bits()):
         for tup, must, avoid in _cubes(concept_class, d, c):
-            totals = scheme._totals(tup)
+            totals = decoded.get(tup)
+            if totals is None:
+                reads = (decompress(concept_class, i, tup) for i in range(d + 1))
+                totals = decoded[tup] = [t.bits for t in reads if t is not None]
             top = full & ~avoid
             if any(not (t ^ c) & top for t in totals):
                 continue

@@ -380,10 +380,10 @@ def _hits(member, ones, t, points, version, budget, memo):
         version, budget, apart = stack.pop()
 
 
-def _unextendable_size(concept_class, mask, bits, version, min_size, max_size):
-    """The least k from `min_size` to min(`max_size`, |mask|) such that k
-    points of `mask`, labelled as in `bits`, AND `version` down to nothing,
-    or None.  Past the least size, padding the set with more points keeps it
+def _unextendable_size(concept_class, mask, bits, version, low, high):
+    """The least k from `low` to min(`high`, |mask|) such that k points of
+    `mask`, labelled as in `bits`, AND `version` down to nothing, or None.
+    Past the least size, padding the set with more points keeps it
     unextendable, so "at most k" (`_hits`) is "exactly k".  One memo serves
     every budget.  A labeling that a concept of the version extends has no
     such points, and is answered first, by ANDing in every point of `mask`."""
@@ -396,19 +396,17 @@ def _unextendable_size(concept_class, mask, bits, version, min_size, max_size):
         return None
     member = concept_class.member_bits()
     memo = {}
-    for k in range(min_size, min(max_size, mask.bit_count()) + 1):
+    for k in range(low, min(high, mask.bit_count()) + 1):
         if _hits(member, concept_class.element_ones, bits, mask, version, k, memo):
             return k
     return None
 
 
-def smallest_unextendable_restriction(
-    concept_class, mask, bits, max_size, version=None, min_size=1
-):
-    """The smallest restriction (size ascending, then lexicographic) of
-    `min_size` to `max_size` points of the labels `bits` on `mask` with no
-    extension in the class (within `version` when given), as a tuple of
-    points, or None.
+def smallest_unextendable_restriction(concept_class, mask, bits, max_size, version=None):
+    """The smallest restriction (size ascending, then lexicographic) of at
+    most `max_size` points of the labels `bits` on `mask` with no extension
+    in the class (within `version` when given), as a tuple of points, or
+    None.
 
     The size k comes from `_unextendable_size`.  The points are then chosen
     in ascending order: each is the least remaining point x such that the
@@ -418,7 +416,7 @@ def smallest_unextendable_restriction(
     points above it than that set does."""
     if version is None:
         version = concept_class.full_version
-    k = _unextendable_size(concept_class, mask, bits, version, min_size, max_size)
+    k = _unextendable_size(concept_class, mask, bits, version, 1, max_size)
     if k is None:
         return None
     member = concept_class.member_bits()

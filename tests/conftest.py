@@ -527,29 +527,31 @@ def compress_oracle(concept_class, sample):
     return tuple(tup + tup[:1] * (d - len(tup)))
 
 
-def roundtrip_failures_oracle(concept_class, decode):
-    """The exhaustive round trip with no decode cache: every nonempty domain
-    in descending mask order, each member's distinct restriction to it in
-    member order, encoded by `compress_oracle` and read back by
-    `decode(concept_class, i, tup)` for every i in 0..d.  Returns (sample
-    count, the failing samples in that order)."""
+def samples(concept_class):
+    """Every sample of the round-trip theorem (a distinct restriction of a
+    member to a nonempty domain), once each: masks descending from the full
+    domain, then the class order of the first member with that restriction.
+    `check_roundtrip` reports its failures in this order."""
     universe = concept_class.universe
+    for mask in range((1 << universe.size) - 1, 0, -1):
+        for bits in dict.fromkeys(c.bits & mask for c in concept_class.concepts):
+            yield PartialConcept(universe, mask, bits)
+
+
+def roundtrip_failures_oracle(concept_class, decode):
+    """The exhaustive round trip with no decode cache: every sample of
+    `samples`, encoded by `compress_oracle` and read back by
+    `decode(concept_class, i, tup)` for every i in 0..d.  Returns (sample
+    count, the failing samples in `samples` order)."""
     d = ldim_subset(concept_class, concept_class.full_version)
     count = 0
     failures = []
-    for mask in range((1 << universe.size) - 1, 0, -1):
-        seen = set()
-        for concept in concept_class.concepts:
-            bits = concept.bits & mask
-            if bits in seen:
-                continue
-            seen.add(bits)
-            count += 1
-            sample = PartialConcept(universe, mask, bits)
-            tup = compress_oracle(concept_class, sample)
-            totals = [decode(concept_class, i, tup) for i in range(d + 1)]
-            if not any(t is not None and sample.extended_by(t) for t in totals):
-                failures.append(sample)
+    for sample in samples(concept_class):
+        count += 1
+        tup = compress_oracle(concept_class, sample)
+        totals = [decode(concept_class, i, tup) for i in range(d + 1)]
+        if not any(t is not None and sample.extended_by(t) for t in totals):
+            failures.append(sample)
     return count, failures
 
 

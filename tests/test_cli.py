@@ -24,6 +24,7 @@ from conftest import (
     compress_oracle,
     indicator_blocks,
     random_instance,
+    samples,
     scdim_oracle,
 )
 
@@ -206,6 +207,28 @@ def test_dims_answers_the_threshold_of_sing24(tmp_path):
     path.write_text(execute(["gen", "--singletons", "24"])[1])
     code, text = execute(["dims", "--class", str(path)])
     assert code == 0 and text.split() == ["ldim=1", "vcdim=1", "threshold=24"], text
+
+
+def test_dims_self_searches_the_totals_once(tmp_path, monkeypatch):
+    # against the class itself cdim is the threshold: --hyp self runs the
+    # threshold's search over totals and no second one
+    path = tmp_path / "r.cls"
+    path.write_text(execute(["gen", "--random", "10", "20", "--seed", "1"])[1])
+    search = dimensions._totals_above
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(dimensions, "_totals_above", counted)
+    code, text = execute(["dims", "--class", str(path)])
+    assert code == 0 and calls, text
+    alone = len(calls)
+    code, text = execute(["dims", "--class", str(path), "--hyp", "self"])
+    values = dict(line.split("=") for line in text.split())
+    assert code == 0 and len(calls) == 2 * alone, (alone, len(calls))
+    assert values["cdim"] == values["threshold"]
 
 
 def test_dims_refuses_a_wide_universe_before_any_dimension(tmp_path, monkeypatch):
@@ -573,8 +596,7 @@ def test_compress_check_all_reports_the_first_failing_sample(
 ):
     # refuse every decode of TREE(3,2)'s most common tuple, (0, 0); the
     # first sample encoded to it is 100*00000000
-    samples = list(compression.CompressionScheme(tree32).enumerate_samples())
-    tuples = [compress_oracle(tree32, s) for s in samples]
+    tuples = [compress_oracle(tree32, s) for s in samples(tree32)]
     refused = max(sorted(set(tuples)), key=tuples.count)
     decode = compression.decompress
 

@@ -24,6 +24,7 @@ from conftest import (
     is_exceptional_oracle,
     random_class_only,
     roundtrip_failures_oracle,
+    samples,
 )
 
 
@@ -86,17 +87,22 @@ def test_is_exceptional_matches_oracle(cls, data):
 @given(cls=concept_classes(max_x=7, max_c=12))
 @settings(max_examples=40, deadline=None)
 def test_compress_matches_oracle_on_every_sample(cls):
-    for sample in CompressionScheme(cls).enumerate_samples():
+    for sample in samples(cls):
         assert compress(cls, sample) == compress_oracle(cls, sample)
 
 
 @given(cls=concept_classes(max_x=6, max_c=12))
 @settings(max_examples=60, deadline=None)
 def test_enumerate_samples_is_every_restriction_once(cls):
-    keys = [(s.mask, s.bits) for s in CompressionScheme(cls).enumerate_samples()]
+    # every restriction once, in the order `check_roundtrip` reports its
+    # failures in: masks descending, then the first member with it
+    keys = [(s.mask, s.bits) for s in samples(cls)]
     full = (1 << cls.universe.size) - 1
-    expected = {(m, b & m) for m in range(1, full + 1) for b in cls.member_bits()}
-    assert len(keys) == len(set(keys)) and set(keys) == expected
+    first = {}
+    for index, b in enumerate(cls.member_bits()):
+        for m in range(1, full + 1):
+            first.setdefault((m, b & m), index)
+    assert keys == sorted(first, key=lambda key: (-key[0], first[key]))
 
 
 def test_compress_examples(sing4, pow3):
@@ -132,12 +138,12 @@ def _assert_one_layout(cls, sample):
 def test_one_layout_read_by_decoder_positives(cls):
     scheme = CompressionScheme(cls)
     if scheme.dimension:
-        for sample in scheme.enumerate_samples():
+        for sample in samples(cls):
             _assert_one_layout(cls, sample)
 
 
 def test_one_layout_on_pow3(pow3):
-    for sample in CompressionScheme(pow3).enumerate_samples():
+    for sample in samples(pow3):
         _assert_one_layout(pow3, sample)
 
 
@@ -153,7 +159,7 @@ def test_compress_rejects_empty_domain(sing4):
 
 def test_compress_entries_in_domain(tree32):
     scheme = CompressionScheme(tree32)
-    for sample in scheme.enumerate_samples():
+    for sample in samples(tree32):
         tup = compress(tree32, sample)
         assert len(tup) == scheme.dimension
         assert all((sample.mask >> x) & 1 for x in tup)
@@ -259,8 +265,8 @@ def test_decode_cache_reports_every_sample_of_a_failing_tuple(name, request, mon
     # a tuple that no decoder reads back fails every sample encoded to it,
     # not only the first one whose decodes were cached
     cls = request.getfixturevalue(name)
-    samples = list(CompressionScheme(cls).enumerate_samples())
-    tuples = [compress_oracle(cls, s) for s in samples]
+    every = list(samples(cls))
+    tuples = [compress_oracle(cls, s) for s in every]
     chosen = max(sorted(set(tuples)), key=tuples.count)
     decode = compression.decompress
 
@@ -269,8 +275,8 @@ def test_decode_cache_reports_every_sample_of_a_failing_tuple(name, request, mon
 
     monkeypatch.setattr(compression, "decompress", broken)
     count, failures = check_roundtrip(cls)
-    expected = {(s.mask, s.bits) for s, t in zip(samples, tuples) if t == chosen}
-    assert count == len(samples) and len(expected) > 1
+    expected = {(s.mask, s.bits) for s, t in zip(every, tuples) if t == chosen}
+    assert count == len(every) and len(expected) > 1
     assert sorted((s.mask, s.bits) for s in failures) == sorted(expected)
 
 
@@ -313,7 +319,7 @@ def test_roundtrip_failures_match_the_oracle_in_order(cls, data):
     # are both part of the output; the mutant refuses a whole tuple, one of
     # its decoders, or flips one label of one decoder's total
     scheme = CompressionScheme(cls)
-    tuples = sorted({compress_oracle(cls, s) for s in scheme.enumerate_samples()})
+    tuples = sorted({compress_oracle(cls, s) for s in samples(cls)})
     refused = data.draw(st.sampled_from(tuples), label="refused")
     index = data.draw(st.none() | st.integers(0, scheme.dimension), label="index")
     flip = None
@@ -332,7 +338,7 @@ def test_a_cube_that_fails_in_part_reports_only_its_failing_domains(name, reques
     # of POW(3) is one domain)
     cls = request.getfixturevalue(name)
     scheme = CompressionScheme(cls)
-    tuples = [compress_oracle(cls, s) for s in scheme.enumerate_samples()]
+    tuples = [compress_oracle(cls, s) for s in samples(cls)]
     chosen = max(sorted(set(tuples)), key=tuples.count)
     last = cls.universe.size - 1
     whole = _assert_failures_match_the_oracle(cls, _mutant(chosen, 0))
@@ -378,7 +384,7 @@ def test_sample_count_of_one_concept(n):
 @settings(max_examples=60, deadline=None)
 def test_sample_count_matches_oracle(cls):
     expected, _ = roundtrip_failures_oracle(cls, compression.decompress)
-    assert sample_count(cls) == expected == len(list(CompressionScheme(cls).sample_bits()))
+    assert sample_count(cls) == expected == len(list(samples(cls)))
 
 
 def test_sample_count_of_singletons_1100_is_a_loop():

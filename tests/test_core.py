@@ -169,10 +169,9 @@ def test_unextendable_restriction_matches_its_definition(cls, data):
     version = data.draw(
         st.one_of(st.none(), st.integers(0, cls.full_version)), label="version"
     )
-    # drawn apart, so that min_size > max_size (no sizes, so None) comes up
+    # max_size = 0 leaves no sizes, so None
     max_size = data.draw(st.integers(0, n + 1), label="max_size")
-    min_size = data.draw(st.integers(0, n + 1), label="min_size")
-    args = (cls, mask, bits, max_size, version, min_size)
+    args = (cls, mask, bits, max_size, version)
     assert smallest_unextendable_restriction(*args) == unextendable_restriction_oracle(*args)
 
 
