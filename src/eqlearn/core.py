@@ -230,7 +230,7 @@ class ConceptClass:
             raise ClassFormatError("concept class must be nonempty")
         seen = {}
         for k, c in enumerate(concepts):
-            if c.universe != universe:
+            if c.universe is not universe and c.universe != universe:
                 raise ValueError("all concepts must share the class universe")
             if c.bits in seen:
                 raise ClassFormatError(

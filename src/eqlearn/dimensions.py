@@ -263,13 +263,21 @@ def _consistency_levels(concept_class):
 
 
 def m_consistent_totals(concept_class, m):
-    """All totals (as bitmasks) m-consistent with the class, ascending."""
+    """All totals (as bitmasks) m-consistent with the class, ordered by
+    (label of element 0, label of element 1, ...): ascending in their bits
+    read backwards.
+
+    The search lists them in that order.  From the class's 3^|X| array the
+    levels are read at bit-reversed indices, which puts them in that order
+    too, so neither source is sorted."""
     size = concept_class.universe.size
     _check_size(size, _MAX_SCAN_SIZE, "the list of m-consistent totals (H_m)")
     n = min(m, size)
     if concept_class._smallest_unextendable is not None:
-        return (_consistency_levels(concept_class) > n).nonzero()[0].tolist()
-    return sorted(_totals_above(concept_class, n))
+        reversed_bits = _subset_sums([1 << (size - 1 - i) for i in range(size)])
+        levels = _consistency_levels(concept_class)
+        return reversed_bits[levels[reversed_bits] > n].tolist()
+    return list(_totals_above(concept_class, n))
 
 
 def consistency_dim(concept_class, hypotheses):
@@ -355,14 +363,21 @@ def _min_into_specified(cells):
     np.minimum(cells[:, 1:], cells[:, :1], out=cells[:, 1:])
 
 
+def _subset_sums(weights):
+    """Per mask over len(weights) elements: the sum of weights[i] over the
+    elements i in the mask, as int64."""
+    import numpy as np
+
+    sums = np.zeros(1 << len(weights), dtype=np.int64)
+    for i, w in enumerate(weights):
+        sums[1 << i : 2 << i] = sums[: 1 << i] + w
+    return sums
+
+
 def _total_cells(size):
     """Per total (indexed by its bits): its cell in base-3 order, every digit
     specified at 1 + its label."""
-    import numpy as np
-
-    place = np.zeros(1 << size, dtype=np.int64)  # place[mask] = sum of 3^i over i in mask
-    for i in range(size):
-        place[1 << i : 2 << i] = place[: 1 << i] + 3**i
+    place = _subset_sums([3**i for i in range(size)])
     place += place[-1]
     return place
 
@@ -383,7 +398,10 @@ def _smallest_unextendable(concept_class):
     its smallest restriction with no extension in the class, or `_INF` when
     the class extends it.
 
-    Built once per class and kept on it read-only."""
+    Each cell starts at the partial's size, and the class-extendable cells
+    are raised to `_INF` by OR-ing in the class's extendability scaled to
+    0 or `_INF`, so no masked write runs over the cells.  Built once per
+    class and kept on it read-only."""
     smallest = concept_class._smallest_unextendable
     if smallest is not None:
         return smallest
@@ -398,8 +416,12 @@ def _smallest_unextendable(concept_class):
     smallest = np.zeros(3**size, dtype=np.int8)
     for i in range(size):
         np.add(smallest[: 3**i], 1, out=smallest[3**i : 3 ** (i + 1)].reshape(2, 3**i))
-    np.copyto(smallest, _INF, where=extendable)
-    del extendable  # freed before the min-closure allocates its slab buffer
+    # sizes are at most 17 < 127 = 0b1111111 = _INF, so OR-ing in _INF sets
+    # a cell to _INF, and OR-ing in 0 keeps it
+    mark = extendable.view(np.int8)
+    mark *= _INF
+    smallest |= mark
+    del extendable, mark  # freed before the min-closure allocates its slab buffer
     _digit_passes(smallest, size, _min_into_specified)
     smallest.flags.writeable = False
     concept_class._smallest_unextendable = smallest
@@ -418,8 +440,11 @@ def strong_consistency_dim(concept_class, hypotheses):
     at `_INF` exactly where the class extends it.  The answer is the largest
     such size over the partials H does not extend, and at least 1.  H holds
     the class, so when it has no other total those are the cells below
-    `_INF`; otherwise they are the cells no total of H extends
-    (`_extendable`).  The array is the class's shared one, and is only read.
+    `_INF`, and the answer is one unmasked maximum over the cells shifted up
+    by one.  Otherwise the cells no total of H extends (`_extendable`) are
+    kept by multiplying H's extendability mask, negated, by the cells, and
+    the answer is that product's maximum.  The array is the class's shared
+    one, and is only read.
     """
     check_subclass(concept_class, hypotheses)
     if isinstance(hypotheses, AllTotals):
@@ -428,11 +453,17 @@ def strong_consistency_dim(concept_class, hypotheses):
 
     smallest = _smallest_unextendable(concept_class)
     if len(hypotheses) == len(concept_class):
-        unextended = smallest != _INF
+        # in int8, _INF + 1 = 128 wraps to -128, below every size + 1, so
+        # the class-extendable cells never give the maximum
+        largest = int(np.add(smallest, 1, dtype=np.int8).max()) - 1
     else:
         unextended = _extendable(_hypothesis_bits(hypotheses), concept_class.universe.size)
         np.logical_not(unextended, out=unextended)
-    return int(smallest.max(initial=1, where=unextended))
+        # H extends every `_INF` cell, so each product is 0 or a size
+        kept = unextended.view(np.int8)
+        kept *= smallest
+        largest = int(kept.max())
+    return max(1, largest)
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +472,11 @@ def strong_consistency_dim(concept_class, hypotheses):
 
 def hypothesis_hm(concept_class, m):
     """The minimal hypothesis class with consistency dimension at most m: every
-    total m-consistent with the class, as a `ConceptClass` ordered by (label
-    of element 0, label of element 1, ...), so `first_member` returns the
-    least extension in that order."""
+    total m-consistent with the class, as a `ConceptClass` in the order
+    `m_consistent_totals` lists them, (label of element 0, label of element
+    1, ...), so `first_member` returns the least extension in that order."""
     if m < 1:
         raise ValueError("m must be positive")
     universe = concept_class.universe
-
-    def labels_from_element_0(bits):
-        return format(bits, f"0{universe.size}b")[::-1]
-
-    members = sorted(m_consistent_totals(concept_class, m), key=labels_from_element_0)
+    members = m_consistent_totals(concept_class, m)
     return ConceptClass(universe, [Concept(universe, b) for b in members])

@@ -833,6 +833,9 @@ def test_numpy_is_loaded_only_by_the_commands_that_scan(sing4_file, tree32_file)
         ["dims", "--class", sing4_file],
         ["dfa", "--states", "2", "--maxlen", "2", "--dims"],
         ["learn", "--class", tree32_file, "--algo", "cdim", "--hyp", "self", "--teacher", "tree"],
+        # H_m built by the search, in its order, with no sort
+        ["exact", "--class", sing4_file, "--hyp", "m:2"],
+        ["learn", "--class", sing4_file, "--algo", "sc2", "--hyp", "m:2", "--teacher", "tree"],
         # last, and it builds the 3^|X| array: the probe sees numpy when it is loaded
         ["dims", "--class", sing4_file, "--hyp", "self", "--strong"],
     ]

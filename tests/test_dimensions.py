@@ -1,5 +1,7 @@
 """Dimension computations against paper values and definition-level oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -412,9 +414,7 @@ def test_scdim_on_one_class_object_matches_fresh_objects(size):
     assert np.array_equal(dimensions._smallest_unextendable(cls), kept)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_hm_is_the_same_from_the_scan_and_from_the_array(monkeypatch, seed):
-    cls = random_class_only(seed + 1500, max_x=8, max_c=12)
+def _hm_from_the_scan_the_search_and_the_array(monkeypatch, cls):
     size = cls.universe.size
     levels = consistency_levels_oracle(cls)
     ms = range(1, size + 2)
@@ -432,12 +432,27 @@ def test_hm_is_the_same_from_the_scan_and_from_the_array(monkeypatch, seed):
     assert from_array == from_scan
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_hm_is_the_same_from_the_scan_and_from_the_array(monkeypatch, seed):
+    cls = random_class_only(seed + 1500, max_x=8, max_c=12)
+    _hm_from_the_scan_the_search_and_the_array(monkeypatch, cls)
+
+
 def _array_classes(size):
     """A random class, SING(n) and, at 12 elements, TREE(3,2)."""
     yield fixtures.random_class(size, min(1 << size, size + 6), size)
     yield fixtures.singletons(size)
     if size == 12:
         yield fixtures.tree_class(3, 2)
+
+
+@pytest.mark.parametrize("size", [1, 12])
+def test_hm_is_the_same_from_the_scan_and_from_the_array_at_the_edge_sizes(monkeypatch, size):
+    # the array's totals are read at bit-reversed indices: a table of 2 and
+    # of 4,096 entries
+    for cls in _array_classes(size):
+        with monkeypatch.context() as patch:
+            _hm_from_the_scan_the_search_and_the_array(patch, cls)
 
 
 def test_array_sizes_run_the_slab_loop_once_and_many_times():
@@ -477,6 +492,40 @@ def test_scdim_matches_the_oracle_arrays(size):
         hyp_bits = np.array(hyp.member_bits(), dtype=np.int64)
         expected[extendable_oracle(hyp_bits, size)] = 0
         assert strong_consistency_dim(cls, hyp) == int(expected.max(initial=1))
+
+
+@pytest.mark.parametrize(
+    "make, self_value, h2_value",
+    [
+        (lambda: fixtures.powerset_class(1), 1, 1),
+        (lambda: fixtures.powerset_class(6), 1, 1),
+        (lambda: fixtures.singletons(12), 12, 2),
+    ],
+    ids=["POW(1)", "POW(6)", "SING(12)"],
+)
+def test_scdim_maxima_at_the_edges(make, self_value, h2_value):
+    # every cell of POW(n) is class-extendable, at _INF, so neither maximum
+    # sees a size and the answer is the floor 1
+    cls = make()
+    assert strong_consistency_dim(cls, cls) == self_value
+    assert strong_consistency_dim(cls, hypothesis_hm(cls, 2)) == h2_value
+    assert cls._smallest_unextendable is not None
+
+
+def test_scdim_peak_memory_is_the_two_arrays():
+    # the class's array and the class's extendability, one byte per cell
+    # each; the extendability and its int8 view are freed before the
+    # min-closure allocates its slab buffer
+    cls = fixtures.random_class(14, 28, 1)
+    cells = 3**14
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert strong_consistency_dim(cls, cls) == 7
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert round(peak / cells, 2) <= 2.00, peak / cells
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -611,7 +660,7 @@ def test_consistency_levels_match_predicate(cls):
             assert (bits in consistent) == bool(levels[bits] > n) == expected, (bits, n)
     # beyond |X|, n-consistency of a total is membership
     for m in (size, size + 1, size + 3):
-        assert m_consistent_totals(cls, m) == sorted(cls.bits_index)
+        assert sorted(m_consistent_totals(cls, m)) == sorted(cls.bits_index)
 
 
 def _consistency_answers(cls, superset):
@@ -623,7 +672,7 @@ def _consistency_answers(cls, superset):
         consistency_threshold(cls),
         consistency_dim(cls, superset),
         [consistency_dim(cls, hm) for hm in hms],
-        [m_consistent_totals(cls, m) for m in ms],
+        [sorted(m_consistent_totals(cls, m)) for m in ms],
     )
 
 
