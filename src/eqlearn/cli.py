@@ -144,7 +144,7 @@ def _build_parser():
     p.add_argument("--mu")
     p.add_argument("--cycles", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="Monte-Carlo seed (default 0)")
 
     p = sub.add_parser("compress", help="compression scheme report")
     p.add_argument("--class", dest="class_file", required=True)
@@ -266,6 +266,8 @@ def _format_fraction(f):
 
 
 def _cmd_thicket(args):
+    if args.seed is not None and args.trials is None:
+        raise UsageError("--seed applies only with --trials")
     cls = _load_class(args.class_file)
     mu = _load_distribution(args.mu, cls.universe)
     lines = [f"maxrank={_format_fraction(ThicketGraph(cls, mu).max_query_rank())}"]
@@ -273,7 +275,8 @@ def _cmd_thicket(args):
     cycle = deficient_cycle_search(cls, mu, max_len)
     lines.append("deficient_cycles=" + (",".join(map(str, cycle)) if cycle else "none"))
     if args.trials is not None:
-        stats = estimate_expected_queries(cls, mu, args.trials, args.seed)
+        seed = 0 if args.seed is None else args.seed
+        stats = estimate_expected_queries(cls, mu, args.trials, seed)
         lines.append(
             f"mean={stats.mean:.4f} stderr={stats.stderr:.4f} "
             f"max={stats.max_queries} bound={2 * stats.ldim}"

@@ -381,23 +381,31 @@ class ThicketMaxMinLearner(_VersionLearner):
     the current version space (exact rationals; ties take the lowest concept
     index).  Designed for sessions against randomized teachers."""
 
-    def __init__(self, concept_class, mu, policy_cache=None):
+    def __init__(self, concept_class, mu):
         super().__init__(concept_class)
         if mu.universe != concept_class.universe:
             raise ValueError("distribution universe differs from the class universe")
         self.mu = mu
-        self._policy = {} if policy_cache is None else policy_cache
+        self._policy = {}
         self.certified_budget = len(concept_class)
 
     def next_move(self):
-        version = self.version
-        if version & (version - 1) == 0:
-            # the query rank needs two concepts
-            return EqQuery(self.cls.concepts[self.cls.lowest_index(version)])
-        if version not in self._policy:
-            graph = ThicketGraph(self.cls, self.mu, version)
-            self._policy[version] = max(graph.indices, key=graph.query_rank)
-        return EqQuery(self.cls.concepts[self._policy[version]])
+        return EqQuery(
+            self.cls.concepts[maxmin_choice(self.cls, self.mu, self.version, self._policy)]
+        )
+
+
+def maxmin_choice(concept_class, mu, version, policy):
+    """The max-min learner's query on a nonempty version: its only concept,
+    or else its first concept of largest query rank, kept in the dict
+    `policy` (version -> index) for the next call on that version."""
+    if version & (version - 1) == 0:
+        # the query rank needs two concepts
+        return concept_class.lowest_index(version)
+    choice = policy.get(version)
+    if choice is None:
+        choice = policy[version] = ThicketGraph(concept_class, mu, version).best_query()
+    return choice
 
 
 class ThicketGraph:
@@ -408,8 +416,11 @@ class ThicketGraph:
     The weight of i -> j is the expected drop in the version's Littlestone
     dimension when the teacher samples a point where i and j differ from
     `mu` and reveals j's label there.  Only the points depend on the pair,
-    so each element's drop for either label is tabled once, in mu's units,
-    and `weight` sums a pair's points from that table on every call."""
+    so each element's drop for either label is tabled once, in mu's units.
+    A pair's weight is the integer pair (drop, mass), both in mu's units,
+    that `_pair` sums from that table on every call; ranks are compared by
+    cross-multiplying, and only `weight` (which sums the pair in its own
+    loop), `query_rank` and `max_query_rank` make a Fraction."""
 
     def __init__(self, concept_class, mu, version=None):
         if mu.universe != concept_class.universe:
@@ -428,25 +439,67 @@ class ThicketGraph:
             for x, ones in enumerate(concept_class.element_ones)
         ]
 
+    def _pair(self, i, j):
+        """The weight of i -> j as (mu-weighted drop, mu mass), in mu's units,
+        over the points where i and j differ."""
+        b = self.cls.concepts[j].bits
+        delta = self.cls.concepts[i].bits ^ b
+        drops = self._drops
+        units = self.mu.units
+        drop = mass = 0
+        while delta:
+            x = (delta & -delta).bit_length() - 1
+            drop += drops[x][(b >> x) & 1]
+            mass += units[x]
+            delta &= delta - 1
+        return drop, mass
+
+    def _rank(self, i):
+        """The query rank of i as a (drop, mass) pair: its lightest edge."""
+        low = None
+        for j in self.indices:
+            if j != i:
+                drop, mass = self._pair(i, j)
+                if low is None or drop * low[1] < low[0] * mass:
+                    low = drop, mass
+        return low
+
     def weight(self, i, j):
         if i == j:
             raise ValueError("no self-edges in the query graph")
         if not (self.version >> i) & (self.version >> j) & 1:
             raise ValueError(f"edge {i} -> {j} leaves the graph's version")
+        # summed here, not through `_pair`: the cycle check asks for every
+        # ordered pair's weight, and a second call per pair shows there
         b = self.cls.concepts[j].bits
         delta = self.cls.concepts[i].bits ^ b
-        drop = units = 0
-        while delta:  # over the points where i and j differ
+        drops = self._drops
+        units = self.mu.units
+        drop = mass = 0
+        while delta:
             x = (delta & -delta).bit_length() - 1
-            drop += self._drops[x][(b >> x) & 1]
-            units += self.mu.units[x]
+            drop += drops[x][(b >> x) & 1]
+            mass += units[x]
             delta &= delta - 1
-        return Fraction(drop, units)
+        return Fraction(drop, mass)
 
     def query_rank(self, i):
         if len(self.indices) < 2:
             raise ValueError("query rank needs at least two concepts")
-        return min(self.weight(i, j) for j in self.indices if j != i)
+        if not (self.version >> i) & 1:
+            raise ValueError(f"edge {i} -> {self.indices[0]} leaves the graph's version")
+        return Fraction(*self._rank(i))
+
+    def best_query(self):
+        """The first index of largest query rank: the max-min learner's query."""
+        if len(self.indices) < 2:
+            raise ValueError("query rank needs at least two concepts")
+        best = high = None
+        for i in self.indices:
+            drop, mass = self._rank(i)
+            if high is None or drop * high[1] > high[0] * mass:
+                best, high = i, (drop, mass)
+        return best
 
     def max_query_rank(self):
-        return max(map(self.query_rank, self.indices))
+        return Fraction(*self._rank(self.best_query()))

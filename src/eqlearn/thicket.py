@@ -2,8 +2,10 @@
 class, query ranks, a shortest-path deficient-cycle check, and Monte-Carlo
 estimation of the max-min learner's expected query count.
 
-Distributions are read in integer units, with one Fraction per edge and
-rank; floating point appears only in the final Monte-Carlo summary.
+Distributions are read in integer units.  Edge weights and query ranks are
+integer (drop, mass) pairs compared by cross-multiplying; a Fraction is made
+only for a reported weight or rank, and floating point appears only in the
+final Monte-Carlo summary.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from itertools import permutations
 
 from .core import InvariantViolation
 from .dimensions import ldim_subset
-from .learners import ThicketGraph, ThicketMaxMinLearner, run_session
-from .rng import mix64
-from .teachers import RandomTeacher
+from .learners import ThicketGraph, maxmin_choice
+from .rng import SplitMix64, mix64
 
 _HALF = Fraction(1, 2)
 
@@ -89,10 +90,38 @@ class TrialStats:
     ldim: int
     mean_total: float
 
+    @classmethod
+    def of_counts(cls, counts, n, ldim):
+        """The summary of exact per-trial counts, trial t's target being t % n."""
+        mean = sum(counts) / len(counts)
+        if len(counts) > 1:
+            var = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1)
+            stderr = (var / len(counts)) ** 0.5
+        else:
+            stderr = 0.0
+        per_target = {}
+        for t, c in enumerate(counts):
+            per_target.setdefault(t % n, []).append(c)
+        return cls(
+            trials=len(counts),
+            mean=mean,
+            stderr=stderr,
+            max_queries=max(counts),
+            per_target_mean={k: sum(v) / len(v) for k, v in sorted(per_target.items())},
+            ldim=ldim,
+            mean_total=mean + 1.0,
+        )
+
 
 def estimate_expected_queries(concept_class, mu, trials, seed):
     """Round-robin the target over the class; each trial runs the max-min
     learner against the random teacher with a seed derived from (seed, trial).
+
+    A trial is a walk from the full version: query the max-min choice (one
+    policy table, version -> index, serves every trial), draw a
+    counterexample from `mu` on the points where it differs from the target
+    with the stream `SplitMix64(mix64(seed, t))` (the random teacher's
+    draws), and keep the concepts that agree with the target there.
 
     The per-trial count is the number of queries before the one identifying
     the target (the quantity the 2 * ldim expectation bound is about); the
@@ -102,33 +131,26 @@ def estimate_expected_queries(concept_class, mu, trials, seed):
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if mu.universe != concept_class.universe:
+        raise ValueError("distribution universe differs from the class universe")
     counts = []
-    per_target = {}
     policy = {}
+    bits = [c.bits for c in concept_class.concepts]
     n = len(concept_class)
-    budget = n + 1
     for t in range(trials):
-        target = t % n
-        teacher = RandomTeacher(concept_class, target, mu, mix64(seed, t))
-        learner = ThicketMaxMinLearner(concept_class, mu, policy_cache=policy)
-        transcript = run_session(learner, teacher, budget)
-        if not transcript.success:
+        target = bits[t % n]
+        rng = SplitMix64(mix64(seed, t))
+        version = concept_class.full_version
+        for queries in range(n + 1):
+            delta = bits[maxmin_choice(concept_class, mu, version, policy)] ^ target
+            if not delta:
+                break
+            x = mu.pick(delta, rng.next_u64())
+            if not (delta >> x) & 1:
+                raise InvariantViolation("counterexample label agrees with the hypothesis")
+            version = concept_class.restrict_version(version, x, (target >> x) & 1)
+        else:
             raise InvariantViolation("max-min learner failed within |C| queries")
-        counts.append(transcript.eq_count - 1)
-        per_target.setdefault(target, []).append(transcript.eq_count - 1)
-    mean = sum(counts) / len(counts)
-    if len(counts) > 1:
-        var = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1)
-        stderr = (var / len(counts)) ** 0.5
-    else:
-        stderr = 0.0
+        counts.append(queries)
     d = ldim_subset(concept_class, concept_class.full_version)
-    return TrialStats(
-        trials=trials,
-        mean=mean,
-        stderr=stderr,
-        max_queries=max(counts),
-        per_target_mean={k: sum(v) / len(v) for k, v in sorted(per_target.items())},
-        ldim=d,
-        mean_total=mean + 1.0,
-    )
+    return TrialStats.of_counts(counts, n, d)

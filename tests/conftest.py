@@ -14,7 +14,9 @@ splitting-element, exceptional-partial and compression oracles test each
 point's constraint with its own dimension call, the round-trip oracle
 decodes every sample afresh, the thicket edge-weight oracle sums the drop
 point by point within the pair's symmetric difference, the weighted-pick
-oracle inverts the cumulative Fractions at u / 2^64, the
+oracle inverts the cumulative Fractions at u / 2^64, the Monte-Carlo
+oracle plays every trial as a full session of learner and random-teacher
+objects, the
 deficient-cycle oracle tries every tuple of distinct nodes, the 3^|X|
 array oracles make one in-place numpy pass per element, the consistency
 level oracle scans every subset of X by size over all 2^|X| totals, and
@@ -43,13 +45,15 @@ from eqlearn.core import (
 from eqlearn.dimensions import consistency_dim, full_ldim_partial, ldim_subset
 from eqlearn.learners import (
     Learner,
+    ThicketMaxMinLearner,
     _majority_total,
     _split_or_total,
     _unextendable_restriction,
     _VersionLearner,
+    run_session,
 )
-from eqlearn.rng import SplitMix64
-from eqlearn.teachers import EqQuery, YesAnswer
+from eqlearn.rng import SplitMix64, mix64
+from eqlearn.teachers import EqQuery, RandomTeacher, YesAnswer
 
 
 @st.composite
@@ -611,6 +615,22 @@ def choose_weighted_oracle(u, items, weights):
         if acc > r:
             return item
     return items[-1]
+
+
+def trial_counts_oracle(cls, mu, trials, seed):
+    """The Monte-Carlo counts by whole sessions: trial t runs a fresh max-min
+    learner against a random teacher with target t % |C| and seed
+    mix64(seed, t), and counts the queries before the one that identifies
+    the target."""
+    counts = []
+    for t in range(trials):
+        teacher = RandomTeacher(cls, t % len(cls), mu, mix64(seed, t))
+        learner = ThicketMaxMinLearner(cls, mu)
+        transcript = run_session(learner, teacher, len(cls) + 1)
+        if not transcript.success:
+            raise InvariantViolation("max-min learner failed within |C| queries")
+        counts.append(transcript.eq_count - 1)
+    return counts
 
 
 def deficient_cycle_oracle(weight, n, max_len):

@@ -364,6 +364,7 @@ def test_bad_usage_is_exit_1(sing4_file, tmp_path):
             dfa + ["--dims", "--learn", "--target", sing4_file],
             "--dims and --learn are separate reports",
         ),
+        (["thicket", "--class", sing4_file, "--seed", "5"], "--seed applies only with --trials"),
     ) + tuple(
         (
             learn + ["--algo", algo] + (["--hyp", "powerset"] if algo == "optimal" else []),

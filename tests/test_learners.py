@@ -1,6 +1,7 @@
 """Learning strategies: frozen behaviors, certified bounds, composition, soundness."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -395,10 +396,30 @@ def test_maxmin_pick_on_restricted_versions(seed):
             assert graph.indices == sorted(ranks)
             assert {a: graph.query_rank(a) for a in graph.indices} == ranks
             assert graph.max_query_rank() == ranks[expected]
+            # the library's own ranks agree: the first index of the largest
+            top = max(graph.query_rank(a) for a in graph.indices)
+            assert graph.best_query() == expected
+            assert expected == next(a for a in graph.indices if graph.query_rank(a) == top)
+            assert graph.max_query_rank() == top
             learner = ThicketMaxMinLearner(cls, mu)
             learner.version = version
             move = learner.next_move()
             assert move.hypothesis.bits == cls.concepts[expected].bits, (seed, version)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_maxmin_ties_take_the_first_index(n):
+    # under a uniform mu all singletons tie (rank 1 on two of them, 1/2 on
+    # more), so the first one is queried
+    cls = fixtures.singletons(n)
+    mu = Distribution.uniform(cls.universe)
+    graph = ThicketGraph(cls, mu)
+    assert {graph.query_rank(a) for a in graph.indices} == {Fraction(1, 1 if n == 2 else 2)}
+    assert graph.best_query() == 0
+    assert ThicketMaxMinLearner(cls, mu).next_move().hypothesis.bits == cls.concepts[0].bits
+    if n > 2:
+        # a version without concept 0 takes its own first concept
+        assert ThicketGraph(cls, mu, cls.full_version & ~1).best_query() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from eqlearn.core import Concept, Distribution, Universe, parse_class
 from eqlearn.dimensions import ldim_subset
 from eqlearn.thicket import (
     ThicketGraph,
+    TrialStats,
     deficient_cycle_search,
     estimate_expected_queries,
     query_rank,
@@ -25,6 +26,7 @@ from conftest import (
     deficient_cycle_oracle,
     edge_weight_oracle,
     random_class_only,
+    trial_counts_oracle,
 )
 
 HALF = Fraction(1, 2)
@@ -407,17 +409,7 @@ def test_estimate_tail_sanity(sing4, tree32):
         mu = Distribution.uniform(cls.universe)
         d = ldim_subset(cls, cls.full_version)
         # replay the counts to measure tail fractions
-        from eqlearn.learners import ThicketMaxMinLearner, run_session
-        from eqlearn.rng import mix64
-        from eqlearn.teachers import RandomTeacher
-
-        counts = []
-        policy = {}
-        for t in range(trials):
-            teacher = RandomTeacher(cls, t % len(cls), mu, mix64(42, t))
-            learner = ThicketMaxMinLearner(cls, mu, policy_cache=policy)
-            transcript = run_session(learner, teacher, len(cls) + 1)
-            counts.append(transcript.eq_count - 1)
+        counts = trial_counts_oracle(cls, mu, trials, 42)
         for n in (4 * d, 8 * d):
             frac = sum(1 for c in counts if c > n) / trials
             hoeffding = math.exp(-2 * (n / (2 * d) - d) ** 2 / n)
@@ -425,7 +417,41 @@ def test_estimate_tail_sanity(sing4, tree32):
             assert frac <= hoeffding + 5 * se
 
 
+def _assert_walk_matches_sessions(cls, mu, trials, seed):
+    stats = estimate_expected_queries(cls, mu, trials, seed)
+    counts = trial_counts_oracle(cls, mu, trials, seed)
+    assert stats == TrialStats.of_counts(counts, len(cls), ldim_subset(cls, cls.full_version))
+    assert stats.trials == trials and stats.max_queries == max(counts)
+    assert stats.mean == sum(counts) / trials
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_estimate_walk_matches_whole_sessions_random(seed):
+    cls = random_class_only(3100 + seed, max_x=8, max_c=14)
+    mu = fixtures.random_distribution(cls.universe, 3200 + seed, granularity=1 + seed % 5 * 7)
+    _assert_walk_matches_sessions(cls, mu, 3 * len(cls) + seed % 4, seed)
+
+
+@pytest.mark.parametrize("name", ["sing8", "five", "tree32"])
+def test_estimate_walk_matches_whole_sessions_fixtures(name):
+    cls = {
+        "sing8": fixtures.singletons(8),
+        "five": fixtures.five_class(),
+        "tree32": fixtures.tree_class(3, 2),
+    }[name]
+    for k, mu in enumerate(
+        (Distribution.uniform(cls.universe), fixtures.random_distribution(cls.universe, 77))
+    ):
+        _assert_walk_matches_sessions(cls, mu, 150, 5 + k)
+
+
 def test_estimate_validates_trials(sing4):
     mu = Distribution.uniform(sing4.universe)
     with pytest.raises(ValueError):
         estimate_expected_queries(sing4, mu, 0, seed=1)
+    # the distribution and the seed are checked as the random teacher checks them
+    other = Distribution.uniform(Universe([f"y{i}" for i in range(4)]))
+    with pytest.raises(ValueError, match="universe differs"):
+        estimate_expected_queries(sing4, other, 5, seed=1)
+    with pytest.raises(ValueError, match="outside the range"):
+        estimate_expected_queries(sing4, mu, 5, seed=-1)
