@@ -71,7 +71,6 @@ from .compression import (
     check_roundtrip,
     compress,
     decompress,
-    is_exceptional,
 )
 from .automata import (
     Dfa,

@@ -6,8 +6,11 @@ recover it.  Every tuple has one layout: k <= d distinct picks, positives
 first, padded with d - k copies of the first pick.  Reconstruction function
 i reads the first i picks as positive and the other k - i as negative.  No
 single decoder needs to disambiguate every tuple: the round-trip guarantee
-is existential over the family.  Few distinct tuples occur, so the
-exhaustive check decodes each one once with all d + 1 functions.
+is existential over the family.  A sample's own reading is the number of
+its ones among its tuple's points; the exhaustive check decodes each
+(tuple, own reading) once, and a tuple's other readings only for a sample
+its own reading fails.  With this family that never happens: every other
+reading labels one of the sample's picks the other way.
 
 The exhaustive check decides whole cubes of domains at once.  For a member
 c, each step of the encoder reads only which points of one set G (the
@@ -23,11 +26,6 @@ from __future__ import annotations
 
 from .core import Concept, PartialConcept
 from .dimensions import full_ldim_partial, ldim_subset
-
-
-def is_exceptional(partial, concept_class, version=None):
-    """Every specified point keeps the (sub)class at full dimension."""
-    return partial.is_restriction_of(full_ldim_partial(concept_class, version))
 
 
 def _zero_fill(partial):
@@ -178,8 +176,10 @@ def sample_count(concept_class):
 
 def _cubes(concept_class, d, c):
     """The encoder's walk for every domain of member c's samples at once:
-    yields (tuple, must, avoid) per cube of nonempty domains
-    {must <= mask <= full - avoid}, whose samples of c all encode to tuple.
+    yields (tuple, reading, must, avoid) per cube of nonempty domains
+    {must <= mask <= full - avoid}, whose samples of c all encode to tuple,
+    with own reading `reading` (the walk's positive picks, or c's label at
+    the point of an immediate halt).
 
     At version v with full-dimension partial f, the drop set of c's sample
     on mask is mask & g with g = ~f.mask | (f.bits ^ c), so the pick (the
@@ -194,7 +194,7 @@ def _cubes(concept_class, d, c):
     while stack:
         version, positives, negatives, must, avoid = stack.pop()
         if len(positives) + len(negatives) == d:
-            yield positives + negatives, must, avoid
+            yield positives + negatives, len(positives), must, avoid
             continue
         f = full_ldim_partial(concept_class, version)
         g = full & ~(f.mask & ~(f.bits ^ c))
@@ -219,14 +219,15 @@ def _cubes(concept_class, d, c):
         avoid |= g
         tup = positives + negatives
         if tup:
-            yield tup + tup[:1] * (d - len(tup)), must, avoid
+            yield tup + tup[:1] * (d - len(tup)), len(positives), must, avoid
             continue
         # an immediate halt encodes the domain's lowest point
         rest = full & ~avoid
         while rest:
             bit = rest & -rest
             rest ^= bit
-            yield ((bit.bit_length() - 1,) * d, bit, avoid | (bit - 1))
+            x = bit.bit_length() - 1
+            yield (x,) * d, (c >> x) & 1, bit, avoid | (bit - 1)
 
 
 def check_roundtrip(concept_class):
@@ -236,22 +237,37 @@ def check_roundtrip(concept_class):
 
     Each member walks its cubes of domains (`_cubes`).  A cube passes when
     some total of its tuple agrees with the member on the cube's largest
-    domain, since it then agrees on every smaller one.  Only a failing cube
-    tests its domains one by one.  A sample shared by several members is
-    found by each of them, so failures are kept once, under the first
-    member with that restriction.  Each tuple is decoded on its first cube.
+    domain, since it then agrees on every smaller one.  The cube's own
+    reading is tried first; only when it fails are all d + 1 totals of the
+    tuple tried, and only a cube that fails them all tests its domains one
+    by one, so the failures do not depend on which reading passed.  With
+    `decompress` the own reading always passes: any other reading labels
+    one of the picks, which lie in the domain, the other way.  Each
+    (tuple, reading) is decoded on its first cube, and each tuple's d + 1
+    totals on its first cube that needs them.  A sample shared by several
+    members is found by each of them, so failures are kept once, under the
+    first member with that restriction.
     """
     d = ldim_subset(concept_class, concept_class.full_version)
     full = (1 << concept_class.universe.size) - 1
+    own = {}  # (tuple, reading) -> the bits of that decoder's total, or None
     decoded = {}  # tuple -> the bits of its decoders' non-None totals
     failed = {}  # (mask, bits) -> the index of the first member with them
     for index, c in enumerate(concept_class.member_bits()):
-        for tup, must, avoid in _cubes(concept_class, d, c):
+        for tup, reading, must, avoid in _cubes(concept_class, d, c):
+            top = full & ~avoid
+            key = (tup, reading)
+            if key in own:
+                t = own[key]
+            else:
+                total = decompress(concept_class, reading, tup)
+                t = own[key] = None if total is None else total.bits
+            if t is not None and not (t ^ c) & top:
+                continue
             totals = decoded.get(tup)
             if totals is None:
                 reads = (decompress(concept_class, i, tup) for i in range(d + 1))
                 totals = decoded[tup] = [t.bits for t in reads if t is not None]
-            top = full & ~avoid
             if any(not (t ^ c) & top for t in totals):
                 continue
             free = top & ~must

@@ -10,7 +10,6 @@ from eqlearn.compression import (
     check_roundtrip,
     compress,
     decompress,
-    is_exceptional,
     sample_count,
 )
 from eqlearn.core import Concept, ConceptClass, PartialConcept, parse_partial
@@ -52,9 +51,10 @@ def test_memoized_full_ldim_partial_matches_oracle_on_every_version(cls, data):
 
 
 def test_is_exceptional_examples(sing4):
-    assert is_exceptional(PartialConcept.empty(sing4.universe), sing4)
-    assert is_exceptional(parse_partial(sing4.universe, "***0"), sing4)
-    assert not is_exceptional(parse_partial(sing4.universe, "**1*"), sing4)
+    full = full_ldim_partial(sing4)
+    assert PartialConcept.empty(sing4.universe).is_restriction_of(full)
+    assert parse_partial(sing4.universe, "***0").is_restriction_of(full)
+    assert not parse_partial(sing4.universe, "**1*").is_restriction_of(full)
 
 
 @given(cls=concept_classes(), data=st.data())
@@ -78,10 +78,12 @@ def test_is_exceptional_matches_oracle(cls, data):
     mask = data.draw(st.integers(0, full), label="mask")
     bits = data.draw(st.integers(0, full), label="bits") & mask
     partial = PartialConcept(cls.universe, mask, bits)
-    assert is_exceptional(partial, cls, version) == is_exceptional_oracle(
-        partial, cls, version
+    assert partial.is_restriction_of(
+        full_ldim_partial(cls, version)
+    ) == is_exceptional_oracle(partial, cls, version)
+    assert partial.is_restriction_of(full_ldim_partial(cls)) == is_exceptional_oracle(
+        partial, cls
     )
-    assert is_exceptional(partial, cls) == is_exceptional_oracle(partial, cls)
 
 
 @given(cls=concept_classes(max_x=7, max_c=12))
@@ -350,7 +352,7 @@ def test_a_cube_that_fails_in_part_reports_only_its_failing_domains(name, reques
         full = (1 << cls.universe.size) - 1
         split = 0
         for c in cls.member_bits():
-            for tup, must, avoid in compression._cubes(cls, scheme.dimension, c):
+            for _, _, must, avoid in compression._cubes(cls, scheme.dimension, c):
                 free = full & ~avoid & ~must
                 sub, seen = free, set()
                 while True:
@@ -360,6 +362,67 @@ def test_a_cube_that_fails_in_part_reports_only_its_failing_domains(name, reques
                     sub = (sub - 1) & free
                 split += seen == {True, False}
         assert split
+
+
+def _own_readings(cls):
+    """Each sample's (tuple, own reading): the tuple it encodes to, and the
+    number of the sample's ones among the tuple's points."""
+    for sample in samples(cls):
+        tup = compress_oracle(cls, sample)
+        yield tup, sum(sample.label(x) for x in set(tup))
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [fixtures.tree_class(3, 2), fixtures.powerset_class(3), fixtures.random_class(6, 9, 1)],
+    ids=["TREE(3,2)", "POW(3)", "random6x9"],
+)
+def test_a_swapped_reading_is_found_by_the_other_decoders(cls):
+    # the most common (tuple, own reading) loses its own decoder's total to
+    # the next decoder: a check that tried the own reading alone would fail
+    # every sample that now decodes through the next one
+    d = CompressionScheme(cls).dimension
+    pairs = list(_own_readings(cls))
+    chosen, own = max(sorted(set(pairs)), key=pairs.count)
+    swapped = (own + 1) % (d + 1)
+    decode = compression.decompress
+
+    def broken(concept_class, i, tup):
+        if tup == chosen and i == own:
+            return None
+        if tup == chosen and i == swapped:
+            return decode(concept_class, own, tup)
+        return decode(concept_class, i, tup)
+
+    _assert_failures_match_the_oracle(cls, broken)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        fixtures.tree_class(3, 2),
+        fixtures.five_class(),
+        fixtures.singletons(8),
+        fixtures.random_class(7, 10, seed=7207),
+    ],
+    ids=["TREE(3,2)", "FIVE", "SING(8)", "random7x10"],
+)
+def test_roundtrip_decodes_only_the_own_readings(cls, monkeypatch):
+    # with the library's decoders every sample is read back by its own
+    # reading, so each (tuple, own reading) is decoded once and no other
+    # reading ever is
+    calls = []
+    decode = compression.decompress
+
+    def counted(concept_class, i, tup):
+        calls.append((tup, i))
+        return decode(concept_class, i, tup)
+
+    monkeypatch.setattr(compression, "decompress", counted)
+    count, failures = check_roundtrip(cls)
+    assert count > 0 and not failures
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(_own_readings(cls))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 20])
